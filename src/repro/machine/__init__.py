@@ -15,11 +15,13 @@ Each front end has two interchangeable implementations selected by the
 decode-on-every-fetch interpreter, and the default ``"fast"``
 translation-cache path (:mod:`repro.machine.fastpath`) that predecodes
 every instruction once into a bound thunk and executes straight-line
-traces without re-entering the dispatch loop.  Trace bodies may embed
-*superinstructions* — fused two-instruction thunks compiled by
-:mod:`repro.machine.fusion` for the hottest adjacent pairs — and
-strict-mode stream decoding goes through the table-driven bulk decoder
-(:mod:`repro.machine.bulkdecode`) instead of the item-at-a-time walk.
+traces without re-entering the dispatch loop.  Every thunk is generated
+from the per-mnemonic statement templates of
+:mod:`repro.machine.fusion`; trace bodies may embed
+*superinstructions* — fused two-instruction thunks for the hottest
+adjacent pairs — and strict-mode stream decoding goes through the
+table-driven bulk decoder (:mod:`repro.machine.bulkdecode`) instead of
+the item-at-a-time walk.
 
 The integration tests run every workload through both front ends and
 both implementations and require identical architectural results — the

@@ -5,13 +5,15 @@ handler table and walk the operand list (``ins.operand("rA")``) on
 every executed instruction.  This module trades a one-time *predecode*
 pass for a fast steady state, QEMU-style:
 
-* :func:`bound_thunk` compiles one :class:`~repro.isa.instruction.
+* :func:`bound_thunk` turns one :class:`~repro.isa.instruction.
   Instruction` into a *bound thunk* — a closure over the already
   extracted operand values and register numbers that applies the
-  instruction to ``(state, memory)`` directly.  Thunks are memoized
-  process-wide (instructions are frozen/hashable), so the dictionary
-  entry ``addi r3, r3, 1`` shared by every program in a batch is bound
-  exactly once.
+  instruction to ``(state, memory)`` directly.  The thunk is rendered
+  from the instruction's statement template in
+  :mod:`repro.machine.fusion`, the single fast-path copy of the data
+  semantics, and memoized process-wide (instructions are
+  frozen/hashable), so the dictionary entry ``addi r3, r3, 1`` shared
+  by every program in a batch is bound exactly once.
 * A *translation cache* groups consecutive thunks into straight-line
   **traces** that end at a control-flow instruction.  Executing a trace
   is a single dict lookup plus a tight loop over plain callables — the
@@ -46,16 +48,14 @@ timer; trace-cache effectiveness is reported through the
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
 import threading
 import time
 
-from repro import bitutils, observe
+from repro import observe
 from repro.errors import DecompressionError, SimulationError
 from repro.machine import fusion
-from repro.isa import registers
-from repro.isa.instruction import Instruction
-from repro.machine.executor import CONTROL_MNEMONICS, _HANDLERS, _divw_impl
+from repro.machine.executor import CONTROL_MNEMONICS
+from repro.machine.fusion import bound_thunk
 from repro.machine.simulator import (
     HALT_ADDRESS,
     RunResult,
@@ -63,510 +63,11 @@ from repro.machine.simulator import (
     do_syscall,
 )
 
-_U = bitutils.WORD_MASK
-_s32 = bitutils.s32
-_sign_extend = bitutils.sign_extend
-_rotl32 = bitutils.rotl32
-
 # Traces are capped so a pathological straight-line program cannot
 # build one giant body (and so the step-budget check, which is per
 # trace, stays reasonably fine-grained).  A capped trace ends with
 # ``control=None`` and chains to a continuation trace.
 MAX_TRACE = 1024
-
-
-# ---------------------------------------------------------------------------
-# Instruction binders: one per executor handler.  Each extracts the
-# operands once and returns a ``thunk(state, mem)`` closure that
-# mirrors the corresponding :mod:`repro.machine.executor` handler
-# exactly, including the trailing ``state.steps += 1``.
-# ---------------------------------------------------------------------------
-def _bind_addi(ins):
-    rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-    if ra:
-
-        def thunk(state, mem):
-            state.gpr[rt] = (_s32(state.gpr[ra]) + si) & _U
-            state.steps += 1
-
-    else:
-        value = si & _U
-
-        def thunk(state, mem):
-            state.gpr[rt] = value
-            state.steps += 1
-
-    return thunk
-
-
-def _bind_addis(ins):
-    rt, ra = ins.operand("rT"), ins.operand("rA")
-    shifted = ins.operand("SI") << 16
-    if ra:
-
-        def thunk(state, mem):
-            state.gpr[rt] = (_s32(state.gpr[ra]) + shifted) & _U
-            state.steps += 1
-
-    else:
-        value = shifted & _U
-
-        def thunk(state, mem):
-            state.gpr[rt] = value
-            state.steps += 1
-
-    return thunk
-
-
-def _bind_mulli(ins):
-    rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-
-    def thunk(state, mem):
-        state.gpr[rt] = (_s32(state.gpr[ra]) * si) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_subfic(ins):
-    rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-
-    def thunk(state, mem):
-        state.gpr[rt] = (si - _s32(state.gpr[ra])) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_logic_imm(op, shift):
-    def binder(ins):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
-        imm = ins.operand("UI") << shift
-        if op == "|":
-
-            def thunk(state, mem):
-                state.gpr[ra] = state.gpr[rs] | imm
-                state.steps += 1
-
-        else:
-
-            def thunk(state, mem):
-                state.gpr[ra] = state.gpr[rs] ^ imm
-                state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_andi_dot(shift):
-    def binder(ins):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
-        imm = ins.operand("UI") << shift
-
-        def thunk(state, mem):
-            result = state.gpr[rs] & imm
-            state.gpr[ra] = result
-            signed = _s32(result)
-            if signed < 0:
-                bits = 8
-            elif signed > 0:
-                bits = 4
-            else:
-                bits = 2
-            state.cr = (state.cr & ~(0xF << 28)) | (bits << 28)
-            state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_cmp(signed, immediate):
-    imm_name = "SI" if signed else "UI"
-
-    def binder(ins):
-        crf, ra = ins.operand("crfD"), ins.operand("rA")
-        shift = 28 - 4 * crf
-        clear = ~(0xF << shift)
-        if immediate:
-            rhs = ins.operand(imm_name)
-
-            def thunk(state, mem):
-                a = _s32(state.gpr[ra]) if signed else state.gpr[ra]
-                if a < rhs:
-                    bits = 8
-                elif a > rhs:
-                    bits = 4
-                else:
-                    bits = 2
-                state.cr = (state.cr & clear) | (bits << shift)
-                state.steps += 1
-
-        else:
-            rb = ins.operand("rB")
-
-            def thunk(state, mem):
-                if signed:
-                    a, b = _s32(state.gpr[ra]), _s32(state.gpr[rb])
-                else:
-                    a, b = state.gpr[ra], state.gpr[rb]
-                if a < b:
-                    bits = 8
-                elif a > b:
-                    bits = 4
-                else:
-                    bits = 2
-                state.cr = (state.cr & clear) | (bits << shift)
-                state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_add(ins):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[rt] = (gpr[ra] + gpr[rb]) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_subf(ins):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[rt] = (gpr[rb] - gpr[ra]) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_neg(ins):
-    rt, ra = ins.operand("rT"), ins.operand("rA")
-
-    def thunk(state, mem):
-        state.gpr[rt] = -_s32(state.gpr[ra]) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_mullw(ins):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[rt] = (_s32(gpr[ra]) * _s32(gpr[rb])) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_divw(ins):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[rt] = _divw_impl(_s32(gpr[ra]), _s32(gpr[rb])) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_divwu(ins):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        b = gpr[rb]
-        gpr[rt] = gpr[ra] // b if b else 0
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_logic_reg(op):
-    def binder(ins):
-        ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-        if op == "&":
-
-            def thunk(state, mem):
-                gpr = state.gpr
-                gpr[ra] = gpr[rs] & gpr[rb]
-                state.steps += 1
-
-        elif op == "|":
-
-            def thunk(state, mem):
-                gpr = state.gpr
-                gpr[ra] = gpr[rs] | gpr[rb]
-                state.steps += 1
-
-        elif op == "^":
-
-            def thunk(state, mem):
-                gpr = state.gpr
-                gpr[ra] = gpr[rs] ^ gpr[rb]
-                state.steps += 1
-
-        else:  # nor
-
-            def thunk(state, mem):
-                gpr = state.gpr
-                gpr[ra] = ~(gpr[rs] | gpr[rb]) & _U
-                state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_slw(ins):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        amount = gpr[rb] & 0x3F
-        gpr[ra] = 0 if amount > 31 else (gpr[rs] << amount) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_srw(ins):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        amount = gpr[rb] & 0x3F
-        gpr[ra] = 0 if amount > 31 else gpr[rs] >> amount
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_sraw(ins):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        amount = gpr[rb] & 0x3F
-        if amount > 31:
-            amount = 31
-        gpr[ra] = (_s32(gpr[rs]) >> amount) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_srawi(ins):
-    ra, rs, sh = ins.operand("rA"), ins.operand("rS"), ins.operand("SH")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[ra] = (_s32(gpr[rs]) >> sh) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_rlwinm(ins):
-    ra, rs, sh = ins.operand("rA"), ins.operand("rS"), ins.operand("SH")
-    mb, me = ins.operand("MB"), ins.operand("ME")
-    if mb <= me:
-        mask = (bitutils.mask(me - mb + 1)) << (31 - me)
-    else:  # wrapped mask
-        mask = _U ^ ((bitutils.mask(mb - me - 1)) << (31 - mb + 1))
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[ra] = _rotl32(gpr[rs], sh) & mask
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_exts(width):
-    low_mask = (1 << width) - 1
-
-    def binder(ins):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
-
-        def thunk(state, mem):
-            gpr = state.gpr
-            gpr[ra] = _sign_extend(gpr[rs] & low_mask, width) & _U
-            state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_load(size, update=False, signed=False):
-    width = 8 * size
-
-    def binder(ins):
-        disp, base = ins.operand("D(rA)")
-        rt = ins.operand("rT")
-
-        def thunk(state, mem):
-            gpr = state.gpr
-            address = ((gpr[base] if base else 0) + disp) & _U
-            value = mem.load(address, size)
-            if signed:
-                value = _sign_extend(value, width) & _U
-            gpr[rt] = value
-            if update:
-                gpr[base] = address
-            state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_store(size, update=False):
-    def binder(ins):
-        disp, base = ins.operand("D(rA)")
-        rs = ins.operand("rS")
-
-        def thunk(state, mem):
-            gpr = state.gpr
-            address = ((gpr[base] if base else 0) + disp) & _U
-            mem.store(address, size, gpr[rs])
-            if update:
-                gpr[base] = address
-            state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_mfspr(ins):
-    spr, rt = ins.operand("SPR"), ins.operand("rT")
-    if spr == registers.LR:
-
-        def thunk(state, mem):
-            state.gpr[rt] = state.lr & _U
-            state.steps += 1
-
-    elif spr == registers.CTR:
-
-        def thunk(state, mem):
-            state.gpr[rt] = state.ctr & _U
-            state.steps += 1
-
-    else:
-
-        def thunk(state, mem):
-            raise SimulationError(f"mfspr: unsupported SPR {spr}")
-
-    return thunk
-
-
-def _bind_mtspr(ins):
-    spr, rs = ins.operand("SPR"), ins.operand("rS")
-    if spr == registers.LR:
-
-        def thunk(state, mem):
-            state.lr = state.gpr[rs]
-            state.steps += 1
-
-    elif spr == registers.CTR:
-
-        def thunk(state, mem):
-            state.ctr = state.gpr[rs]
-            state.steps += 1
-
-    else:
-
-        def thunk(state, mem):
-            raise SimulationError(f"mtspr: unsupported SPR {spr}")
-
-    return thunk
-
-
-_BINDERS = {
-    "addi": _bind_addi,
-    "addis": _bind_addis,
-    "mulli": _bind_mulli,
-    "subfic": _bind_subfic,
-    "ori": _bind_logic_imm("|", 0),
-    "oris": _bind_logic_imm("|", 16),
-    "xori": _bind_logic_imm("^", 0),
-    "xoris": _bind_logic_imm("^", 16),
-    "andi.": _bind_andi_dot(0),
-    "andis.": _bind_andi_dot(16),
-    "cmpwi": _bind_cmp(signed=True, immediate=True),
-    "cmplwi": _bind_cmp(signed=False, immediate=True),
-    "cmpw": _bind_cmp(signed=True, immediate=False),
-    "cmplw": _bind_cmp(signed=False, immediate=False),
-    "add": _bind_add,
-    "subf": _bind_subf,
-    "neg": _bind_neg,
-    "mullw": _bind_mullw,
-    "divw": _bind_divw,
-    "divwu": _bind_divwu,
-    "and": _bind_logic_reg("&"),
-    "or": _bind_logic_reg("|"),
-    "xor": _bind_logic_reg("^"),
-    "nor": _bind_logic_reg("~|"),
-    "slw": _bind_slw,
-    "srw": _bind_srw,
-    "sraw": _bind_sraw,
-    "srawi": _bind_srawi,
-    "rlwinm": _bind_rlwinm,
-    "extsb": _bind_exts(8),
-    "extsh": _bind_exts(16),
-    "lwz": _bind_load(4),
-    "lwzu": _bind_load(4, update=True),
-    "lbz": _bind_load(1),
-    "lbzu": _bind_load(1, update=True),
-    "lhz": _bind_load(2),
-    "lha": _bind_load(2, signed=True),
-    "stw": _bind_store(4),
-    "stwu": _bind_store(4, update=True),
-    "stb": _bind_store(1),
-    "stbu": _bind_store(1, update=True),
-    "sth": _bind_store(2),
-    "mfspr": _bind_mfspr,
-    "mtspr": _bind_mtspr,
-}
-
-
-@lru_cache(maxsize=65536)
-def bound_thunk(ins: Instruction):
-    """Bind one non-control instruction to a ``(state, mem)`` closure.
-
-    Memoized process-wide: instructions are frozen dataclasses, so the
-    same word predecoded by any simulator shares one thunk.
-    """
-    binder = _BINDERS.get(ins.mnemonic)
-    if binder is not None:
-        return binder(ins)
-    handler = _HANDLERS.get(ins.mnemonic)
-    if handler is None:
-        name = ins.mnemonic
-
-        def missing(state, mem):
-            raise SimulationError(f"no semantics for {name!r}")
-
-        return missing
-
-    # A handler without a dedicated binder (future additions) still
-    # runs predecoded, through the generic executor entry.
-    def generic(state, mem):
-        handler(ins, state, mem)
-        state.steps += 1
-
-    return generic
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +140,56 @@ def _out_of_text_control(pc):
     return control
 
 
-def _program_control(program, index, ins):
+def _fuses_control(lead, tail) -> bool:
+    """Whether a trace absorbs ``lead`` into its ``tail`` control."""
+    return (
+        tail.mnemonic in fusion.CONTROL_TAIL_MNEMONICS
+        and (lead.mnemonic, tail.mnemonic) in fusion.active_control_pairs()
+    )
+
+
+# Branch outcome for each 4-bit CR field value, per (tested bit, wanted
+# value) — the fused compare+branch decision as one table lookup.
+_TAKEN_FOR = {
+    (sel, want): tuple(((bits >> sel) & 1) == want for bits in range(16))
+    for sel in range(4)
+    for want in (0, 1)
+}
+
+
+def _fused_decision(ins, lead):
+    """How the ``bc``/``bcl`` control ``ins`` runs its fused ``lead``.
+
+    Returns ``(feed, taken_for, lead_thunk)``.  A compare lead that
+    writes the branch's own CR field, under a real condition with no
+    CTR decrement, gives its compare ``feed`` and ``taken_for``, the
+    branch outcome for each 4-bit field value the feed can return, so
+    the decision never re-reads ``state.cr``.  Any other lead gives its
+    bound thunk, run before the ordinary decision.  No lead gives
+    ``(None, None, None)``.
+    """
+    if lead is None:
+        return None, None, None
+    bo, bi = ins.operand("BO"), ins.operand("BI")
+    feed_crf = fusion.compare_feed(lead)
+    if (
+        feed_crf is not None
+        and (bo & 0b10100) == 0b00100
+        and (bi >> 2) == feed_crf[1]
+    ):
+        return feed_crf[0], _TAKEN_FOR[3 - (bi & 3), (bo >> 3) & 1], None
+    return None, None, bound_thunk(lead)
+
+
+def _program_control(program, index, ins, lead=None):
     """Compile one control instruction of an uncompressed program.
 
     The closure receives ``(state, sim)`` with ``sim.pc`` already
     synced to ``index`` (so dynamic-target resolution and halting via
     :meth:`Simulator._to_index` see the reference PC) and returns the
-    next instruction index.
+    next instruction index.  Under control fusion ``lead`` is the
+    instruction at ``index - 1``, which a ``bc``/``bcl`` closure
+    executes first (see :func:`_fused_decision`).
     """
     name = ins.mnemonic
     fallthrough = index + 1
@@ -668,19 +212,20 @@ def _program_control(program, index, ins):
     elif name in ("bc", "bcl"):
         bo, bi = ins.operand("BO"), ins.operand("BI")
         target = index + ins.operand("target")
-        if name == "bcl":
-            link = program.address_of(fallthrough)
+        link = program.address_of(fallthrough) if name == "bcl" else None
+        feed, taken_for, lead_thunk = _fused_decision(ins, lead)
 
-            def control(state, sim):
-                state.steps += 1
+        def control(state, sim):
+            if feed is not None:
+                taken = taken_for[feed(state)]
+            else:
+                if lead_thunk is not None:
+                    lead_thunk(state, sim.memory)
+                taken = branch_decision(state, bo, bi)
+            state.steps += 1
+            if link is not None:
                 state.lr = link
-                return target if branch_decision(state, bo, bi) else fallthrough
-
-        else:
-
-            def control(state, sim):
-                state.steps += 1
-                return target if branch_decision(state, bo, bi) else fallthrough
+            return target if taken else fallthrough
 
     elif name == "bclr":
         bo, bi = ins.operand("BO"), ins.operand("BI")
@@ -714,57 +259,6 @@ def _program_control(program, index, ins):
     else:  # pragma: no cover - CONTROL_MNEMONICS is closed
         def control(state, sim):
             raise SimulationError(f"unhandled control instruction {name}")
-
-    return control
-
-
-def _program_control_fused(program, index, ins, lead):
-    """Compile a fused lead+branch control for an uncompressed program.
-
-    ``lead`` is the instruction at ``index - 1`` — a pure-ALU/compare
-    lead (:data:`fusion.CONTROL_LEAD_MNEMONICS`), so the lead half
-    cannot raise.  The closure executes lead then branch with the
-    exact reference order: lead (one step), ``steps += 1`` for the
-    branch, link write, decision.  Only ``bc``/``bcl`` tails fuse.
-    Returns ``None`` for any other control.
-    """
-    name = ins.mnemonic
-    if name not in ("bc", "bcl"):
-        return None
-    fallthrough = index + 1
-    bo, bi = ins.operand("BO"), ins.operand("BI")
-    target = index + ins.operand("target")
-    link = program.address_of(fallthrough) if name == "bcl" else None
-
-    feed_crf = fusion.compare_feed(lead)
-    decrement = not (bo & 0b00100)
-    if feed_crf is not None and not decrement and (bi >> 2) == feed_crf[1]:
-        # Compare lead writing the branch's own CR field, no CTR
-        # decrement: the decision tests the just-computed LT/GT/EQ
-        # bits locally instead of re-reading state.cr.
-        feed = feed_crf[0]
-        always = bool(bo & 0b10000)
-        want = (bo >> 3) & 1
-        sel = 3 - (bi & 3)
-
-        def control(state, sim):
-            bits = feed(state)
-            state.steps += 1
-            if link is not None:
-                state.lr = link
-            if always or ((bits >> sel) & 1) == want:
-                return target
-            return fallthrough
-
-    else:
-        lead_thunk = bound_thunk(lead)
-
-        def control(state, sim):
-            lead_thunk(state, sim.memory)
-            state.steps += 1
-            if link is not None:
-                state.lr = link
-            return target if branch_decision(state, bo, bi) else fallthrough
 
     return control
 
@@ -818,26 +312,27 @@ class ProgramTranslationCache:
             index += 1
         span = index - start
         if index < n and kinds[index]:
-            fused_control = None
-            if index > start:
-                control_pairs = fusion.active_control_pairs()
-                lead = self.instructions[index - 1]
-                tail = self.instructions[index]
-                if (lead.mnemonic, tail.mnemonic) in control_pairs:
-                    fused_control = _program_control_fused(
-                        self.program, index, tail, lead
-                    )
-            if fused_control is not None:
+            instructions = self.instructions
+            control = ops[index]
+            body_end = index
+            if index > start and _fuses_control(
+                instructions[index - 1], instructions[index]
+            ):
                 # The lead is absorbed into the control: the body span
                 # (and data-pair fusion) stops one instruction early,
                 # but accounting stays instruction-granular.
-                body = self._body_span(start, index - 1)
-                trace = Trace(start, body, fused_control, None, span + 1)
-                trace.fused_lead_pc = index - 1
-                trace.plain_control = ops[index]
-            else:
-                body = self._body_span(start, index)
-                trace = Trace(start, body, ops[index], None, span + 1)
+                body_end = index - 1
+                control = _program_control(
+                    self.program, index, instructions[index],
+                    instructions[body_end],
+                )
+            trace = Trace(
+                start, self._body_span(start, body_end), control, None,
+                span + 1,
+            )
+            trace.plain_control = ops[index]
+            if body_end < index:
+                trace.fused_lead_pc = body_end
             trace.control_pc = index
         elif index < n:  # capped: chain to a continuation trace
             trace = Trace(start, self._body_span(start, index), None, index, span)
@@ -902,15 +397,28 @@ def program_cache(program) -> ProgramTranslationCache:
 # ---------------------------------------------------------------------------
 # Compressed-stream traces
 # ---------------------------------------------------------------------------
+def _fell_off(last_unit, state):
+    raise SimulationError(
+        "fell off the end of the compressed stream",
+        unit_address=last_unit,
+        step=state.steps,
+    )
+
+
 def _fell_off_control(last_unit):
     def control(state, sim):
-        raise SimulationError(
-            "fell off the end of the compressed stream",
-            unit_address=last_unit,
-            step=state.steps,
-        )
+        _fell_off(last_unit, state)
 
     return control
+
+
+def _into_item(unit, state, sim):
+    raise DecompressionError(
+        f"branch to unit {unit} lands inside an encoded item",
+        unit_address=unit,
+        orig_pc=sim.origin_pc(),
+        step=state.steps,
+    )
 
 
 class StreamTranslationCache:
@@ -938,7 +446,6 @@ class StreamTranslationCache:
         self.alignment_bits = alignment_bits
         self.traces = {}
         self._controls = {}
-        self._fused_controls = {}
         self.hits = 0
         self.misses = 0
         self.fusion_key = fusion.config_key()
@@ -975,23 +482,29 @@ class StreamTranslationCache:
         unit = address - self.text_base
         index = self.item_at_address.get(unit)
         if index is None:
-            raise DecompressionError(
-                f"branch to unit {unit} lands inside an encoded item",
-                unit_address=unit,
-                orig_pc=sim.origin_pc(),
-                step=state.steps,
-            )
+            _into_item(unit, state, sim)
         return (index, 0)
 
     # -- control compilation ------------------------------------------
-    def control_at(self, key):
-        control = self._controls.get(key)
+    def control_at(self, key, lead_key=None):
+        # Plain controls are memoized under their own position, fused
+        # ones under (position, lead position).
+        memo = key if lead_key is None else (key, lead_key)
+        control = self._controls.get(memo)
         if control is None:
-            control = self._build_control(key)
-            self._controls[key] = control
+            control = self._build_control(key, lead_key)
+            self._controls[memo] = control
         return control
 
-    def _build_control(self, key):
+    def _build_control(self, key, lead_key=None):
+        """Compile the control instruction at stream position ``key``.
+
+        Under control fusion ``lead_key`` is the position just before
+        it in fetch order, which a ``bc``/``bcl`` closure executes first
+        (see :func:`_fused_decision`).  Every step increment lands
+        before any raise, so a taken branch into an encoded item or a
+        fall off the stream reports the exact reference step count.
+        """
         item_index, micro = key
         item_address = self.addresses[item_index]
         ins = self.instructions[item_index][micro]
@@ -999,61 +512,46 @@ class StreamTranslationCache:
         fall_key = self._next_key(item_index, micro)
         last_unit = item_address
         resolve = self._resolve_address
-
-        def _static_target():
+        link = None
+        if name in ("bl", "bcl", "bcctrl"):
+            link = self.text_base + item_address + self.sizes[item_index]
+        if name in ("b", "bl", "bc", "bcl"):
             unit = item_address + ins.operand("target")
             target_key = self._key_for_unit(unit)
-            return unit, target_key
 
         if name in ("b", "bl"):
-            unit, target_key = _static_target()
-            link = (
-                self.text_base + item_address + self.sizes[item_index]
-                if name == "bl"
-                else None
-            )
 
             def control(state, sim):
                 state.steps += 1
                 if link is not None:
                     state.lr = link
                 if target_key is None:
-                    raise DecompressionError(
-                        f"branch to unit {unit} lands inside an encoded item",
-                        unit_address=unit,
-                        orig_pc=sim.origin_pc(),
-                        step=state.steps,
-                    )
+                    _into_item(unit, state, sim)
                 return target_key
 
         elif name in ("bc", "bcl"):
             bo, bi = ins.operand("BO"), ins.operand("BI")
-            unit, target_key = _static_target()
-            link = (
-                self.text_base + item_address + self.sizes[item_index]
-                if name == "bcl"
-                else None
-            )
+            lead = None
+            if lead_key is not None:
+                lead = self.instructions[lead_key[0]][lead_key[1]]
+            feed, taken_for, lead_thunk = _fused_decision(ins, lead)
 
             def control(state, sim):
+                if feed is not None:
+                    taken = taken_for[feed(state)]
+                else:
+                    if lead_thunk is not None:
+                        lead_thunk(state, sim.memory)
+                    taken = branch_decision(state, bo, bi)
                 state.steps += 1
                 if link is not None:
                     state.lr = link
-                if branch_decision(state, bo, bi):
+                if taken:
                     if target_key is None:
-                        raise DecompressionError(
-                            f"branch to unit {unit} lands inside an encoded item",
-                            unit_address=unit,
-                            orig_pc=sim.origin_pc(),
-                            step=state.steps,
-                        )
+                        _into_item(unit, state, sim)
                     return target_key
                 if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
+                    _fell_off(last_unit, state)
                 return fall_key
 
         elif name == "bclr":
@@ -1064,20 +562,11 @@ class StreamTranslationCache:
                 if branch_decision(state, bo, bi):
                     return resolve(state, sim, state.lr, key)
                 if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
+                    _fell_off(last_unit, state)
                 return fall_key
 
         elif name in ("bcctr", "bcctrl"):
             bo, bi = ins.operand("BO"), ins.operand("BI")
-            link = (
-                self.text_base + item_address + self.sizes[item_index]
-                if name == "bcctrl"
-                else None
-            )
 
             def control(state, sim):
                 state.steps += 1
@@ -1087,11 +576,7 @@ class StreamTranslationCache:
                 if taken:
                     return resolve(state, sim, state.ctr, key)
                 if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
+                    _fell_off(last_unit, state)
                 return fall_key
 
         elif name == "sc":
@@ -1102,109 +587,12 @@ class StreamTranslationCache:
                 if state.halted:
                     return key
                 if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
+                    _fell_off(last_unit, state)
                 return fall_key
 
         else:  # pragma: no cover - CONTROL_MNEMONICS is closed
             def control(state, sim):
                 raise SimulationError(f"unhandled control instruction {name}")
-
-        return control
-
-    def fused_control_at(self, key, lead_key):
-        control = self._fused_controls.get((key, lead_key))
-        if control is None:
-            control = self._build_fused_control(key, lead_key)
-            self._fused_controls[(key, lead_key)] = control
-        return control
-
-    def _build_fused_control(self, key, lead_key):
-        """A lead+branch control closure for a compressed stream.
-
-        ``key`` is the ``bc``/``bcl`` position, ``lead_key`` the
-        pure-ALU/compare position immediately before it in fetch
-        order.  Error semantics are byte-identical to the unfused
-        :meth:`_build_control`: both step increments land before any
-        raise, so a taken branch into an encoded item or a fall off
-        the stream reports the exact reference step count.
-        """
-        item_index, micro = key
-        item_address = self.addresses[item_index]
-        ins = self.instructions[item_index][micro]
-        name = ins.mnemonic
-        li, lm = lead_key
-        lead = self.instructions[li][lm]
-        fall_key = self._next_key(item_index, micro)
-        last_unit = item_address
-        bo, bi = ins.operand("BO"), ins.operand("BI")
-        unit = item_address + ins.operand("target")
-        target_key = self._key_for_unit(unit)
-        link = (
-            self.text_base + item_address + self.sizes[item_index]
-            if name == "bcl"
-            else None
-        )
-
-        feed_crf = fusion.compare_feed(lead)
-        decrement = not (bo & 0b00100)
-        if feed_crf is not None and not decrement and (bi >> 2) == feed_crf[1]:
-            feed = feed_crf[0]
-            always = bool(bo & 0b10000)
-            want = (bo >> 3) & 1
-            sel = 3 - (bi & 3)
-
-            def control(state, sim):
-                bits = feed(state)
-                state.steps += 1
-                if link is not None:
-                    state.lr = link
-                if always or ((bits >> sel) & 1) == want:
-                    if target_key is None:
-                        raise DecompressionError(
-                            f"branch to unit {unit} lands inside an "
-                            f"encoded item",
-                            unit_address=unit,
-                            orig_pc=sim.origin_pc(),
-                            step=state.steps,
-                        )
-                    return target_key
-                if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
-                return fall_key
-
-        else:
-            lead_thunk = bound_thunk(lead)
-
-            def control(state, sim):
-                lead_thunk(state, sim.memory)
-                state.steps += 1
-                if link is not None:
-                    state.lr = link
-                if branch_decision(state, bo, bi):
-                    if target_key is None:
-                        raise DecompressionError(
-                            f"branch to unit {unit} lands inside an "
-                            f"encoded item",
-                            unit_address=unit,
-                            orig_pc=sim.origin_pc(),
-                            step=state.steps,
-                        )
-                    return target_key
-                if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
-                return fall_key
 
         return control
 
@@ -1257,13 +645,12 @@ class StreamTranslationCache:
                 break
         fused_lead_key = None
         if control_key is not None and positions:
-            control_pairs = fusion.active_control_pairs()
-            if control_pairs:
-                li, lm = positions[-1]
-                lead = self.instructions[li][lm]
-                tail = self.instructions[control_key[0]][control_key[1]]
-                if (lead.mnemonic, tail.mnemonic) in control_pairs:
-                    fused_lead_key = positions[-1]
+            li, lm = positions[-1]
+            if _fuses_control(
+                self.instructions[li][lm],
+                self.instructions[control_key[0]][control_key[1]],
+            ):
+                fused_lead_key = positions[-1]
         # Control fusion claims the lead before data-pair fusion sees
         # it, so the body (and its pairing) stops one position early;
         # fetch/step accounting always covers the full span.
@@ -1273,7 +660,7 @@ class StreamTranslationCache:
         steps_cost = len(positions) + (1 if control_key is not None else 0)
         plain_control = control
         if fused_lead_key is not None:
-            control = self.fused_control_at(control_key, fused_lead_key)
+            control = self.control_at(control_key, fused_lead_key)
         trace = Trace(
             start, self._paired_body(body_positions), control, cont, steps_cost
         )
@@ -1350,7 +737,6 @@ def stream_cache(
     fusion_key = fusion.config_key()
     if cache.fusion_key != fusion_key:
         cache.traces.clear()
-        cache._fused_controls.clear()
         cache.fusion_key = fusion_key
     return cache
 
@@ -1365,10 +751,23 @@ def stream_cache_for(sim) -> StreamTranslationCache:
     )
 
 
+# Every memo of generated code, captured at import so that a test
+# which swaps a fusion function for a wrapper still clears the memo
+# underneath it.
+_GENERATED_MEMOS = (
+    bound_thunk, fusion.fused_thunk, fusion.compare_feed, fusion.compile_factory,
+)
+
+
 def clear_translation_caches() -> None:
-    """Drop all shared predecode state (tests, memory pressure)."""
+    """Drop all shared predecode state (tests, memory pressure).
+
+    That is the stream caches and every memo of generated code: bound
+    and fused thunks, compare feeds and the template factories.
+    """
     _STREAM_CACHES.clear()
-    bound_thunk.cache_clear()
+    for memo in _GENERATED_MEMOS:
+        memo.cache_clear()
 
 
 def translation_cache_stats() -> dict:
@@ -1820,9 +1219,5 @@ def step_stream_once(sim, cache=None) -> None:
         thunk(state, sim.memory)
         next_key = cache._next_key(item_index, micro)
         if next_key is None:
-            raise SimulationError(
-                "fell off the end of the compressed stream",
-                unit_address=cache.addresses[item_index],
-                step=state.steps,
-            )
+            _fell_off(cache.addresses[item_index], state)
         sim.item_index, sim.micro = next_key

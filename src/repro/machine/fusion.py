@@ -1,60 +1,57 @@
-"""Superinstruction fusion: fused two-instruction thunks for traces.
+"""Fast-path data semantics: one statement template per mnemonic.
 
-The fast path (:mod:`repro.machine.fastpath`) executes straight-line
-traces as ``for thunk in trace.body: thunk(state, memory)`` — one
-Python call plus one loop iteration per instruction.  Interpreter
-literature's *superinstruction* idiom collapses the hottest adjacent
-instruction pairs into single handlers; here that means compiling one
-fused ``(state, mem)`` closure for an :class:`Instruction` pair, which
-halves both the loop iterations and the call dispatches on fused
-pairs.
+The reference interpreter (:mod:`repro.machine.executor`) re-resolves
+the handler and re-extracts operands on every executed instruction.
+The fast path (:mod:`repro.machine.fastpath`) runs generated code
+instead, and all of it comes from :data:`_TEMPLATES`: each data
+mnemonic has one *statement template* that names its operands
+(register numbers, immediates, precomputed masks) as placeholders.  The
+same statements render three ways:
 
-Fusion is **code generation**, not closure composition: each supported
-mnemonic has a statement template that inlines the already-extracted
-operands (register numbers, immediates, precomputed masks) as
-literals, and :func:`fused_thunk` compiles the concatenated statements
-with ``exec`` once per distinct instruction pair (memoized
-process-wide).  Composing the two existing closures instead would save
-the loop iteration but add a call — a net loss.
+* :func:`bound_thunk` — the 1-instruction case.  The placeholders
+  become the parameters of a closure factory, compiled with ``exec``
+  once per template variant (:func:`compile_factory`) and called with
+  one instruction's operand values, so binding an instruction never
+  compiles.
+* :func:`fused_thunk` — the 2-instruction case, a *superinstruction*.
+  The placeholders become literals and two templates concatenate into
+  one ``(state, mem)`` function, compiled once per distinct pair; a
+  fused pair halves the loop iterations and calls of a trace body.
+* :func:`compare_feed` — a compare template as ``feed(state)``, which
+  also returns the CR field bits it wrote, for compare+branch control
+  fusion.
 
-Semantics are exact by construction:
+The executor stays a separate, hand-written oracle on purpose: the
+lockstep harness (:mod:`repro.verify.fastpath`) checks every rendering
+against it, so a template bug cannot appear on both sides.
 
-* each template mirrors its binder in :mod:`repro.machine.fastpath`
-  statement for statement (same masking, same CR update shape, same
-  memory access order);
-* ``state.steps`` accounting is per-instruction whenever either half
-  can raise (loads/stores), so an out-of-range access observes the
-  identical step count as the reference interpreter; only pure-ALU
-  pairs coalesce into one ``state.steps += 2``;
-* control instructions, ``divw``/``divwu`` and ``mfspr``/``mtspr``
-  (error corners) are never fused.
+Step accounting is exact: ``state.steps`` counts per instruction
+whenever either half of a pair can raise (loads/stores), so an
+out-of-range access observes the reference step count; only pure-ALU
+pairs coalesce into one ``state.steps += 2``.  Control instructions
+have no template, and ``divw``/``divwu``/``mfspr``/``mtspr`` are never
+fused.
 
-Which pairs fuse is a *plan*: :data:`DEFAULT_PAIRS` carries the
-hottest adjacent data-instruction pairs mined from
-``profile_program`` fetch counts over the benchmark suite, and
-:func:`plan_from_profile` re-mines a plan for any program so callers
-(``repro-verify fastpath --fusion profile``, ``repro-bench``) can use
-workload-specific pairs.  The active configuration is process-wide;
-translation caches key their traces on :func:`config_key` and rebuild
-when it changes.
+Which pairs fuse is a *plan*: :data:`DEFAULT_PAIRS` carries the hottest
+adjacent data-instruction pairs mined from ``profile_program`` fetch
+counts over the benchmark suite, and :func:`plan_from_profile` re-mines
+a plan for any program, so callers (``repro-verify fastpath --fusion
+profile``, ``repro-bench``) can use workload-specific pairs.  The
+active configuration is process-wide; translation caches key their
+traces on :func:`config_key` and rebuild when it changes.
 
 **Control fusion** is the second, independent axis: ~46% of adjacent
 executed pairs suite-wide are a compare followed by a conditional
-branch, and PR 8's data-pair fusion deliberately stopped short of
-control flow.  A *control pair* fuses the trailing lead instruction
-into the trace-terminating control closure itself
-(:func:`repro.machine.fastpath._program_control_fused` and the stream
-equivalent): the lead executes inside the fused control, the trace
-body shrinks by one thunk, and — when the lead is a compare feeding
-the branch's own CR field — the branch decision tests the just
-computed 4-bit field value locally (:func:`compare_feed`) instead of
-re-reading ``state.cr``.  Leads are restricted to
+branch.  A *control pair* fuses the trace's last body instruction into
+the trace-terminating ``bc``/``bcl`` closure, which then executes the
+lead itself; when the lead is a compare that writes the branch's own
+CR field, the decision tests the bits :func:`compare_feed` returns
+instead of re-reading ``state.cr``.  Leads are restricted to
 :data:`CONTROL_LEAD_MNEMONICS` (pure ALU/compare templates that cannot
-raise), so a fused compare+branch can only fault in its branch half
-and error step counts stay trivially exact.  The control plan is
-configured/mined separately (:data:`DEFAULT_CONTROL_PAIRS`,
-:func:`control_plan_from_profile`) and contributes its own component
-to :func:`config_key`.
+raise), so a fused compare+branch can only fault in its branch half.
+The control plan is configured and mined separately
+(:data:`DEFAULT_CONTROL_PAIRS`, :func:`control_plan_from_profile`) and
+is its own component of :func:`config_key`.
 """
 
 from __future__ import annotations
@@ -63,6 +60,8 @@ from collections import Counter
 from functools import lru_cache
 
 from repro import bitutils
+from repro.errors import SimulationError
+from repro.isa import registers
 from repro.machine.executor import CONTROL_MNEMONICS
 
 _U = bitutils.WORD_MASK
@@ -145,14 +144,6 @@ def configure(
     return previous
 
 
-def fusion_enabled() -> bool:
-    return _enabled
-
-
-def control_fusion_enabled() -> bool:
-    return _enabled and _control_enabled
-
-
 def active_pairs() -> frozenset:
     """The pairs traces may fuse right now (empty when disabled)."""
     return _pairs if _enabled else frozenset()
@@ -210,7 +201,7 @@ def mine_adjacent_pairs(program, counts) -> Counter:
     for i in range(len(text) - 1):
         a = text[i].instruction.mnemonic
         b = text[i + 1].instruction.mnemonic
-        if a not in _TEMPLATES or b not in _TEMPLATES:
+        if a not in FUSABLE_MNEMONICS or b not in FUSABLE_MNEMONICS:
             continue
         weight = min(counts[i], counts[i + 1])
         if weight:
@@ -253,203 +244,211 @@ def control_plan_from_profile(program, counts, top_k: int = DEFAULT_TOP_K):
 
 
 # ---------------------------------------------------------------------------
-# Statement templates.  ``_template(ins, prefix)`` renders one
-# instruction to (statements, can_raise); every template mirrors the
-# corresponding binder in fastpath.py exactly.  ``prefix`` namespaces
-# the temporaries so two templates concatenate safely.
+# Statement templates.  ``template(ins)`` returns ``(lines, operands)``:
+# a tuple of statements with ``{name}`` placeholders, and the value of
+# each named operand.  ``{p}`` prefixes temporaries so two templates
+# concatenate safely; compare templates leave the CR field bits they
+# write in ``{p}c``.  Each variant (e.g. ``addi`` with and without rA)
+# is a distinct ``lines`` tuple and so gets its own factory.
 # ---------------------------------------------------------------------------
-def _t_addi(ins, p):
+def _t_addi(shift):
+    def template(ins):
+        rt, ra = ins.operand("rT"), ins.operand("rA")
+        si = ins.operand("SI") << shift
+        if ra:
+            return (
+                "gpr[{rt}] = (_s32(gpr[{ra}]) + {si}) & 0xFFFFFFFF",
+            ), {"rt": rt, "ra": ra, "si": si}
+        return ("gpr[{rt}] = {value}",), {"rt": rt, "value": si & _U}
+
+    return template
+
+
+def _t_mulli(ins):
     rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-    if ra:
-        return [f"gpr[{rt}] = (_s32(gpr[{ra}]) + {si}) & {_U}"], False
-    return [f"gpr[{rt}] = {si & _U}"], False
+    return (
+        "gpr[{rt}] = (_s32(gpr[{ra}]) * {si}) & 0xFFFFFFFF",
+    ), {"rt": rt, "ra": ra, "si": si}
 
 
-def _t_addis(ins, p):
-    rt, ra = ins.operand("rT"), ins.operand("rA")
-    shifted = ins.operand("SI") << 16
-    if ra:
-        return [f"gpr[{rt}] = (_s32(gpr[{ra}]) + {shifted}) & {_U}"], False
-    return [f"gpr[{rt}] = {shifted & _U}"], False
-
-
-def _t_mulli(ins, p):
+def _t_subfic(ins):
     rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-    return [f"gpr[{rt}] = (_s32(gpr[{ra}]) * {si}) & {_U}"], False
-
-
-def _t_subfic(ins, p):
-    rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-    return [f"gpr[{rt}] = ({si} - _s32(gpr[{ra}])) & {_U}"], False
+    return (
+        "gpr[{rt}] = ({si} - _s32(gpr[{ra}])) & 0xFFFFFFFF",
+    ), {"rt": rt, "ra": ra, "si": si}
 
 
 def _t_logic_imm(op, shift):
-    def template(ins, p):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
+    lines = (f"gpr[{{ra}}] = gpr[{{rs}}] {op} {{imm}}",)
+
+    def template(ins):
         imm = ins.operand("UI") << shift
-        return [f"gpr[{ra}] = gpr[{rs}] {op} {imm}"], False
+        return lines, {"ra": ins.operand("rA"), "rs": ins.operand("rS"), "imm": imm}
 
     return template
 
 
 def _t_andi_dot(shift):
-    def template(ins, p):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
+    lines = (
+        "{p}r = gpr[{rs}] & {imm}",
+        "gpr[{ra}] = {p}r",
+        "{p}s = _s32({p}r)",
+        "state.cr = (state.cr & 0x0FFFFFFF) | "
+        "((8 if {p}s < 0 else 4 if {p}s > 0 else 2) << 28)",
+    )
+
+    def template(ins):
         imm = ins.operand("UI") << shift
-        keep = _U ^ (0xF << 28)
-        return [
-            f"{p}r = gpr[{rs}] & {imm}",
-            f"gpr[{ra}] = {p}r",
-            f"{p}s = _s32({p}r)",
-            f"state.cr = (state.cr & {keep}) | "
-            f"((8 if {p}s < 0 else 4 if {p}s > 0 else 2) << 28)",
-        ], False
+        return lines, {"rs": ins.operand("rS"), "imm": imm, "ra": ins.operand("rA")}
 
     return template
 
 
 def _t_cmp(signed, immediate):
+    read = "_s32(gpr[{%s}])" if signed else "gpr[{%s}]"
+    lines = ["{p}a = " + read % "ra"]
+    if immediate:
+        rhs = "{imm}"
+    else:
+        rhs = "{p}b"
+        lines.append("{p}b = " + read % "rb")
+    lines += [
+        f"{{p}}c = 8 if {{p}}a < {rhs} else 4 if {{p}}a > {rhs} else 2",
+        "state.cr = (state.cr & {keep}) | ({p}c << {shift})",
+    ]
+    lines = tuple(lines)
     imm_name = "SI" if signed else "UI"
-    cast = "_s32(gpr[{r}])" if signed else "gpr[{r}]"
 
-    def template(ins, p):
-        crf, ra = ins.operand("crfD"), ins.operand("rA")
-        shift = 28 - 4 * crf
-        keep = _U ^ (0xF << shift)
-        lines = [f"{p}a = " + cast.format(r=ra)]
+    def template(ins):
+        shift = 28 - 4 * ins.operand("crfD")
+        operands = {"ra": ins.operand("rA")}
         if immediate:
-            rhs = str(ins.operand(imm_name))
+            operands["imm"] = ins.operand(imm_name)
         else:
-            rhs = f"{p}b"
-            lines.append(f"{p}b = " + cast.format(r=ins.operand("rB")))
-        lines.append(
-            f"state.cr = (state.cr & {keep}) | "
-            f"((8 if {p}a < {rhs} else 4 if {p}a > {rhs} else 2) << {shift})"
-        )
-        return lines, False
+            operands["rb"] = ins.operand("rB")
+        operands["keep"] = _U ^ (0xF << shift)
+        operands["shift"] = shift
+        return lines, operands
 
     return template
 
 
-def _t_add(ins, p):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-    return [f"gpr[{rt}] = (gpr[{ra}] + gpr[{rb}]) & {_U}"], False
+def _t_xo(expression):
+    """An ``rT = f(rA, rB)`` arithmetic template."""
+    lines = (f"gpr[{{rt}}] = {expression}",)
 
-
-def _t_subf(ins, p):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-    return [f"gpr[{rt}] = (gpr[{rb}] - gpr[{ra}]) & {_U}"], False
-
-
-def _t_neg(ins, p):
-    rt, ra = ins.operand("rT"), ins.operand("rA")
-    return [f"gpr[{rt}] = -_s32(gpr[{ra}]) & {_U}"], False
-
-
-def _t_mullw(ins, p):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-    return [f"gpr[{rt}] = (_s32(gpr[{ra}]) * _s32(gpr[{rb}])) & {_U}"], False
-
-
-def _t_logic_reg(expr):
-    def template(ins, p):
-        ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-        return [f"gpr[{ra}] = " + expr.format(s=rs, b=rb)], False
+    def template(ins):
+        return lines, {
+            "rt": ins.operand("rT"), "ra": ins.operand("rA"), "rb": ins.operand("rB")
+        }
 
     return template
 
 
-def _t_slw(ins, p):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-    return [
-        f"{p}n = gpr[{rb}] & 63",
-        f"gpr[{ra}] = 0 if {p}n > 31 else (gpr[{rs}] << {p}n) & {_U}",
-    ], False
+def _t_neg(ins):
+    return (
+        "gpr[{rt}] = -_s32(gpr[{ra}]) & 0xFFFFFFFF",
+    ), {"rt": ins.operand("rT"), "ra": ins.operand("rA")}
 
 
-def _t_srw(ins, p):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-    return [
-        f"{p}n = gpr[{rb}] & 63",
-        f"gpr[{ra}] = 0 if {p}n > 31 else gpr[{rs}] >> {p}n",
-    ], False
+def _t_x(*lines):
+    """An ``rA = f(rS, rB)`` logic/shift template."""
+
+    def template(ins):
+        return lines, {
+            "ra": ins.operand("rA"), "rs": ins.operand("rS"), "rb": ins.operand("rB")
+        }
+
+    return template
 
 
-def _t_sraw(ins, p):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-    return [
-        f"{p}n = gpr[{rb}] & 63",
-        f"gpr[{ra}] = (_s32(gpr[{rs}]) >> (31 if {p}n > 31 else {p}n)) & {_U}",
-    ], False
+def _t_srawi(ins):
+    return (
+        "gpr[{ra}] = (_s32(gpr[{rs}]) >> {sh}) & 0xFFFFFFFF",
+    ), {"ra": ins.operand("rA"), "rs": ins.operand("rS"), "sh": ins.operand("SH")}
 
 
-def _t_srawi(ins, p):
-    ra, rs, sh = ins.operand("rA"), ins.operand("rS"), ins.operand("SH")
-    return [f"gpr[{ra}] = (_s32(gpr[{rs}]) >> {sh}) & {_U}"], False
-
-
-def _t_rlwinm(ins, p):
-    ra, rs, sh = ins.operand("rA"), ins.operand("rS"), ins.operand("SH")
+def _t_rlwinm(ins):
     mb, me = ins.operand("MB"), ins.operand("ME")
     if mb <= me:
         mask = (bitutils.mask(me - mb + 1)) << (31 - me)
     else:  # wrapped mask
         mask = _U ^ ((bitutils.mask(mb - me - 1)) << (31 - mb + 1))
-    return [f"gpr[{ra}] = _rotl32(gpr[{rs}], {sh}) & {mask}"], False
+    return ("gpr[{ra}] = _rotl32(gpr[{rs}], {sh}) & {mask}",), {
+        "ra": ins.operand("rA"), "rs": ins.operand("rS"),
+        "sh": ins.operand("SH"), "mask": mask,
+    }
 
 
 def _t_exts(width):
-    low_mask = (1 << width) - 1
+    lines = (
+        f"gpr[{{ra}}] = _sign_extend(gpr[{{rs}}] & {(1 << width) - 1}, {width})"
+        " & 0xFFFFFFFF",
+    )
 
-    def template(ins, p):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
-        return [
-            f"gpr[{ra}] = _sign_extend(gpr[{rs}] & {low_mask}, {width}) & {_U}"
-        ], False
+    def template(ins):
+        return lines, {"ra": ins.operand("rA"), "rs": ins.operand("rS")}
 
     return template
 
 
-def _t_load(size, update=False, signed=False):
-    width = 8 * size
+def _address(ins):
+    """Effective-address statements (RA=0 reads as zero) and operands."""
+    disp, base = ins.operand("D(rA)")
+    if base:
+        return ("{p}d = (gpr[{base}] + {disp}) & 0xFFFFFFFF",), {
+            "base": base, "disp": disp
+        }
+    # The update forms still write the (zero) base register back.
+    return ("{p}d = {disp}",), {"base": base, "disp": disp & _U}
 
-    def template(ins, p):
-        disp, base = ins.operand("D(rA)")
-        rt = ins.operand("rT")
-        if base:
-            lines = [f"{p}d = (gpr[{base}] + {disp}) & {_U}"]
-        else:
-            lines = [f"{p}d = {disp & _U}"]
-        lines.append(f"{p}v = mem.load({p}d, {size})")
-        if signed:
-            lines.append(f"{p}v = _sign_extend({p}v, {width}) & {_U}")
-        lines.append(f"gpr[{rt}] = {p}v")
-        if update:
-            lines.append(f"gpr[{base}] = {p}d")
-        return lines, True
+
+def _t_load(size, update=False, signed=False):
+    access = [f"{{p}}v = mem.load({{p}}d, {size})"]
+    if signed:
+        access.append(f"{{p}}v = _sign_extend({{p}}v, {8 * size}) & 0xFFFFFFFF")
+    access.append("gpr[{rt}] = {p}v")
+    if update:
+        access.append("gpr[{base}] = {p}d")
+    access = tuple(access)
+
+    def template(ins):
+        lines, operands = _address(ins)
+        operands["rt"] = ins.operand("rT")
+        return lines + access, operands
 
     return template
 
 
 def _t_store(size, update=False):
-    def template(ins, p):
-        disp, base = ins.operand("D(rA)")
-        rs = ins.operand("rS")
-        if base:
-            lines = [f"{p}d = (gpr[{base}] + {disp}) & {_U}"]
-        else:
-            lines = [f"{p}d = {disp & _U}"]
-        lines.append(f"mem.store({p}d, {size}, gpr[{rs}])")
-        if update:
-            lines.append(f"gpr[{base}] = {p}d")
-        return lines, True
+    access = (f"mem.store({{p}}d, {size}, gpr[{{rs}}])",)
+    if update:
+        access += ("gpr[{base}] = {p}d",)
+
+    def template(ins):
+        lines, operands = _address(ins)
+        operands["rs"] = ins.operand("rS")
+        return lines + access, operands
+
+    return template
+
+
+def _t_spr(name, register, lines_by_spr):
+    def template(ins):
+        spr = ins.operand("SPR")
+        lines = lines_by_spr.get(spr)
+        if lines is None:
+            return ("raise _SimulationError({message})",), {
+                "message": f"{name}: unsupported SPR {spr}"
+            }
+        return lines, {"r": ins.operand(register)}
 
     return template
 
 
 _TEMPLATES = {
-    "addi": _t_addi,
-    "addis": _t_addis,
+    "addi": _t_addi(0),
+    "addis": _t_addi(16),
     "mulli": _t_mulli,
     "subfic": _t_subfic,
     "ori": _t_logic_imm("|", 0),
@@ -462,17 +461,32 @@ _TEMPLATES = {
     "cmplwi": _t_cmp(signed=False, immediate=True),
     "cmpw": _t_cmp(signed=True, immediate=False),
     "cmplw": _t_cmp(signed=False, immediate=False),
-    "add": _t_add,
-    "subf": _t_subf,
+    "add": _t_xo("(gpr[{ra}] + gpr[{rb}]) & 0xFFFFFFFF"),
+    "subf": _t_xo("(gpr[{rb}] - gpr[{ra}]) & 0xFFFFFFFF"),
     "neg": _t_neg,
-    "mullw": _t_mullw,
-    "and": _t_logic_reg("gpr[{s}] & gpr[{b}]"),
-    "or": _t_logic_reg("gpr[{s}] | gpr[{b}]"),
-    "xor": _t_logic_reg("gpr[{s}] ^ gpr[{b}]"),
-    "nor": _t_logic_reg(f"~(gpr[{{s}}] | gpr[{{b}}]) & {_U}"),
-    "slw": _t_slw,
-    "srw": _t_srw,
-    "sraw": _t_sraw,
+    "mullw": _t_xo("(_s32(gpr[{ra}]) * _s32(gpr[{rb}])) & 0xFFFFFFFF"),
+    # Truncating division; b == 0 yields 0, and -2**31 / -1 wraps to
+    # 0x80000000 under the mask.
+    "divw": _t_xo(
+        "_cdiv(_s32(gpr[{ra}]), _s32(gpr[{rb}])) & 0xFFFFFFFF if gpr[{rb}] else 0"
+    ),
+    "divwu": _t_xo("gpr[{ra}] // gpr[{rb}] if gpr[{rb}] else 0"),
+    "and": _t_x("gpr[{ra}] = gpr[{rs}] & gpr[{rb}]"),
+    "or": _t_x("gpr[{ra}] = gpr[{rs}] | gpr[{rb}]"),
+    "xor": _t_x("gpr[{ra}] = gpr[{rs}] ^ gpr[{rb}]"),
+    "nor": _t_x("gpr[{ra}] = ~(gpr[{rs}] | gpr[{rb}]) & 0xFFFFFFFF"),
+    "slw": _t_x(
+        "{p}n = gpr[{rb}] & 63",
+        "gpr[{ra}] = 0 if {p}n > 31 else (gpr[{rs}] << {p}n) & 0xFFFFFFFF",
+    ),
+    "srw": _t_x(
+        "{p}n = gpr[{rb}] & 63",
+        "gpr[{ra}] = 0 if {p}n > 31 else gpr[{rs}] >> {p}n",
+    ),
+    "sraw": _t_x(
+        "{p}n = gpr[{rb}] & 63",
+        "gpr[{ra}] = (_s32(gpr[{rs}]) >> (31 if {p}n > 31 else {p}n)) & 0xFFFFFFFF",
+    ),
     "srawi": _t_srawi,
     "rlwinm": _t_rlwinm,
     "extsb": _t_exts(8),
@@ -488,100 +502,97 @@ _TEMPLATES = {
     "stb": _t_store(1),
     "stbu": _t_store(1, update=True),
     "sth": _t_store(2),
+    "mfspr": _t_spr("mfspr", "rT", {
+        registers.LR: ("gpr[{r}] = state.lr & 0xFFFFFFFF",),
+        registers.CTR: ("gpr[{r}] = state.ctr & 0xFFFFFFFF",),
+    }),
+    "mtspr": _t_spr("mtspr", "rS", {
+        registers.LR: ("state.lr = gpr[{r}]",),
+        registers.CTR: ("state.ctr = gpr[{r}]",),
+    }),
 }
 
-FUSABLE_MNEMONICS = frozenset(_TEMPLATES)
+# Memory templates can raise mid-pair (see fused_thunk) and never lead
+# a fused control.
+_MEMORY_MNEMONICS = frozenset({
+    "lwz", "lwzu", "lbz", "lbzu", "lhz", "lha",
+    "stw", "stwu", "stb", "stbu", "sth",
+})
+FUSABLE_MNEMONICS = frozenset(_TEMPLATES) - {"divw", "divwu", "mfspr", "mtspr"}
+
+# Leads eligible for control fusion: pure ALU/compare templates only,
+# so a fused control can only fault in its branch half — which raises
+# with the exact step count and error fields of the reference.
+CONTROL_LEAD_MNEMONICS = FUSABLE_MNEMONICS - _MEMORY_MNEMONICS
+
+assert not frozenset(_TEMPLATES) & CONTROL_MNEMONICS
+assert COMPARE_MNEMONICS <= CONTROL_LEAD_MNEMONICS
+assert CONTROL_TAIL_MNEMONICS <= CONTROL_MNEMONICS
 
 _ENV = {
     "_s32": bitutils.s32,
     "_sign_extend": bitutils.sign_extend,
     "_rotl32": bitutils.rotl32,
+    "_cdiv": bitutils.cdiv,
+    "_SimulationError": SimulationError,
 }
 
-assert not FUSABLE_MNEMONICS & CONTROL_MNEMONICS
 
-# Leads eligible for control fusion: pure ALU/compare templates only.
-# Excluding memory instructions keeps the fused control's lead half
-# fault-free, so a trace-granularity error can only originate in the
-# branch half — which the fused control raises with the exact same
-# step count and error fields as the reference interpreter.
-_MEMORY_MNEMONICS = frozenset({
-    "lwz", "lwzu", "lbz", "lbzu", "lhz", "lha",
-    "stw", "stwu", "stb", "stbu", "sth",
-})
-CONTROL_LEAD_MNEMONICS = FUSABLE_MNEMONICS - _MEMORY_MNEMONICS
-
-assert COMPARE_MNEMONICS <= CONTROL_LEAD_MNEMONICS
-assert not CONTROL_LEAD_MNEMONICS & CONTROL_MNEMONICS
-assert CONTROL_TAIL_MNEMONICS <= CONTROL_MNEMONICS
-
-
-def _compare_feed(signed: bool, immediate: bool):
-    """Build the compare-feed compiler for one compare flavour."""
-
-    def build(ins):
-        crf = ins.operand("crfD")
-        ra = ins.operand("rA")
-        shift = 28 - 4 * crf
-        clear = ~(0xF << shift)
-        if immediate:
-            if signed:
-                rhs = ins.operand("SI")
-
-                def feed(state):
-                    a = bitutils.s32(state.gpr[ra])
-                    bits = 8 if a < rhs else 4 if a > rhs else 2
-                    state.cr = (state.cr & clear) | (bits << shift)
-                    state.steps += 1
-                    return bits
-
-            else:
-                rhs = ins.operand("UI")
-
-                def feed(state):
-                    a = state.gpr[ra]
-                    bits = 8 if a < rhs else 4 if a > rhs else 2
-                    state.cr = (state.cr & clear) | (bits << shift)
-                    state.steps += 1
-                    return bits
-
-        else:
-            rb = ins.operand("rB")
-            if signed:
-
-                def feed(state):
-                    gpr = state.gpr
-                    a = bitutils.s32(gpr[ra])
-                    b = bitutils.s32(gpr[rb])
-                    bits = 8 if a < b else 4 if a > b else 2
-                    state.cr = (state.cr & clear) | (bits << shift)
-                    state.steps += 1
-                    return bits
-
-            else:
-
-                def feed(state):
-                    gpr = state.gpr
-                    a = gpr[ra]
-                    b = gpr[rb]
-                    bits = 8 if a < b else 4 if a > b else 2
-                    state.cr = (state.cr & clear) | (bits << shift)
-                    state.steps += 1
-                    return bits
-
-        return feed, crf
-
-    return build
-
-
-_COMPARE_FEEDS = {
-    "cmpwi": _compare_feed(signed=True, immediate=True),
-    "cmplwi": _compare_feed(signed=False, immediate=True),
-    "cmpw": _compare_feed(signed=True, immediate=False),
-    "cmplw": _compare_feed(signed=False, immediate=False),
+# ---------------------------------------------------------------------------
+# Renderings
+# ---------------------------------------------------------------------------
+_FACTORY_SHAPES = {
+    # kind: (signature, epilogue)
+    "thunk": ("thunk(state, mem)", ("state.steps += 1",)),
+    "feed": ("feed(state)", ("state.steps += 1", "return _c")),
 }
 
-assert frozenset(_COMPARE_FEEDS) == COMPARE_MNEMONICS
+
+@lru_cache(maxsize=None)
+def compile_factory(lines: tuple, names: tuple, kind: str):
+    """Compile the closure factory for one template variant.
+
+    ``factory(*operand_values)`` returns a ``kind`` closure (a
+    ``(state, mem)`` thunk, or a compare ``feed(state)``) over those
+    values.  Memoized on the variant, so every instruction of that
+    shape shares one compiled code object.
+    """
+    signature, epilogue = _FACTORY_SHAPES[kind]
+    body = [line.format(p="_", **{name: name for name in names}) for line in lines]
+    source = "\n".join([
+        f"def _factory({', '.join(names)}):",
+        f"    def {signature}:",
+        "        gpr = state.gpr",
+        *(f"        {statement}" for statement in body + list(epilogue)),
+        f"    return {signature.split('(')[0]}",
+    ])
+    namespace = dict(_ENV)
+    exec(compile(source, f"<{kind}-factory>", "exec"), namespace)
+    return namespace["_factory"]
+
+
+def _bind(ins, kind):
+    lines, operands = _TEMPLATES[ins.mnemonic](ins)
+    return compile_factory(lines, tuple(operands), kind)(*operands.values())
+
+
+@lru_cache(maxsize=65536)
+def bound_thunk(ins):
+    """Bind one non-control instruction to a ``(state, mem)`` closure.
+
+    Memoized process-wide: instructions are frozen dataclasses, so the
+    same word predecoded by any simulator shares one thunk.  A mnemonic
+    without a template raises the executor's ``no semantics`` error
+    when run.
+    """
+    if ins.mnemonic not in _TEMPLATES:
+        name = ins.mnemonic
+
+        def missing(state, mem):
+            raise SimulationError(f"no semantics for {name!r}")
+
+        return missing
+    return _bind(ins, "thunk")
 
 
 @lru_cache(maxsize=4096)
@@ -592,62 +603,41 @@ def compare_feed(ins):
     step — and returns the 3-bit LT/GT/EQ mask it just wrote, so a
     fused control can test the branch condition on the local value
     without re-reading ``state.cr``.  Non-compare leads return
-    ``None``; they fuse via the generic bound-thunk path instead.
+    ``None``; a fused control runs their bound thunk instead.
     """
-    builder = _COMPARE_FEEDS.get(ins.mnemonic)
-    if builder is None:
+    if ins.mnemonic not in COMPARE_MNEMONICS:
         return None
-    return builder(ins)
+    return _bind(ins, "feed"), ins.operand("crfD")
+
+
+def _literal_lines(ins, prefix):
+    lines, operands = _TEMPLATES[ins.mnemonic](ins)
+    values = {name: repr(value) for name, value in operands.items()}
+    return [f"    {line.format(p=prefix, **values)}" for line in lines]
 
 
 @lru_cache(maxsize=16384)
 def fused_thunk(ins_a, ins_b):
     """Compile one fused ``(state, mem)`` thunk for an instruction pair.
 
-    Returns ``None`` when either half has no template.  Memoized
+    Returns ``None`` when either half is not fusable.  Memoized
     process-wide (instructions are frozen/hashable), so a hot pair
     shared across traces and programs compiles once.
     """
-    template_a = _TEMPLATES.get(ins_a.mnemonic)
-    template_b = _TEMPLATES.get(ins_b.mnemonic)
-    if template_a is None or template_b is None:
+    if ins_a.mnemonic not in FUSABLE_MNEMONICS or ins_b.mnemonic not in FUSABLE_MNEMONICS:
         return None
-    stmts_a, raises_a = template_a(ins_a, "_a")
-    stmts_b, raises_b = template_b(ins_b, "_b")
     lines = ["def _fused(state, mem):", "    gpr = state.gpr"]
-    if raises_a or raises_b:
+    lines += _literal_lines(ins_a, "_a")
+    if ins_a.mnemonic in _MEMORY_MNEMONICS or ins_b.mnemonic in _MEMORY_MNEMONICS:
         # A memory access can raise mid-pair: the step counter must
         # advance per instruction so the error observes the exact
         # reference step count.
-        lines += [f"    {s}" for s in stmts_a]
         lines.append("    state.steps += 1")
-        lines += [f"    {s}" for s in stmts_b]
+        lines += _literal_lines(ins_b, "_b")
         lines.append("    state.steps += 1")
     else:
-        lines += [f"    {s}" for s in stmts_a]
-        lines += [f"    {s}" for s in stmts_b]
+        lines += _literal_lines(ins_b, "_b")
         lines.append("    state.steps += 2")
     namespace = dict(_ENV)
     exec(compile("\n".join(lines), "<fused-thunk>", "exec"), namespace)
     return namespace["_fused"]
-
-
-def fused_source(ins_a, ins_b) -> str | None:
-    """The generated source for a pair (diagnostics and tests)."""
-    template_a = _TEMPLATES.get(ins_a.mnemonic)
-    template_b = _TEMPLATES.get(ins_b.mnemonic)
-    if template_a is None or template_b is None:
-        return None
-    stmts_a, raises_a = template_a(ins_a, "_a")
-    stmts_b, raises_b = template_b(ins_b, "_b")
-    if raises_a or raises_b:
-        body = stmts_a + ["state.steps += 1"] + stmts_b + ["state.steps += 1"]
-    else:
-        body = stmts_a + stmts_b + ["state.steps += 2"]
-    return "\n".join(body)
-
-
-def clear_fused_thunks() -> None:
-    """Drop compiled fused thunks (tests, memory pressure)."""
-    fused_thunk.cache_clear()
-    compare_feed.cache_clear()

@@ -11,10 +11,8 @@ that wants structure installs a :class:`Recorder` (the batch service's
 trees and point-metric totals; exporters turn those into Chrome
 ``trace_event`` JSON, Prometheus text, or JSONL run-ledger records.
 
-The original flat ``(stage, seconds)`` callback API
-(:func:`set_stage_callback` / :func:`set_metric_callback`) is kept as a
-compatibility shim: :func:`stage` still reports to it with exactly the
-historical names below while also emitting a leaf span.
+:func:`stage` opens a leaf span under one of the historical stage names
+below.
 
 Stage names currently emitted:
 
@@ -37,14 +35,14 @@ name                       where
                            (one-time thunk predecode of a program or stream)
 =========================  ================================================
 
-Hierarchical (span-only) names introduced on top of the table —
-``compress`` (the whole pipeline, wrapping the five compressor
-stages), ``job`` (one service :class:`~repro.service.jobs.CompressionJob`,
-with ``label``/``encoding``/``verify``/``cache_hit`` attributes),
+Hierarchical names introduced on top of the table — ``compress`` (the
+whole pipeline, wrapping the five compressor stages), ``job`` (one
+service :class:`~repro.service.jobs.CompressionJob`, with
+``label``/``encoding``/``verify``/``cache_hit`` attributes),
 ``verify`` / ``verify.differential`` / ``verify.campaign`` /
 ``verify.injection`` (the verification layer), and ``simulate`` (a
-traced bounded simulation) — are *not* reported to the legacy
-callback; they exist only as spans.
+traced bounded simulation) — are opened with :func:`span`, not
+:func:`stage`.
 
 Metric names currently emitted:
 
@@ -83,14 +81,10 @@ the ledger schema, and ``repro-observe`` CLI examples.
 """
 
 from repro.observe.spans import (
-    MetricCallback,
     Span,
-    StageCallback,
     current_span,
     current_traceparent,
     format_traceparent,
-    get_metric_callback,
-    get_stage_callback,
     live_spans,
     make_span_id,
     make_trace_id,
@@ -98,8 +92,6 @@ from repro.observe.spans import (
     parse_traceparent,
     recording_active,
     remote_context,
-    set_metric_callback,
-    set_stage_callback,
     span,
     stage,
 )
@@ -139,13 +131,11 @@ from repro.observe import blackbox, profiler
 __all__ = [
     "FlightRecorder",
     "LEDGER_SCHEMA",
-    "MetricCallback",
     "Recorder",
     "RunLedger",
     "SUPPORTED_SCHEMAS",
     "SamplingProfiler",
     "Span",
-    "StageCallback",
     "blackbox",
     "chrome_trace_events",
     "chrome_trace_from_records",
@@ -153,8 +143,6 @@ __all__ = [
     "current_span",
     "current_traceparent",
     "format_traceparent",
-    "get_metric_callback",
-    "get_stage_callback",
     "lint_prometheus",
     "live_spans",
     "make_record",
@@ -170,8 +158,6 @@ __all__ = [
     "read_ledger",
     "recording_active",
     "remote_context",
-    "set_metric_callback",
-    "set_stage_callback",
     "span",
     "stage",
     "to_chrome_trace",

@@ -1,4 +1,4 @@
-"""Hierarchical spans, the recorder registry, and the compat shim.
+"""Hierarchical spans and the recorder registry.
 
 A :class:`Span` is one timed region with a name, free-form attributes,
 and children.  :func:`span` opens one as a context manager; nesting is
@@ -26,9 +26,9 @@ witnessed starting.  Point metrics reported inside a span go to the
 owning tree's snapshot; outside any span they go to the recorders in
 effect at call time.
 
-With no recorder installed and no legacy callback set, :func:`span`,
-:func:`stage`, and :func:`metric` are no-ops — no clock is read, no
-object is allocated — so uninstrumented library use stays free.
+With no recorder installed, :func:`span`, :func:`stage`, and
+:func:`metric` are no-ops — no clock is read, no object is allocated —
+so uninstrumented library use stays free.
 
 Trace context
 -------------
@@ -42,15 +42,6 @@ inherit the remote ``trace_id`` and parent under the remote span, so
 one trace id stitches client retries, server admission, executor
 stages, and worker-side spans into a single distributed tree.
 :func:`current_traceparent` renders the header to forward downstream.
-
-Compatibility shim
-------------------
-
-The original flat API — :func:`set_stage_callback` /
-:func:`set_metric_callback` receiving ``(name, seconds)`` /
-``(name, value)`` pairs — is preserved verbatim: :func:`stage` is now a
-leaf-span constructor that *additionally* invokes the legacy stage
-callback with the same names and semantics as before.
 """
 
 from __future__ import annotations
@@ -59,12 +50,9 @@ import os
 import re
 import threading
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-
-StageCallback = Callable[[str, float], None]
-MetricCallback = Callable[[str, int], None]
 
 _EMPTY: tuple = ()
 
@@ -222,10 +210,6 @@ _context_recorders: ContextVar[tuple] = ContextVar(
 _ambient_lock = threading.Lock()
 _ambient_recorders: tuple = _EMPTY
 
-# Legacy flat callbacks (compat shim).
-_callback: StageCallback | None = None
-_metric_callback: MetricCallback | None = None
-
 
 def _effective_recorders() -> tuple:
     return _ambient_recorders + _context_recorders.get()
@@ -380,74 +364,16 @@ def span(name: str, /, **attrs) -> Iterator[Span | None]:
 
 @contextmanager
 def stage(name: str, /, **attrs) -> Iterator[None]:
-    """Time one pipeline stage (compat shim; emits a leaf span).
-
-    Exactly the historical contract: with a legacy stage callback
-    installed it receives ``(name, seconds)``; with recorders in effect
-    the same region is additionally recorded as a span.  With neither,
-    this is a no-op.
-    """
-    callback = _callback
-    if callback is None:
-        if _current_span.get() is None and not _effective_recorders():
-            yield
-            return
-        with span(name, **attrs):
-            yield
-        return
-    start = time.perf_counter()
-    try:
-        with span(name, **attrs):
-            yield
-    finally:
-        callback(name, time.perf_counter() - start)
+    """Time one pipeline stage: a leaf :func:`span` that yields nothing."""
+    with span(name, **attrs):
+        yield
 
 
 def metric(name: str, value: int = 1) -> None:
-    """Report one named count observation to the callback and recorders."""
-    callback = _metric_callback
-    if callback is not None:
-        callback(name, value)
+    """Report one named count observation to the recorders in effect."""
     current = _current_span.get()
     recorders = (
         current._recorders if current is not None else _effective_recorders()
     )
     for recorder in recorders:
         recorder.on_metric(name, value)
-
-
-# ----------------------------------------------------------------------
-# Legacy flat-callback API (kept verbatim for external installers).
-# ----------------------------------------------------------------------
-def set_stage_callback(callback: StageCallback | None) -> StageCallback | None:
-    """Install ``callback`` (or ``None`` to disable); returns the old one.
-
-    The callback applies process-wide; callers that install one
-    temporarily should restore the returned previous value.  New code
-    should install a :class:`~repro.observe.recorder.Recorder` instead —
-    recorders compose, callbacks overwrite each other.
-    """
-    global _callback
-    previous = _callback
-    _callback = callback
-    return previous
-
-
-def get_stage_callback() -> StageCallback | None:
-    return _callback
-
-
-def set_metric_callback(callback: MetricCallback | None) -> MetricCallback | None:
-    """Install a point-metric callback (or ``None``); returns the old one.
-
-    Like :func:`set_stage_callback`, this is process-wide and temporary
-    installers should restore the previous value.
-    """
-    global _metric_callback
-    previous = _metric_callback
-    _metric_callback = callback
-    return previous
-
-
-def get_metric_callback() -> MetricCallback | None:
-    return _metric_callback

@@ -90,20 +90,12 @@ class TestStoreStructure:
 
 class TestObserveMetricChannel:
     def test_metric_callback_roundtrip(self):
-        seen = []
-        previous = observe.set_metric_callback(
-            lambda name, value: seen.append((name, value))
-        )
-        try:
+        with observe.Recorder() as recorder:
             observe.metric("example.count", 3)
             observe.metric("example.hit")
-        finally:
-            observe.set_metric_callback(previous)
-        assert seen == [("example.count", 3), ("example.hit", 1)]
+            observe.metric("example.hit")
+        assert recorder.metrics == {"example.count": 3, "example.hit": 2}
 
     def test_no_callback_is_noop(self):
-        previous = observe.set_metric_callback(None)
-        try:
-            observe.metric("dropped", 5)  # must not raise
-        finally:
-            observe.set_metric_callback(previous)
+        assert not observe.recording_active()
+        observe.metric("dropped", 5)  # must not raise

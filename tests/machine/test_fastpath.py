@@ -13,7 +13,7 @@ from repro import observe
 from repro.core import NibbleEncoding, compress
 from repro.errors import SimulationError
 from repro.isa.instruction import make
-from repro.machine import fastpath
+from repro.machine import fastpath, fusion
 from repro.machine.compressed_sim import CompressedSimulator
 from repro.machine.simulator import Simulator, profile_program
 
@@ -47,11 +47,44 @@ class TestBoundThunks:
             make("addi", 3, 0, 8)
         )
 
-    def test_every_handler_has_a_binder(self):
-        from repro.machine.executor import CONTROL_MNEMONICS, _HANDLERS
+    def test_every_handler_has_a_template(self):
+        from repro.machine.executor import _HANDLERS
 
-        missing = set(_HANDLERS) - set(fastpath._BINDERS) - CONTROL_MNEMONICS
-        assert not missing, f"handlers without a dedicated binder: {missing}"
+        # One template per executor handler, and none without one: a
+        # template the oracle cannot run would go unverified.
+        assert set(fusion._TEMPLATES) == set(_HANDLERS)
+
+    def test_mnemonic_without_template_raises_like_executor(self):
+        from repro.machine.executor import execute_data
+        from repro.machine.state import MachineState
+
+        branch = make("b", 8)
+        with pytest.raises(SimulationError) as fast:
+            fastpath.bound_thunk(branch)(MachineState(), None)
+        with pytest.raises(SimulationError) as reference:
+            execute_data(branch, MachineState(), None)
+        assert str(fast.value) == str(reference.value) == "no semantics for 'b'"
+
+    def test_binding_compiles_once_per_template_variant(self):
+        fusion.compile_factory.cache_clear()
+        thunks = {fastpath.bound_thunk(make("addi", 3, 4, si)) for si in range(1000)}
+        assert len(thunks) == 1000
+        # 1,000 distinct instructions, one variant: one exec-compile.
+        assert fusion.compile_factory.cache_info().misses == 1
+        fastpath.bound_thunk(make("addi", 3, 0, 5))  # rA=0: a second variant
+        assert fusion.compile_factory.cache_info().misses == 2
+
+    def test_clear_drops_every_generated_memo(self, tiny_program):
+        compressed = compress(tiny_program, NibbleEncoding())
+        CompressedSimulator(compressed).run()
+        stats = fusion.fusion_stats()
+        assert stats["compiled"] > 0 and stats["compare_feeds"] > 0
+        fastpath.clear_translation_caches()
+        stats = fusion.fusion_stats()
+        assert stats["compiled"] == 0
+        assert stats["compare_feeds"] == 0
+        assert fastpath.translation_cache_stats()["thunks"] == 0
+        assert fusion.compile_factory.cache_info().currsize == 0
 
 
 class TestProgramTranslationCache:
@@ -210,20 +243,9 @@ class TestStreamTranslationCache:
 
 class TestObserveWiring:
     def test_predecode_stage_and_trace_metrics(self, tiny_program):
-        stages = []
-        metrics = {}
-        old_stage = observe.set_stage_callback(
-            lambda name, seconds: stages.append(name)
-        )
-        old_metric = observe.set_metric_callback(
-            lambda name, value: metrics.setdefault(name, 0)
-        )
-        try:
-            tiny_program._analysis_cache.pop("fastpath", None)
+        tiny_program._analysis_cache.pop("fastpath", None)
+        with observe.Recorder() as recorder:
             Simulator(tiny_program).run()
-        finally:
-            observe.set_stage_callback(old_stage)
-            observe.set_metric_callback(old_metric)
-        assert "sim.predecode" in stages
-        assert "sim.trace_cache.hits" in metrics
-        assert "sim.trace_cache.misses" in metrics
+        assert "sim.predecode" in recorder.stage_seconds()
+        assert "sim.trace_cache.hits" in recorder.metrics
+        assert "sim.trace_cache.misses" in recorder.metrics

@@ -1,8 +1,10 @@
-"""Superinstruction fusion: fused thunks must be invisible except for speed.
+"""Fast-path data semantics: every template rendering against the oracle.
 
-Every fused two-instruction thunk must leave (state, memory) exactly
-where the two bound thunks would — registers, CR, steps, memory
-contents, and the error raised mid-pair — for every fusable mnemonic.
+Each statement template renders a 1-instruction thunk, fused pairs and
+(for compares) a compare feed.  Each must leave (state, memory) exactly
+where :func:`repro.machine.executor.execute_data` — the hand-written
+reference interpreter, kept separate on purpose — would: registers,
+CR, LR/CTR, steps, memory contents, and the error raised mid-pair.
 The trace-cache integration must rebuild traces when the fusion config
 changes, shrink bodies when pairs fuse, and keep the instruction-level
 accounting (``steps_cost``/``issued``/profiles) unchanged.
@@ -13,8 +15,10 @@ import random
 import pytest
 
 from repro.errors import SimulationError
+from repro.isa import registers
 from repro.isa.instruction import Instruction, make, spec_for
 from repro.machine import fastpath, fusion
+from repro.machine.executor import execute_data
 from repro.machine.memory import DATA_BASE, Memory
 from repro.machine.simulator import Simulator, profile_program
 from repro.machine.state import MachineState
@@ -42,11 +46,15 @@ def ins(mnemonic, **operands) -> Instruction:
 
 
 def _sample_instruction(mnemonic: str, rng: random.Random) -> Instruction:
-    """One representative instruction per fusable mnemonic."""
+    """One random instance of ``mnemonic`` (any template)."""
     gpr = lambda: rng.randrange(2, 12)  # noqa: E731 - r0/r1 stay clear
     simm = lambda: rng.randrange(-512, 512)  # noqa: E731
     uimm = lambda: rng.randrange(0, 1 << 16)  # noqa: E731
     disp = rng.randrange(0, 64) * 4
+    # r13 points into memory; r0 reads as zero and a random register
+    # holds a random word, so those accesses mostly fault.
+    base = rng.choice([13, 13, 13, 0, gpr()])
+    spr = rng.choice([registers.LR, registers.CTR, 1])  # SPR 1 unsupported
     by_shape = {
         ("rT", "rA", "SI"): lambda: ins(
             mnemonic, rT=gpr(), rA=rng.choice([0, gpr()]), SI=simm()
@@ -78,19 +86,27 @@ def _sample_instruction(mnemonic: str, rng: random.Random) -> Instruction:
             MB=rng.randrange(32), ME=rng.randrange(32),
         ),
         ("rA", "rS"): lambda: ins(mnemonic, rA=gpr(), rS=gpr()),
-        ("rT", "D(rA)"): lambda: ins(mnemonic, rT=gpr(), **{"D(rA)": (disp, 13)}),
-        ("rS", "D(rA)"): lambda: ins(mnemonic, rS=gpr(), **{"D(rA)": (disp, 13)}),
+        ("rT", "D(rA)"): lambda: ins(mnemonic, rT=gpr(), **{"D(rA)": (disp, base)}),
+        ("rS", "D(rA)"): lambda: ins(mnemonic, rS=gpr(), **{"D(rA)": (disp, base)}),
+        ("rT", "SPR"): lambda: ins(mnemonic, rT=gpr(), SPR=spr),
+        ("SPR", "rS"): lambda: ins(mnemonic, SPR=spr, rS=gpr()),
     }
     shape = tuple(op.name for op in spec_for(mnemonic).operands)
     return by_shape[shape]()
 
 
+_CORNERS = (0, 1, 31, 32, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+
+
 def _random_state(rng: random.Random) -> MachineState:
+    """Random registers, biased towards sign, shift and division corners."""
     state = MachineState()
     for reg in range(2, 12):
-        state.gpr[reg] = rng.randrange(0, 1 << 32)
+        state.gpr[reg] = rng.choice(_CORNERS + (rng.randrange(0, 1 << 32),) * 3)
     state.gpr[13] = DATA_BASE + 4096  # valid memory base for loads/stores
     state.cr = rng.randrange(0, 1 << 32)
+    state.lr = rng.randrange(0, 1 << 32)
+    state.ctr = rng.randrange(0, 1 << 32)
     return state
 
 
@@ -113,32 +129,75 @@ def _run(thunks, state, memory):
         return exc
 
 
+def _oracle(instructions, state, memory):
+    """The reference executor, stopping at the first error."""
+    return _run(
+        [lambda s, m, i=i: execute_data(i, s, m) for i in instructions],
+        state, memory,
+    )
+
+
 class TestFusedSemantics:
-    @pytest.mark.parametrize("mnemonic", sorted(fusion.FUSABLE_MNEMONICS))
+    @pytest.mark.parametrize("mnemonic", sorted(fusion._TEMPLATES))
     def test_every_template_matches_bound_thunks(self, mnemonic):
-        """Fuse each mnemonic in both slots against a random partner."""
-        rng = random.Random(hash(mnemonic) & 0xFFFF)
-        partners = sorted(fusion.FUSABLE_MNEMONICS)
-        for trial in range(12):
-            other = _sample_instruction(rng.choice(partners), rng)
-            this = _sample_instruction(mnemonic, rng)
-            pair = (this, other) if trial % 2 == 0 else (other, this)
-            fused = fusion.fused_thunk(*pair)
-            assert fused is not None
-            seq = [fastpath.bound_thunk(i) for i in pair]
+        """Every rendering of one template against the executor oracle.
+
+        Random instances of the 1-instruction (bound) thunk, then fused
+        pairs with every fusable partner in both slots, each on a random
+        state: registers, CR, LR/CTR, steps, memory and error text must
+        equal :func:`execute_data` run over the same instructions.
+        """
+        rng = random.Random(mnemonic)
+        cases = []
+        for _ in range(24):
+            single = _sample_instruction(mnemonic, rng)
+            cases.append(((single,), fastpath.bound_thunk(single)))
+        if mnemonic in fusion.FUSABLE_MNEMONICS:
+            for partner in sorted(fusion.FUSABLE_MNEMONICS):
+                this = _sample_instruction(mnemonic, rng)
+                other = _sample_instruction(partner, rng)
+                for pair in ((this, other), (other, this)):
+                    cases.append((pair, fusion.fused_thunk(*pair)))
+        else:
+            assert fusion.fused_thunk(
+                _sample_instruction(mnemonic, rng), make("addi", 3, 0, 1)
+            ) is None
+        # Memories stay equal case to case (checked below), so one pair
+        # serves the whole test.
+        mem_f = Memory(bytes(range(256)) * 32)
+        mem_r = Memory(bytes(range(256)) * 32)
+        for instructions, thunk in cases:
+            assert thunk is not None
             state_f = _random_state(rng)
-            state_s = _clone(state_f)
-            mem_f = Memory(bytes(range(256)) * 32)
-            mem_s = Memory(bytes(range(256)) * 32)
-            err_f = _run([fused], state_f, mem_f)
-            err_s = _run(seq, state_s, mem_s)
-            assert (err_f is None) == (err_s is None)
+            state_r = _clone(state_f)
+            err_f = _run([thunk], state_f, mem_f)
+            err_r = _oracle(instructions, state_r, mem_r)
+            context = f"{[str(i) for i in instructions]}"
+            assert (err_f is None) == (err_r is None), context
             if err_f is not None:
-                assert str(err_f) == str(err_s)
-            assert state_f.gpr == state_s.gpr
-            assert state_f.cr == state_s.cr
-            assert state_f.steps == state_s.steps
-            assert mem_f._bytes == mem_s._bytes
+                assert str(err_f) == str(err_r), context
+            assert state_f.gpr == state_r.gpr, context
+            assert state_f.cr == state_r.cr, context
+            assert (state_f.lr, state_f.ctr) == (state_r.lr, state_r.ctr), context
+            assert state_f.steps == state_r.steps, context
+            assert mem_f._bytes == mem_r._bytes, context
+
+    def test_compare_feed_matches_executor(self):
+        rng = random.Random("feeds")
+        for mnemonic in sorted(fusion.COMPARE_MNEMONICS):
+            for _ in range(24):
+                compare = _sample_instruction(mnemonic, rng)
+                feed, crf = fusion.compare_feed(compare)
+                assert crf == compare.operand("crfD")
+                state_f = _random_state(rng)
+                state_r = _clone(state_f)
+                bits = feed(state_f)
+                execute_data(compare, state_r, None)
+                shift = 28 - 4 * crf
+                assert bits == (state_r.cr >> shift) & 0xF
+                assert state_f.cr == state_r.cr
+                assert state_f.steps == state_r.steps == 1
+        assert fusion.compare_feed(make("addi", 3, 0, 1)) is None
 
     def test_pure_alu_pair_counts_two_steps(self):
         fused = fusion.fused_thunk(

@@ -6,6 +6,7 @@ aggregate structure — never on exact sample counts.
 """
 
 import json
+import statistics
 import time
 
 import pytest
@@ -152,9 +153,13 @@ class TestOverhead:
     def test_overhead_within_budget_at_default_hz(self):
         """Sampling at the default rate must cost <= ~3% wall time.
 
-        Measured as paired busy-loop iteration throughput with and
-        without the profiler; generous slack (10%) keeps the test
-        meaningful but not flaky on loaded CI machines.
+        Measured as busy-loop iteration throughput in ten interleaved
+        pairs of 0.05 s windows, with and without the profiler; the
+        median of the per-pair ratios is the estimate, so a drift in
+        host speed moves both halves of a pair alike and an outlier
+        pair cannot decide.  The order inside a pair alternates so a
+        steady drift favours neither side.  Generous slack (10%) keeps
+        the test meaningful but not flaky on loaded CI machines.
         """
         def iterations(seconds: float) -> int:
             deadline = time.perf_counter() + seconds
@@ -164,8 +169,18 @@ class TestOverhead:
                 count += 1
             return count
 
+        def profiled_iterations(seconds: float) -> int:
+            with profile():  # DEFAULT_HZ
+                return iterations(seconds)
+
         iterations(0.05)  # warm up timers/allocator
-        baseline = iterations(0.4)
-        with profile():  # DEFAULT_HZ
-            profiled = iterations(0.4)
-        assert profiled >= baseline * 0.90
+        ratios = []
+        for pair in range(10):
+            if pair % 2:
+                profiled = profiled_iterations(0.05)
+                baseline = iterations(0.05)
+            else:
+                baseline = iterations(0.05)
+                profiled = profiled_iterations(0.05)
+            ratios.append(profiled / baseline)
+        assert statistics.median(ratios) >= 0.90, sorted(ratios)

@@ -189,8 +189,11 @@ def _docstring_table_names(section: str) -> set:
 
 
 class TestCompatShim:
+    """The historical :func:`stage` contract: documented names only, and
+    a no-op when nothing records."""
+
     def test_stage_names_byte_identical_to_docstring_table(self):
-        """The legacy callback sees exactly the documented stage names."""
+        """Stages carry exactly the documented stage names."""
         documented = _docstring_table_names("Stage names currently emitted:")
         documented -= _docstring_table_names("Metric names currently emitted:")
         assert "dict_build" in documented  # table parsed at all
@@ -203,53 +206,25 @@ class TestCompatShim:
         # swallow the enumerate_candidates stage on a re-compress.
         workloads.clear_cache()
         program = workloads.build_benchmark("go", 0.2)
-        emitted = []
-        previous = observe.set_stage_callback(
-            lambda name, seconds: emitted.append(name)
-        )
-        try:
+        with Recorder() as recorder:
             Compressor(encoding=NibbleEncoding()).compress(program)
             ProgramTranslationCache(program)
-        finally:
-            observe.set_stage_callback(previous)
-        assert emitted, "stages were emitted"
-        assert set(emitted) <= documented
-        assert set(emitted) == {
+        emitted = {
+            node.name for root in recorder.spans for node in root.walk()
+        }
+        # ``compress`` is the hierarchical span around the five stages.
+        stages = emitted - {"compress"}
+        assert stages, "stages were emitted"
+        assert stages <= documented
+        assert stages == {
             "dict_build", "tokenize", "branch_patch", "serialize",
             "jump_tables", "enumerate_candidates", "build_dictionary",
             "sim.predecode",
         }
 
-    def test_stage_feeds_callback_and_recorder_together(self):
-        seen = []
-        previous = observe.set_stage_callback(
-            lambda name, seconds: seen.append((name, seconds))
-        )
-        try:
-            with Recorder() as recorder:
-                with observe.stage("compile"):
-                    pass
-        finally:
-            observe.set_stage_callback(previous)
-        assert [name for name, _ in seen] == ["compile"]
-        assert seen[0][1] > 0
-        assert [s.name for s in recorder.spans] == ["compile"]
-
-    def test_metric_callback_still_works(self):
-        counts = {}
-        previous = observe.set_metric_callback(
-            lambda name, value: counts.__setitem__(
-                name, counts.get(name, 0) + value
-            )
-        )
-        try:
-            observe.metric("decode_cache.hits", 4)
-        finally:
-            observe.set_metric_callback(previous)
-        assert counts == {"decode_cache.hits": 4}
-
     def test_library_default_is_noop(self):
-        assert observe.get_stage_callback() is None
         assert not observe.recording_active()
         with observe.stage("anything"):
             pass  # must not raise, must not record
+
+

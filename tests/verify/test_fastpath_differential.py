@@ -166,6 +166,29 @@ class TestPlantedFusionBugs:
         assert not lockstep_program_traces(program).ok
 
 
+class TestPlantedTemplateBug:
+    """The templates are the only fast-path copy of the data semantics,
+    so a bug in one must surface in *both* lanes: the instruction lane
+    (bound thunks) and the trace lane (fused pairs)."""
+
+    def test_swapped_add_operands_fail_both_lanes(self, monkeypatch):
+        real = fusion._TEMPLATES["add"]
+
+        def swapped(ins):  # add renders rB - rA
+            _, operands = real(ins)
+            return ("gpr[{rt}] = (gpr[{rb}] - gpr[{ra}]) & 0xFFFFFFFF",), operands
+
+        monkeypatch.setitem(fusion._TEMPLATES, "add", swapped)
+        fastpath.clear_translation_caches()
+        instruction_lane = lockstep_program(_straightline_program())
+        assert not instruction_lane.ok
+        assert instruction_lane.divergence.kind == "register"
+        assert "r6" in instruction_lane.divergence.detail
+        trace_lane = lockstep_program_traces(_straightline_program())
+        assert not trace_lane.ok
+        assert trace_lane.divergence.kind == "register"
+
+
 class TestPlantedEngineBugs:
     def test_corrupted_thunk_is_detected(self):
         program = _straightline_program()
