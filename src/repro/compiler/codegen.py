@@ -83,6 +83,7 @@ class FunctionCodegen:
         self.data_out = data_out
         self.unit = FunctionUnit(fn.name, is_library=fn.is_library)
         self._jump_tables = 0
+        self._local_labels = 0
         self._frame = self._plan_frame()
 
     # ==================================================================
@@ -653,11 +654,11 @@ class FunctionCodegen:
         self._emit("sc")
 
     # ------------------------------------------------------------------
-    _local_labels = 0
-
     def _new_local_label(self) -> str:
-        FunctionCodegen._local_labels += 1
-        return f".Lcg{FunctionCodegen._local_labels}"
+        # Labels are function-local, so a per-function counter suffices
+        # and concurrent compiles never share one.
+        self._local_labels += 1
+        return f".Lcg{self._local_labels}"
 
 
 def generate_function(

@@ -8,7 +8,7 @@ executable image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro import observe
 from repro.compiler import ast_nodes as ast
@@ -17,11 +17,11 @@ from repro.compiler.lowering import FunctionLowerer
 from repro.compiler.optimizer import optimize_function
 from repro.compiler.parser import parse
 from repro.compiler.regalloc import allocate
-from repro.compiler.runtime import RUNTIME_FUNCTIONS, RUNTIME_SOURCE, make_start
-from repro.compiler.semantics import check
+from repro.compiler.runtime import RUNTIME_SOURCE, make_start
+from repro.compiler.semantics import UnitInfo, check
 from repro.errors import CompileError
 from repro.linker.layout import link
-from repro.linker.objfile import DataItem, ObjectModule
+from repro.linker.objfile import DataItem, FunctionUnit, ObjectModule
 from repro.linker.program import Program
 
 
@@ -56,6 +56,76 @@ def _globals_to_data(unit: ast.TranslationUnit) -> list[DataItem]:
     return items
 
 
+@dataclass(frozen=True)
+class _CompiledRuntime:
+    """The runtime library compiled under one (opt_level, codegen) pair.
+
+    Shared by every compile in the process, so nothing here is handed
+    out: ``compile_source`` gives each module its own copies.
+    """
+
+    unit: ast.TranslationUnit
+    globals: tuple[DataItem, ...]
+    functions: tuple[FunctionUnit, ...]
+    jump_tables: tuple[DataItem, ...]
+
+
+_NO_RUNTIME = _CompiledRuntime(ast.TranslationUnit(), (), (), ())
+_RUNTIME_CACHE: dict[tuple[int, CodegenConfig], _CompiledRuntime] = {}
+
+
+def _compiled_runtime(options: CompileOptions) -> _CompiledRuntime:
+    """Compile ``RUNTIME_SOURCE`` once per process and option pair.
+
+    Its code does not depend on the program it is linked into: runtime
+    functions name only runtime symbols, and a program that redefines
+    one fails ``check`` on the merged unit before any copy is used.
+    Threads that miss together each compile the same code and the first
+    stored result wins; no lock is held, so a process forked meanwhile
+    (the worker pool) cannot inherit one held.
+    """
+    key = (options.opt_level, options.codegen)
+    runtime = _RUNTIME_CACHE.get(key)
+    if runtime is None:
+        unit = parse(RUNTIME_SOURCE)
+        jump_tables: list[DataItem] = []
+        functions = _compile_functions(unit, check(unit), options, jump_tables, True)
+        runtime = _RUNTIME_CACHE.setdefault(
+            key,
+            _CompiledRuntime(
+                unit, tuple(_globals_to_data(unit)), tuple(functions), tuple(jump_tables)
+            ),
+        )
+    return runtime
+
+
+def _compile_functions(
+    unit: ast.TranslationUnit,
+    info: UnitInfo,
+    options: CompileOptions,
+    data: list[DataItem],
+    is_library: bool,
+) -> list[FunctionUnit]:
+    """Lower, optimize, allocate and generate every function of ``unit``."""
+    functions = []
+    for fn in unit.functions:
+        ir_fn = FunctionLowerer(fn, info, is_library).lower()
+        optimize_function(ir_fn, level=options.opt_level)
+        allocation = allocate(ir_fn)
+        functions.append(FunctionCodegen(ir_fn, allocation, options.codegen, data).generate())
+    return functions
+
+
+def _copy_function(unit: FunctionUnit) -> FunctionUnit:
+    return FunctionUnit(
+        unit.name, [replace(op) for op in unit.ops], dict(unit.labels), unit.is_library
+    )
+
+
+def _copy_data(item: DataItem) -> DataItem:
+    return replace(item, code_labels=dict(item.code_labels))
+
+
 def compile_source(
     source: str,
     module_name: str = "module",
@@ -65,29 +135,28 @@ def compile_source(
 
     Runtime functions are tagged ``is_library`` so size accounting can
     separate application from library code, as the paper's static
-    linking discussion requires.
+    linking discussion requires.  The module lists the runtime's
+    globals, functions and jump tables ahead of the program's, as if
+    both were compiled as one translation unit.
     """
     options = options or CompileOptions()
     unit = parse(source)
-    if options.include_runtime:
-        # Parse the runtime separately so user diagnostics keep the
-        # user's line numbers, then merge the translation units.
-        runtime_unit = parse(RUNTIME_SOURCE)
-        unit = ast.TranslationUnit(
-            globals=runtime_unit.globals + unit.globals,
-            functions=runtime_unit.functions + unit.functions,
+    runtime = _compiled_runtime(options) if options.include_runtime else _NO_RUNTIME
+    # The runtime was parsed on its own, so user diagnostics keep the
+    # user's line numbers; checking the merged unit still diagnoses
+    # redefinitions of, and calls into, the runtime.
+    info = check(
+        ast.TranslationUnit(
+            globals=runtime.unit.globals + unit.globals,
+            functions=runtime.unit.functions + unit.functions,
         )
-    info = check(unit)
-
+    )
     module = ObjectModule(module_name)
+    module.data.extend(_copy_data(item) for item in runtime.globals)
     module.data.extend(_globals_to_data(unit))
-    for fn in unit.functions:
-        is_library = options.include_runtime and fn.name in RUNTIME_FUNCTIONS
-        ir_fn = FunctionLowerer(fn, info, is_library).lower()
-        optimize_function(ir_fn, level=options.opt_level)
-        allocation = allocate(ir_fn)
-        codegen = FunctionCodegen(ir_fn, allocation, options.codegen, module.data)
-        module.functions.append(codegen.generate())
+    module.data.extend(_copy_data(item) for item in runtime.jump_tables)
+    module.functions.extend(_copy_function(fn) for fn in runtime.functions)
+    module.functions.extend(_compile_functions(unit, info, options, module.data, False))
     return module
 
 

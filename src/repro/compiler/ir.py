@@ -65,18 +65,22 @@ class Instr:
                 out.extend(v for v in value if isinstance(v, VReg))
         return tuple(out)
 
-    def replace_uses(self, mapping: dict[VReg, Operand]) -> None:
-        """Substitute used vregs per ``mapping`` (copy propagation)."""
+    def replace_uses(self, mapping: dict[VReg, Operand]) -> bool:
+        """Substitute used vregs per ``mapping`` (copy propagation).
+
+        Returns whether any use changed.
+        """
+        changed = False
         for name in getattr(self, "_use_fields", ()):
             value = getattr(self, name)
-            if isinstance(value, VReg) and value in mapping:
-                setattr(self, name, mapping[value])
-            elif isinstance(value, list):
-                setattr(
-                    self,
-                    name,
-                    [mapping.get(v, v) if isinstance(v, VReg) else v for v in value],
-                )
+            if isinstance(value, VReg):
+                if value in mapping:
+                    setattr(self, name, mapping[value])
+                    changed = True
+            elif isinstance(value, list) and any(v in mapping for v in value):
+                setattr(self, name, [mapping.get(v, v) for v in value])
+                changed = True
+        return changed
 
     @property
     def is_terminator(self) -> bool:

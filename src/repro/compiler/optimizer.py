@@ -133,45 +133,41 @@ def _algebraic(instr: ir.Bin) -> ir.Instr | None:
 # ---------------------------------------------------------------------------
 # Copy propagation (block-local)
 # ---------------------------------------------------------------------------
+# Labels and control transfers end the block copy facts live in.
+_BLOCK_ENDS = (ir.Label, ir.Br, ir.Ret, ir.Switch, ir.CBr)
+
+
 def _copy_propagate(fn: ir.IRFunction) -> bool:
+    """Replace uses of copied vregs by their sources, one step per pass.
+
+    ``available`` maps a copy's destination to its source; ``copies_of``
+    is the reverse index, source -> destinations that named it when
+    recorded (entries go stale when a destination is redefined, so they
+    are checked against ``available`` before use).
+    """
     changed = False
     available: dict[ir.VReg, ir.Operand] = {}
+    copies_of: dict[ir.VReg, list[ir.VReg]] = {}
     for instr in fn.instrs:
-        if isinstance(instr, ir.Label) or instr.is_terminator or isinstance(
-            instr, ir.CBr
-        ):
-            # Conservatively reset at block boundaries; CBr itself may
-            # still use the map first.
-            pass
-        before = tuple(
-            getattr(instr, name) for name in getattr(instr, "_use_fields", ())
-        )
-        mapping = {
-            vreg: operand for vreg, operand in available.items() if operand != vreg
-        }
-        if mapping:
-            instr.replace_uses(mapping)
-            after = tuple(
-                getattr(instr, name) for name in getattr(instr, "_use_fields", ())
-            )
-            if before != after:
-                changed = True
+        if available and instr.replace_uses(available):
+            changed = True
         # Kill facts invalidated by this instruction's defs.
         for dest in instr.defs():
             available.pop(dest, None)
-            stale = [k for k, v in available.items() if v == dest]
-            for key in stale:
-                del available[key]
+            for key in copies_of.pop(dest, ()):
+                if available.get(key) == dest:
+                    del available[key]
         # Record new copy facts.
         if isinstance(instr, ir.Copy):
-            if isinstance(instr.src, ir.Imm) or instr.src != instr.dest:
-                available[instr.dest] = instr.src
-        # Block boundary: labels and control transfers clear the map.
-        if isinstance(instr, ir.Label) or instr.is_terminator or isinstance(
-            instr, (ir.CBr, ir.Call)
-        ):
-            if not isinstance(instr, ir.Call):
-                available.clear()
+            src = instr.src
+            if isinstance(src, ir.Imm) or src != instr.dest:
+                available[instr.dest] = src
+                if isinstance(src, ir.VReg):
+                    copies_of.setdefault(src, []).append(instr.dest)
+        # A CBr still used the facts above; nothing after it may.
+        if isinstance(instr, _BLOCK_ENDS):
+            available.clear()
+            copies_of.clear()
     return changed
 
 

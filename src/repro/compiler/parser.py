@@ -19,8 +19,11 @@ from repro.compiler import ast_nodes as ast
 from repro.compiler.lexer import Token, tokenize
 from repro.errors import CompileError
 
-# Binary operator precedence, loosest first (ternary/logical handled apart).
+# Binary operator precedence, loosest first (ternary handled apart).
+# ``||``/``&&`` build Logical nodes, the rest Binary; all associate left.
 _PRECEDENCE: list[tuple[str, ...]] = [
+    ("||",),
+    ("&&",),
     ("|",),
     ("^",),
     ("&",),
@@ -30,6 +33,17 @@ _PRECEDENCE: list[tuple[str, ...]] = [
     ("+", "-"),
     ("*", "/", "%"),
 ]
+_BINDING_POWER = {
+    op: power for power, ops in enumerate(_PRECEDENCE, 1) for op in ops
+}
+_LOGICAL_POWER = _BINDING_POWER["&&"]
+
+# Deepest nesting the parser accepts: every statement, (sub)expression,
+# prefix operator and ``?:`` arm counts one level.  The checker and
+# lowering recurse over the tree too, and at this depth every phase stays
+# well inside Python's default recursion limit even in a worker thread,
+# so hostile input gets a CompileError, never a RecursionError.
+MAX_NESTING = 100
 
 _COMPOUND_OPS = {"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
@@ -40,6 +54,7 @@ class Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -69,6 +84,16 @@ class Parser:
                 f"expected {want!r}, found {self._cur.text!r}", self._cur.line
             )
         return self._advance()
+
+    def _descend(self, token: Token) -> None:
+        """Enter one nesting level; the caller leaves it with ``_depth -= 1``.
+
+        A CompileError abandons the whole parse, so no level is left on
+        the error path.
+        """
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise CompileError(f"nesting deeper than {MAX_NESTING} levels", token.line)
 
     # ------------------------------------------------------------------
     # Declarations
@@ -214,27 +239,20 @@ class Parser:
 
     def _parse_statement(self) -> ast.Stmt:
         token = self._cur
-        if token.kind == "op" and token.text == "{":
-            return self._parse_block()
-        if token.kind == "op" and token.text == ";":
+        self._descend(token)
+        handler = _KEYWORD_STATEMENTS.get(token.text) if token.kind == "kw" else None
+        if handler is not None:
+            stmt = handler(self)
+        elif token.kind == "op" and token.text == "{":
+            stmt = self._parse_block()
+        elif token.kind == "op" and token.text == ";":
             self._advance()
-            return ast.Block(token.line, [])
-        if token.kind == "kw":
-            handler = {
-                "if": self._parse_if,
-                "while": self._parse_while,
-                "do": self._parse_do_while,
-                "for": self._parse_for,
-                "switch": self._parse_switch,
-                "return": self._parse_return,
-                "break": self._parse_break,
-                "continue": self._parse_continue,
-            }.get(token.text)
-            if handler is not None:
-                return handler()
-        expr = self._parse_expression()
-        self._expect("op", ";")
-        return ast.ExprStmt(token.line, expr)
+            stmt = ast.Block(token.line, [])
+        else:
+            stmt = ast.ExprStmt(token.line, self._parse_expression())
+            self._expect("op", ";")
+        self._depth -= 1
+        return stmt
 
     def _parse_if(self) -> ast.Stmt:
         kw = self._expect("kw", "if")
@@ -342,73 +360,69 @@ class Parser:
     # Expressions
     # ------------------------------------------------------------------
     def _parse_expression(self) -> ast.Expr:
-        return self._parse_assignment()
-
-    def _parse_assignment(self) -> ast.Expr:
+        """expression := conditional (('=' | op'=') expression)?"""
+        self._descend(self._cur)
         left = self._parse_conditional()
         token = self._cur
         if token.kind == "op" and (token.text == "=" or token.text in _COMPOUND_OPS):
             self._advance()
             if not isinstance(left, (ast.Var, ast.ArrayRef)):
                 raise CompileError("assignment target must be a variable", token.line)
-            value = self._parse_assignment()
+            value = self._parse_expression()
             op = None if token.text == "=" else token.text[:-1]
-            return ast.Assign(token.line, left, value, op)
+            left = ast.Assign(token.line, left, value, op)
+        self._depth -= 1
         return left
 
     def _parse_conditional(self) -> ast.Expr:
-        cond = self._parse_logical_or()
+        cond = self._parse_infix(1)
         if self._check("op", "?"):
             token = self._advance()
             then = self._parse_expression()
             self._expect("op", ":")
+            self._descend(token)
             otherwise = self._parse_conditional()
+            self._depth -= 1
             return ast.Conditional(token.line, cond, then, otherwise)
         return cond
 
-    def _parse_logical_or(self) -> ast.Expr:
-        left = self._parse_logical_and()
-        while self._check("op", "||"):
-            token = self._advance()
-            right = self._parse_logical_and()
-            left = ast.Logical(token.line, "||", left, right)
-        return left
+    def _parse_infix(self, min_power: int) -> ast.Expr:
+        """Precedence climbing over ``_BINDING_POWER``.
 
-    def _parse_logical_and(self) -> ast.Expr:
-        left = self._parse_binary(0)
-        while self._check("op", "&&"):
-            token = self._advance()
-            right = self._parse_binary(0)
-            left = ast.Logical(token.line, "&&", left, right)
-        return left
-
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_PRECEDENCE):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
-        while self._cur.kind == "op" and self._cur.text in _PRECEDENCE[level]:
-            token = self._advance()
-            right = self._parse_binary(level + 1)
-            left = ast.Binary(token.line, token.text, left, right)
-        return left
+        Operands bind tighter than ``min_power``; the right operand of an
+        operator at power p takes only operators above p, which makes
+        every level left-associative.
+        """
+        left = self._parse_unary()
+        tokens = self._tokens
+        while True:
+            token = tokens[self._pos]
+            if token.kind != "op":
+                return left
+            power = _BINDING_POWER.get(token.text)
+            if power is None or power < min_power:
+                return left
+            self._pos += 1
+            right = self._parse_infix(power + 1)
+            node = ast.Logical if power <= _LOGICAL_POWER else ast.Binary
+            left = node(token.line, token.text, left, right)
 
     def _parse_unary(self) -> ast.Expr:
         token = self._cur
-        if token.kind == "op" and token.text in ("-", "~", "!"):
-            self._advance()
-            operand = self._parse_unary()
-            return ast.Unary(token.line, token.text, operand)
-        if token.kind == "op" and token.text == "+":
-            self._advance()
-            return self._parse_unary()
-        if token.kind == "op" and token.text in ("++", "--"):
-            self._advance()
-            target = self._parse_unary()
-            if not isinstance(target, (ast.Var, ast.ArrayRef)):
+        if token.kind != "op" or token.text not in ("-", "~", "!", "+", "++", "--"):
+            return self._parse_postfix()
+        self._advance()
+        self._descend(token)
+        operand = self._parse_unary()
+        self._depth -= 1
+        if token.text == "+":
+            return operand
+        if token.text in ("++", "--"):
+            if not isinstance(operand, (ast.Var, ast.ArrayRef)):
                 raise CompileError("++/-- target must be a variable", token.line)
             op = "+" if token.text == "++" else "-"
-            return ast.Assign(token.line, target, ast.Num(token.line, 1), op)
-        return self._parse_postfix()
+            return ast.Assign(token.line, operand, ast.Num(token.line, 1), op)
+        return ast.Unary(token.line, token.text, operand)
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
@@ -459,6 +473,18 @@ class Parser:
             self._expect("op", ")")
             return expr
         raise CompileError(f"unexpected token {token.text!r}", token.line)
+
+
+_KEYWORD_STATEMENTS = {
+    "if": Parser._parse_if,
+    "while": Parser._parse_while,
+    "do": Parser._parse_do_while,
+    "for": Parser._parse_for,
+    "switch": Parser._parse_switch,
+    "return": Parser._parse_return,
+    "break": Parser._parse_break,
+    "continue": Parser._parse_continue,
+}
 
 
 def parse(source: str) -> ast.TranslationUnit:

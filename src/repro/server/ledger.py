@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import time
 import uuid
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -222,21 +223,21 @@ class JobLedger:
         self._handle.flush()
         return line
 
-    def _read_lines(self) -> list[dict]:
+    def _read_lines(self) -> Iterator[dict]:
+        """The decodable lines of the state store, read one at a time."""
         if not self.fs.exists(self.state_path):
-            return []
-        lines = []
-        for raw in self.fs.read_text(self.state_path).splitlines():
+            return
+        for raw in self.fs.read_lines(self.state_path):
             raw = raw.strip()
             if not raw:
                 continue
             try:
-                lines.append(json.loads(raw))
+                line = json.loads(raw)
             except json.JSONDecodeError:
                 # A torn final line from a crash mid-append is expected;
                 # anything else is still not worth refusing to start over.
                 continue
-        return lines
+            yield line
 
     def replay(self) -> dict[str, JobRecord]:
         """Fold the transition log into per-job records, log order."""
@@ -289,19 +290,24 @@ class JobLedger:
 
         Returns the number of jobs kept.  Atomic: readers either see
         the old log or the compacted one, never a truncated file.
+        Memory stays near one copy of the log: each line is folded as
+        it is read, and each record is released as its snapshot line
+        is written.
         """
         records = self.replay()
-        text = "".join(
-            json.dumps(
+        kept = len(records)
+        snapshot = bytearray()
+        for job_id in list(records):
+            record = records.pop(job_id)
+            snapshot += json.dumps(
                 {"job_id": record.job_id, "event": "snapshot",
                  "unix_time": time.time(), "record": record.as_dict()},
                 sort_keys=True,
-            ) + "\n"
-            for record in records.values()
-        )
+            ).encode()
+            snapshot += b"\n"
         self.close()
-        self.fs.write_atomic(self.state_path, text)
-        return len(records)
+        self.fs.write_atomic(self.state_path, snapshot)
+        return kept
 
     def close(self) -> None:
         if self._handle is not None:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 
@@ -67,6 +68,12 @@ class Filesystem:
     def read_text(self, path: str | Path) -> str:
         return Path(path).read_text()
 
+    def read_lines(self, path: str | Path) -> Iterator[str]:
+        """The lines of a text file, one at a time (the file is never
+        held in memory whole)."""
+        with open(path) as handle:
+            yield from handle
+
     def exists(self, path: str | Path) -> bool:
         return Path(path).exists()
 
@@ -74,7 +81,7 @@ class Filesystem:
         return Path(path).stat()
 
     # -- writes --------------------------------------------------------
-    def write_atomic(self, path: str | Path, data: bytes | str) -> None:
+    def write_atomic(self, path: str | Path, data: bytes | bytearray | str) -> None:
         """Write a complete file via temp-file + ``os.replace``.
 
         Readers never observe a partial file; a crash mid-write leaves

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler import compile_source
 from repro.compiler.lexer import tokenize
 from repro.errors import CompileError
 
@@ -68,3 +69,35 @@ class TestErrors:
             tokenize("0X")
         with pytest.raises(CompileError, match="hex"):
             tokenize("int x = 0x;")
+
+
+class TestCharacterLiteralLines:
+    def test_raw_newline_in_character_literal_is_rejected(self):
+        # Accepting it as value 10 would leave the newline uncounted and
+        # shift every later diagnostic up one line.
+        with pytest.raises(CompileError) as info:
+            tokenize("int c = '\n';\nreturn c + y;")
+        assert str(info.value) == "line 1: bad character literal"
+
+    def test_raw_newline_rejected_through_the_compiler(self):
+        with pytest.raises(CompileError, match="^line 1: bad character literal$"):
+            compile_source("int main() { int c = '\n'; \n return c + y; }")
+
+    def test_newline_escape_keeps_later_lines(self):
+        tokens = tokenize("int c = '\\n';\nreturn c;")
+        assert [(t.text, t.value, t.line) for t in tokens[3:5]] == [
+            ("'\\n'", 10, 1),
+            (";", None, 1),
+        ]
+        assert [t.line for t in tokens[5:]] == [2, 2, 2, 2]
+        with pytest.raises(CompileError, match="^line 2: use of undeclared variable 'y'$"):
+            compile_source("int main() { int c = '\\n';\n return c + y; }")
+
+
+class TestBlanks:
+    def test_trailing_blanks_are_not_tokens(self):
+        assert kinds("a \t\r") == ["ident"]
+        assert tokenize("a \t\r \n ")[-1].line == 2
+
+    def test_blank_only_source(self):
+        assert [t.kind for t in tokenize(" \t\r\n\n ")] == ["eof"]

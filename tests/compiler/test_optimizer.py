@@ -117,6 +117,26 @@ class TestCopyPropagation:
         add = [i for i in fn.instrs if isinstance(i, ir.Bin)]
         assert add and add[0].a == v(0)
 
+    def test_redefining_the_source_kills_the_copy(self):
+        # v1 aliases v9 only until v9 changes: the return must keep
+        # reading v1, not the incremented v9.
+        fn = make_function(
+            [
+                ir.Copy(v(1), v(9)),
+                ir.Bin("add", v(9), v(9), ir.Imm(1)),
+                ir.Out(v(9)),
+                ir.Ret(v(1)),
+            ],
+            next_vreg=10,
+        )
+        optimize_function(fn)
+        assert fn.instrs == [
+            ir.Copy(v(1), v(9)),
+            ir.Bin("add", v(9), v(9), ir.Imm(1)),
+            ir.Out(v(9)),
+            ir.Ret(v(1)),
+        ]
+
 
 class TestDeadCode:
     def test_removes_unused_pure_instruction(self):

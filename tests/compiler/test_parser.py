@@ -113,6 +113,31 @@ class TestExpressions:
     def test_ternary(self):
         assert isinstance(self._expr("a ? b : c"), ast.Conditional)
 
+    @pytest.mark.parametrize(
+        "text,grouped",
+        [
+            ("a - b - c", "(a - b) - c"),
+            ("a / b * c % a", "((a / b) * c) % a"),
+            ("a < b > c <= a >= b", "(((a < b) > c) <= a) >= b"),
+            ("a || b || c && a && b", "(a || b) || ((c && a) && b)"),
+            (
+                "a * b + c << a < b == c & a ^ b | c && a || b",
+                "((((((((((a * b) + c) << a) < b) == c) & a) ^ b) | c) && a) || b)",
+            ),
+            (
+                "a | b ^ c & a == b < c << a + b * c",
+                "a | (b ^ (c & (a == (b < (c << (a + (b * c)))))))",
+            ),
+            ("a != b >= c >> a - -b", "a != (b >= (c >> (a - (-b))))"),
+            ("-a * !b && ~c", "((-a) * (!b)) && (~c)"),
+            ("a ? b : c ? a : b", "a ? b : (c ? a : b)"),
+            ("a ? b ? c : a : b || c", "a ? (b ? c : a) : (b || c)"),
+            ("a = b += c - a", "a = (b += (c - a))"),
+        ],
+    )
+    def test_binding_power_and_associativity(self, text, grouped):
+        assert self._expr(text) == self._expr(grouped)
+
     def test_logical_short_circuit_nodes(self):
         expr = self._expr("a && b || c")
         assert isinstance(expr, ast.Logical) and expr.op == "||"
