@@ -116,7 +116,7 @@ def bytes_to_words(data: bytes) -> list[int]:
 class BitWriter:
     """Accumulates values most-significant-bit first into a byte stream.
 
-    Used by the nibble-aligned encoder: nibbles and larger codewords are
+    Used by the Huffman-coded baselines: variable-length codes are
     appended in order, and the final stream is padded to a whole byte.
     """
 

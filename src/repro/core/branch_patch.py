@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from repro import bitutils
 from repro.core.encodings import Encoding
 from repro.core.replace import Token
-from repro.errors import BranchRangeError
+from repro.errors import BranchRangeError, CompressionError
 from repro.isa.fields import OperandKind
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import spec_for
 from repro.linker.program import Program
 
-_B_SPEC = spec_for("b")
+# The unconditional branch a relaxation inserts, before its offset is patched.
+_B_PLACEHOLDER = Instruction(spec_for("b"), (0,))
 
 # BO-field inversion for branch relaxation.
 _INVERT_BO = {12: 4, 4: 12, 8: 0, 0: 8, 16: 18, 18: 16}
@@ -50,18 +51,23 @@ def layout(tokens: list[Token], encoding: Encoding) -> dict[int, int]:
     branches may target codewords but never the middle of an encoded
     sequence (paper section 3.1.1).
     """
+    codeword_units = encoding.codeword_unit_sizes()
+    instruction_units = encoding.instruction_units()
     index_to_unit: dict[int, int] = {}
     address = 0
     for token in tokens:
         token.address = address
         if token.kind == "cw":
-            assert token.rank is not None
-            token.size_units = encoding.codeword_units(token.rank)
+            try:
+                size = codeword_units[token.rank]
+            except IndexError:
+                raise CompressionError(f"rank {token.rank} beyond capacity") from None
         else:
-            token.size_units = encoding.instruction_units()
+            size = instruction_units
+        token.size_units = size
         if token.orig_index is not None:
             index_to_unit[token.orig_index] = address
-        address += token.size_units
+        address += size
     return index_to_unit
 
 
@@ -108,11 +114,13 @@ def _relax(tokens: list[Token], position: int) -> list[Token]:
         instruction=inverted,
         orig_index=token.orig_index,
         token_target=position + 2,  # token right after the new 'b'
+        word=inverted.encode(),
     )
     unconditional = Token(
         kind="ins",
-        instruction=Instruction(_B_SPEC, (0,)),
+        instruction=_B_PLACEHOLDER,
         target_index=token.target_index,
+        word=_B_PLACEHOLDER.encode(),
     )
     return tokens[:position] + [skip, unconditional] + tokens[position + 1 :]
 
@@ -124,7 +132,8 @@ def patch_branches(
     (tokens, index_to_unit, relaxations) triple.
 
     On return every branch token's ``instruction`` holds its final
-    unit-scaled offset.
+    unit-scaled offset, and its ``word`` is re-encoded to match; no
+    other token is re-encoded.
     """
     relaxations = 0
     for _ in range(max_rounds):
@@ -151,6 +160,7 @@ def patch_branches(
                     token.instruction = token.instruction.replace_operand(
                         "target", offset
                     )
+                    token.word = token.instruction.encode()
             return tokens, index_to_unit, relaxations
         tokens = _relax(tokens, overflow_at)
         relaxations += 1

@@ -72,25 +72,54 @@ class CompressedProgram:
         """Re-parse the serialized stream and check it matches the tokens.
 
         This is the bit-level proof that a hardware decoder could walk
-        the stream: every item must round-trip through the encoding.
+        the stream: every item must round-trip through the encoding, sit
+        at its token's unit address, and the stream must end with the
+        last item plus zero padding to a whole byte.  Items are
+        classified through the encoding's prefix tables; only a failing
+        stream is re-walked item by item, to name the first mismatch.
         """
+        if self.encoding.matches_tokens(self.stream, self.tokens):
+            return
+        self._raise_first_mismatch()
+        used_bits = self.total_units() * self.encoding.alignment_bits
+        expected = (used_bits + 7) // 8
+        if len(self.stream) > expected:
+            raise CompressionError(
+                f"{len(self.stream) - expected} trailing byte(s) after the "
+                f"last item (stream is {len(self.stream)} bytes, expected "
+                f"{expected})"
+            )
+        pad_bits = -used_bits % 8
+        if pad_bits and self.stream[-1] & ((1 << pad_bits) - 1):
+            raise CompressionError(
+                f"nonzero pad bits after the last item: {self.stream[-1]:#04x}"
+            )
+        raise CompressionError(
+            "stream items match the tokens but not their unit addresses"
+        )
+
+    def _raise_first_mismatch(self) -> None:
+        """Walk the stream with ``read_item``; raise at the first token
+        whose item differs or is cut off by the end of the stream."""
         reader = bitutils.BitReader(self.stream)
         for token in self.tokens:
-            kind, payload = self.encoding.read_item(reader)
+            try:
+                kind, payload = self.encoding.read_item(reader)
+            except EOFError as exc:
+                raise CompressionError(
+                    f"stream truncated at unit {token.address}: {exc}"
+                ) from exc
             if token.kind == "cw":
                 if kind != "cw" or payload != token.rank:
                     raise CompressionError(
                         f"stream mismatch at unit {token.address}: "
                         f"expected codeword {token.rank}, read {kind}:{payload}"
                     )
-            else:
-                assert token.instruction is not None
-                expected = token.instruction.encode()
-                if kind != "ins" or payload != expected:
-                    raise CompressionError(
-                        f"stream mismatch at unit {token.address}: "
-                        f"expected instruction {expected:#010x}, read {kind}:{payload}"
-                    )
+            elif kind != "ins" or payload != token.word:
+                raise CompressionError(
+                    f"stream mismatch at unit {token.address}: "
+                    f"expected instruction {token.word:#010x}, read {kind}:{payload}"
+                )
 
 
 class Compressor:
@@ -137,7 +166,7 @@ class Compressor:
         with observe.stage("branch_patch"):
             tokens, index_to_unit, relaxations = patch_branches(tokens, encoding)
         with observe.stage("serialize"):
-            stream = _serialize(tokens, encoding)
+            stream = _serialize(tokens, encoding, len(greedy.dictionary))
         with observe.stage("jump_tables"):
             data_image = patch_jump_tables(program, index_to_unit)
         compressed = CompressedProgram(
@@ -154,16 +183,22 @@ class Compressor:
         return compressed
 
 
-def _serialize(tokens: list[Token], encoding: Encoding) -> bytes:
-    writer = bitutils.BitWriter()
-    for token in tokens:
-        if token.kind == "cw":
-            assert token.rank is not None
-            encoding.write_codeword(writer, token.rank)
-        else:
-            assert token.instruction is not None
-            encoding.write_instruction(writer, token.instruction.encode())
-    return writer.getvalue()
+def _serialize(tokens: list[Token], encoding: Encoding, dictionary_size: int) -> bytes:
+    """The stream of ``tokens`` as hex digits, converted once.
+
+    Codeword digits are joined in place and each instruction leaves a
+    ``%08x`` slot, filled from the carried words by one ``%``: no string
+    object is made per instruction.
+    """
+    digits = list(map(encoding.codeword_hex, range(dictionary_size)))
+    escaped = encoding.escape_hex + "%08x"
+    template = "".join(
+        [digits[t.rank] if t.kind == "cw" else escaped for t in tokens]
+    )
+    text = template % tuple([t.word for t in tokens if t.kind == "ins"])
+    if len(text) & 1:
+        text += "0"
+    return bytes.fromhex(text)
 
 
 def compress(

@@ -94,14 +94,6 @@ class Operand:
     # Second field for DISP_GPR operands (the base register).
     base_field: Field | None = None
 
-    def encode_into(self, word: int, value: int) -> int:
-        """Place a validated operand value into ``word``."""
-        if self.kind is OperandKind.SIMM or self.kind is OperandKind.REL_TARGET:
-            return self.field.deposit(word, bitutils.to_twos_complement(value, self.field.width))
-        if self.kind is OperandKind.SPR:
-            return self.field.deposit(word, spr_encode(value))
-        return self.field.deposit(word, value)
-
     def decode_from(self, word: int) -> int:
         """Read this operand's value out of ``word``."""
         raw = self.field.extract(word)

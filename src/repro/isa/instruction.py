@@ -15,8 +15,15 @@ from functools import lru_cache
 
 from repro import bitutils
 from repro.errors import EncodingError
-from repro.isa.fields import OperandKind
-from repro.isa.opcodes import InstrSpec, decode_spec, spec_for
+from repro.isa.fields import OperandKind, spr_encode
+from repro.isa.opcodes import (
+    PLAN_DISP,
+    PLAN_SPR,
+    PLAN_UNSIGNED,
+    InstrSpec,
+    decode_spec,
+    spec_for,
+)
 
 
 @dataclass(frozen=True)
@@ -59,19 +66,37 @@ class Instruction:
         return Instruction(self.spec, tuple(new_values))
 
     def encode(self) -> int:
-        """Produce the 32-bit word for this instruction."""
+        """Produce the 32-bit word for this instruction.
+
+        Walks the spec's precomputed :attr:`~repro.isa.opcodes.InstrSpec.
+        encode_plan`: one range check and one shifted OR per operand.
+        """
         word = self.spec.match
         try:
-            for op, value in zip(self.spec.operands, self.values):
-                if op.kind is OperandKind.DISP_GPR:
-                    disp, base = value
-                    word = op.field.deposit(
-                        word, bitutils.to_twos_complement(disp, op.field.width)
-                    )
-                    assert op.base_field is not None
-                    word = op.base_field.deposit(word, base)
+            for step, value in zip(self.spec.encode_plan, self.values):
+                kind = step[0]
+                if kind == PLAN_UNSIGNED:
+                    if value < 0 or value > step[3]:
+                        raise ValueError(
+                            f"value {value} does not fit in {step[2]} bits"
+                        )
+                    word |= value << step[1]
+                elif kind == PLAN_SPR:
+                    word |= spr_encode(value) << step[1]
                 else:
-                    word = op.encode_into(word, value)
+                    if kind == PLAN_DISP:
+                        value, base = value
+                    if not step[3] <= value <= step[4]:
+                        raise ValueError(
+                            f"{value} out of range for signed {step[2]}-bit field"
+                        )
+                    word |= (value & step[5]) << step[1]
+                    if kind == PLAN_DISP:
+                        if base < 0 or base > step[8]:
+                            raise ValueError(
+                                f"value {base} does not fit in {step[7]} bits"
+                            )
+                        word |= base << step[6]
         except ValueError as exc:
             raise EncodingError(f"cannot encode {self!r}: {exc}") from exc
         return word

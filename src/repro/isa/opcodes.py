@@ -46,6 +46,34 @@ def is_illegal_word(word: int) -> bool:
     return f.OPCD.extract(word) in ILLEGAL_PRIMARY_OPCODES
 
 
+# Step kinds of an encode plan (see InstrSpec.encode_plan), with the
+# step each one heads.
+PLAN_UNSIGNED = 0  # (kind, shift, width, max)
+PLAN_SIGNED = 1  # (kind, shift, width, min, max, mask)
+PLAN_SPR = 2  # (kind, shift)
+PLAN_DISP = 3  # PLAN_SIGNED's fields for D, then rA's (shift, width, max)
+
+
+def _shift(fld: Field) -> int:
+    return bitutils.WORD_BITS - fld.start - fld.width
+
+
+def _plan_step(operand: Operand) -> tuple:
+    """How to range-check ``operand`` and place it in the word."""
+    fld = operand.field
+    if operand.kind is OperandKind.SPR:
+        return (PLAN_SPR, _shift(fld))
+    if operand.kind not in (OperandKind.SIMM, OperandKind.REL_TARGET, OperandKind.DISP_GPR):
+        return (PLAN_UNSIGNED, _shift(fld), fld.width, bitutils.mask(fld.width))
+    half = 1 << (fld.width - 1)
+    signed = (_shift(fld), fld.width, -half, half - 1, bitutils.mask(fld.width))
+    if operand.kind is OperandKind.DISP_GPR:
+        base = operand.base_field
+        assert base is not None
+        return (PLAN_DISP, *signed, _shift(base), base.width, bitutils.mask(base.width))
+    return (PLAN_SIGNED, *signed)
+
+
 @dataclass(frozen=True)
 class InstrSpec:
     """Declarative description of one machine instruction.
@@ -53,7 +81,14 @@ class InstrSpec:
     ``fixed`` pins opcode/extended-opcode/reserved fields; ``operands``
     lists the assembly operands in source order.  ``mask``/``match`` are
     derived for decoding: a word belongs to this spec iff
-    ``word & mask == match``.
+    ``word & mask == match``.  ``encode_plan`` holds one precomputed
+    step per operand (field shift, width and range) so
+    :meth:`~repro.isa.instruction.Instruction.encode` ORs operand values
+    into ``match`` without re-deriving field geometry per call.
+
+    Specs hash by ``(mask, match)``: consistent with equality (equal
+    specs share both), O(1), and identical in every process, so a spec
+    pickled into a worker keeps its hash.
     """
 
     mnemonic: str
@@ -62,6 +97,9 @@ class InstrSpec:
     operands: tuple[Operand, ...]
     mask: int = dataclass_field(init=False, default=0)
     match: int = dataclass_field(init=False, default=0)
+    encode_plan: tuple = dataclass_field(
+        init=False, default=(), repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         mask = 0
@@ -69,8 +107,28 @@ class InstrSpec:
         for fld, value in self.fixed:
             mask = fld.deposit(mask, bitutils.mask(fld.width))
             match = fld.deposit(match, value)
+        # Encoding ORs each operand into `match`, which equals a field
+        # deposit only while no two fields share a bit.
+        used = mask
+        for operand in self.operands:
+            for fld in (operand.field, operand.base_field):
+                if fld is None:
+                    continue
+                bits = fld.deposit(0, bitutils.mask(fld.width))
+                if used & bits:
+                    raise ValueError(
+                        f"{self.mnemonic}: operand {operand.name} overlaps "
+                        "another field"
+                    )
+                used |= bits
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "match", match)
+        object.__setattr__(
+            self, "encode_plan", tuple(_plan_step(op) for op in self.operands)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.match))
 
     def matches(self, word: int) -> bool:
         return (word & self.mask) == self.match

@@ -16,9 +16,8 @@ units, codeword rank or escape marker)``:
   first nibble selects the band (or the escape value 15) and therefore
   the item length, and the band tail bits are inside the prefix
   because the longest codeword is 4 nibbles.  65536-entry
-  ``lens``/``ranks`` tables, built once per encoding and cached by the
-  encoding token; because bands are allotted in whole first-nibble
-  blocks, the length table collapses to 16 entries.
+  ``lens``/``ranks`` tables; because bands are allotted in whole
+  first-nibble blocks, the length table collapses to 16 entries.
 * **baseline** — the first *byte* decides: 32 escape byte values (the
   illegal primary opcodes × low bits) start a 2-byte codeword whose
   rank is ``escape_rank << 8 | index_byte``; anything else is a 4-byte
@@ -26,6 +25,11 @@ units, codeword rank or escape marker)``:
 * **onebyte** — the escape byte *is* the codeword (rank = its position
   in the escape list); anything else is a 4-byte instruction.  A
   256-entry first-byte table.
+
+The tables themselves live in :mod:`repro.core.encodings`
+(:meth:`~repro.core.encodings.Encoding.prefix_tables`), built once per
+process per encoding token and shared with the compressor's stream
+verification; this module keeps only their numpy views.
 
 Two interchangeable backends share the same tables.  The pure-Python
 backend is a cursor walk over the table — one list index per item.
@@ -48,12 +52,13 @@ re-runs the reference walk so strict-mode errors are byte-identical.
 
 from __future__ import annotations
 
-from array import array
-
 from repro.core.encodings import (
     BaselineEncoding,
     CustomNibbleEncoding,
     OneByteEncoding,
+    PrefixTables,
+    clear_tables as clear_encoding_tables,
+    encoding_token,
 )
 from repro.errors import DecodingError
 from repro.isa.instruction import decode as _decode_word
@@ -145,86 +150,17 @@ def _fallback(reason: str):
 
 
 # ---------------------------------------------------------------------------
-# Classification tables, cached per encoding token
+# numpy views of the shared classification tables, per encoding token
 # ---------------------------------------------------------------------------
-class _Tables:
-    __slots__ = ("lens", "ranks", "np_steps", "np_ranks")
-
-    def __init__(self, lens, ranks):
-        self.lens = lens
-        self.ranks = ranks
-        self.np_steps = None
-        self.np_ranks = None
-
-
-_TABLES: dict[tuple, _Tables] = {}
-
-
-def _encoding_token(encoding):
-    from repro.machine.decompressor import _encoding_token as token
-
-    return token(encoding)
-
-
-def _nibble_tables(encoding: CustomNibbleEncoding) -> _Tables:
-    """16-bit-prefix tables: prefix -> (length in nibbles, rank).
-
-    Length 9 marks the escape prefix (escape nibble + 32-bit word).
-    For a band of ``nibbles``-nibble codewords starting at first-nibble
-    ``first_value`` with rank base ``base``, a prefix ``p`` classifies
-    as rank ``base + ((p >> 12) - first_value) << tail | tail bits of
-    p`` — the 12 prefix bits after the first nibble always contain the
-    codeword tail because codewords are at most 4 nibbles.
-    """
-    token = _encoding_token(encoding)
-    tables = _TABLES.get(token)
-    if tables is not None:
-        return tables
-    lens = bytearray(65536)
-    ranks = array("i", bytes(4 * 65536))
-    base = 0
-    for nibbles, first_value, size in encoding._bands:
-        values = size // 16 ** (nibbles - 1)
-        tail_bits = 4 * (nibbles - 1)
-        repeats = 1 << (12 - tail_bits)
-        lens_block = bytes([nibbles]) * 4096
-        for value in range(first_value, first_value + values):
-            start = value << 12
-            lens[start : start + 4096] = lens_block
-            rank_base = base + ((value - first_value) << tail_bits)
-            ranks[start : start + 4096] = array(
-                "i",
-                [
-                    rank_base + tail
-                    for tail in range(1 << tail_bits)
-                    for _ in range(repeats)
-                ],
-            )
-        base += size
-    escape_start = encoding._escape_value << 12
-    lens[escape_start : escape_start + 4096] = b"\x09" * 4096
-    tables = _Tables(lens, ranks)
-    _TABLES[token] = tables
-    return tables
-
-
-def _byte_tables(encoding) -> _Tables:
-    """First-byte table: byte -> escape rank, or -1 for an instruction."""
-    token = _encoding_token(encoding)
-    tables = _TABLES.get(token)
-    if tables is not None:
-        return tables
-    ranks = array("i", [-1]) * 256
-    for rank, byte in enumerate(encoding._escapes):
-        ranks[byte] = rank
-    tables = _Tables(None, ranks)
-    _TABLES[token] = tables
-    return tables
+# encoding_token -> (item steps per prefix/first byte, ranks) as arrays.
+_NP_VIEWS: dict[tuple, tuple] = {}
 
 
 def clear_tables() -> None:
-    """Drop cached classification tables (tests, memory pressure)."""
-    _TABLES.clear()
+    """Drop cached classification tables and their numpy views (tests,
+    memory pressure)."""
+    clear_encoding_tables()
+    _NP_VIEWS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +181,14 @@ def decode_stream_columnar(decoder):
     encoding = decoder.encoding
     use_numpy = _BACKEND == "numpy" and len(decoder.stream) >= _NUMPY_MIN_BYTES
     if isinstance(encoding, CustomNibbleEncoding):
-        tables = _nibble_tables(encoding)
+        tables = encoding.prefix_tables()
         if use_numpy:
             columns = _numpy_nibble(decoder, tables)
         else:
             columns = _python_nibble(decoder, tables)
     elif isinstance(encoding, (BaselineEncoding, OneByteEncoding)):
         indexed = isinstance(encoding, BaselineEncoding)
-        tables = _byte_tables(encoding)
+        tables = encoding.prefix_tables()
         if use_numpy:
             columns = _numpy_bytes(decoder, tables, codeword_indexed=indexed)
         else:
@@ -326,12 +262,6 @@ def _enumerate_starts(steps, target: int, max_items: int):
     return out[:count]
 
 
-def _np_ranks_table(tables: _Tables):
-    if tables.np_ranks is None:
-        tables.np_ranks = _np.array(tables.ranks, dtype=_np.int32)
-    return tables.np_ranks
-
-
 def _decode_escape_words(words):
     """Object array of instruction tuples for an array of raw words."""
     uniq, inverse = _np.unique(words, return_inverse=True)
@@ -341,26 +271,32 @@ def _decode_escape_words(words):
     return lookup[inverse]
 
 
-def _numpy_nibble(decoder, tables: _Tables):
+def _numpy_nibble(decoder, tables: PrefixTables):
     stream = decoder.stream
     total = decoder.total_units
     if total > 2 * len(stream):
         _fallback("stream truncated or unit-count mismatch")
-    if tables.np_steps is None:
+    token = encoding_token(decoder.encoding)
+    views = _NP_VIEWS.get(token)
+    if views is None:
         # Lengths are a function of the first nibble alone: the table
         # builder fills whole `value << 12` blocks.
         steps16 = bytes(tables.lens[value << 12] for value in range(16))
         if 0 in steps16:
             _fallback("encoding bands do not cover every first nibble")
-        tables.np_steps = _np.frombuffer(steps16, dtype=_np.uint8)
+        views = _NP_VIEWS[token] = (
+            _np.frombuffer(steps16, dtype=_np.uint8),
+            _np.array(tables.ranks, dtype=_np.int32),
+        )
+    np_steps, np_ranks = views
     entries = decoder._entries
     padded = stream + _PAD
     raw = _np.frombuffer(padded, dtype=_np.uint8).astype(_np.uint32)
     nibbles = _np.empty(2 * raw.shape[0], dtype=_np.uint32)
     nibbles[0::2] = raw >> 4
     nibbles[1::2] = raw & 15
-    starts = _enumerate_starts(tables.np_steps[nibbles], total, total)
-    item_lens = tables.np_steps[nibbles[starts]]
+    starts = _enumerate_starts(np_steps[nibbles], total, total)
+    item_lens = np_steps[nibbles[starts]]
     escapes = item_lens == 9
     prefixes = (
         (nibbles[starts] << 12)
@@ -368,7 +304,7 @@ def _numpy_nibble(decoder, tables: _Tables):
         | (nibbles[starts + 2] << 4)
         | nibbles[starts + 3]
     )
-    ranks = _np_ranks_table(tables)[prefixes]
+    ranks = np_ranks[prefixes]
     codeword_ranks = ranks[~escapes]
     if codeword_ranks.shape[0] and int(codeword_ranks.max()) >= len(entries):
         _fallback("codeword rank beyond the dictionary")
@@ -391,7 +327,7 @@ def _numpy_nibble(decoder, tables: _Tables):
     )
 
 
-def _numpy_bytes(decoder, tables: _Tables, *, codeword_indexed: bool):
+def _numpy_bytes(decoder, tables: PrefixTables, *, codeword_indexed: bool):
     stream = decoder.stream
     total = decoder.total_units
     entries = decoder._entries
@@ -406,20 +342,25 @@ def _numpy_bytes(decoder, tables: _Tables, *, codeword_indexed: bool):
     target = total * codeword_bytes // codeword_units
     if target > len(stream):
         _fallback("stream truncated or unit-count mismatch")
-    if tables.np_steps is None:
+    token = encoding_token(decoder.encoding)
+    views = _NP_VIEWS.get(token)
+    if views is None:
         escape_ranks = tables.ranks
-        tables.np_steps = _np.frombuffer(
-            bytes(
-                codeword_bytes if escape_ranks[byte] >= 0 else 4
-                for byte in range(256)
+        views = _NP_VIEWS[token] = (
+            _np.frombuffer(
+                bytes(
+                    codeword_bytes if escape_ranks[byte] >= 0 else 4
+                    for byte in range(256)
+                ),
+                dtype=_np.uint8,
             ),
-            dtype=_np.uint8,
+            _np.array(escape_ranks, dtype=_np.int32),
         )
-        tables.np_ranks = _np.array(escape_ranks, dtype=_np.int32)
+    np_steps, np_ranks = views
     padded = stream + _PAD
     raw = _np.frombuffer(padded, dtype=_np.uint8)
-    starts = _enumerate_starts(tables.np_steps[raw], target, total)
-    escape_ranks = tables.np_ranks[raw[starts]]
+    starts = _enumerate_starts(np_steps[raw], target, total)
+    escape_ranks = np_ranks[raw[starts]]
     escapes = escape_ranks < 0
     if codeword_indexed:
         ranks = (escape_ranks << 8) | raw[starts + 1].astype(_np.int32)
@@ -474,7 +415,7 @@ def _materialize_columns(addresses, item_lens, escapes, ranks, words, entries):
 # ---------------------------------------------------------------------------
 # Pure-Python backend: cursor walk over the same tables
 # ---------------------------------------------------------------------------
-def _python_nibble(decoder, tables: _Tables):
+def _python_nibble(decoder, tables: PrefixTables):
     encoding = decoder.encoding
     stream = decoder.stream
     padded = stream + _PAD
@@ -538,7 +479,7 @@ def _python_nibble(decoder, tables: _Tables):
     return StreamColumns.from_rows(rows)
 
 
-def _python_bytes(decoder, tables: _Tables, *, codeword_indexed: bool):
+def _python_bytes(decoder, tables: PrefixTables, *, codeword_indexed: bool):
     """Shared walk for the two byte-aligned encodings.
 
     ``codeword_indexed=True`` is the baseline scheme (escape byte +

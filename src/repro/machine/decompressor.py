@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from repro import bitutils, observe
 from repro.core.dictionary import Dictionary
-from repro.core.encodings import Encoding
+from repro.core.encodings import Encoding, encoding_token
 from repro.errors import DecodingError, DecompressionError
 from repro.isa.instruction import Instruction, decode
 
@@ -171,21 +171,6 @@ class DecodeDiagnostic:
     message: str
 
 
-def _encoding_token(encoding: Encoding) -> tuple:
-    """A hashable identity for an encoding's decode behavior."""
-    token: tuple = (
-        type(encoding).__name__,
-        encoding.name,
-        encoding.alignment_bits,
-        encoding.instruction_bits,
-        getattr(encoding, "max_codewords", None),
-    )
-    allocation = getattr(encoding, "allocation", None)
-    if allocation is not None:
-        token += (tuple(sorted(allocation.items())),)
-    return token
-
-
 class DecodeCache:
     """LRU cache of successful strict decode passes.
 
@@ -225,7 +210,7 @@ class DecodeCache:
         lengths = array("I", [len(entry.words) for entry in entries])
         words = array("I", [w for entry in entries for w in entry.words])
         hasher = hashlib.sha256()
-        hasher.update(repr((_encoding_token(encoding), total_units)).encode())
+        hasher.update(repr((encoding_token(encoding), total_units)).encode())
         hasher.update(lengths.tobytes())
         hasher.update(words.tobytes())
         hasher.update(stream)

@@ -22,7 +22,12 @@ from repro import bitutils
 from repro.core.branch_patch import _target_field_width
 from repro.core.compressor import CompressedProgram
 from repro.core.image import CompressedImage
-from repro.errors import BranchRangeError, CompressionError, DecompressionError
+from repro.errors import (
+    BranchRangeError,
+    CompressionError,
+    DecompressionError,
+    EncodingError,
+)
 from repro.isa.opcodes import ILLEGAL_PRIMARY_OPCODES
 from repro.machine.decompressor import FetchItem, StreamDecoder
 
@@ -39,6 +44,7 @@ RULES = (
     "dict-rank",
     "dict-entry",
     "escape-discipline",
+    "token-word",
 )
 
 
@@ -232,6 +238,20 @@ def check_compressed(compressed: CompressedProgram) -> InvariantReport:
                 token.address,
             )
             continue
+        # The serializer and verify_stream trust the carried word; only
+        # this full pass re-encodes it.
+        try:
+            encoded = token.instruction.encode()
+        except EncodingError as exc:
+            checker.fail("token-word", str(exc), token.address)
+        else:
+            checker.check(
+                token.word == encoded,
+                "token-word",
+                f"token carries word {token.word!r}, its instruction "
+                f"encodes to {encoded}",
+                token.address,
+            )
         if not token.is_branch_token:
             continue
         try:

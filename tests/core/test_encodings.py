@@ -6,12 +6,23 @@ from hypothesis import given, strategies as st
 from repro import bitutils
 from repro.core.encodings import (
     BaselineEncoding,
+    CustomNibbleEncoding,
     NibbleEncoding,
     OneByteEncoding,
+    clear_tables,
     make_encoding,
 )
 from repro.errors import CompressionError
 from repro.isa.opcodes import escape_bytes
+
+
+def _reader(digits: str) -> bitutils.BitReader:
+    """``read_item``'s view of hex-emitted digits, zero-padded to a byte."""
+    return bitutils.BitReader(bytes.fromhex(digits + "0" * (len(digits) % 2)))
+
+
+def _instruction_hex(encoding, word: int) -> str:
+    return encoding.escape_hex + "%08x" % word
 
 
 class TestBaseline:
@@ -25,24 +36,20 @@ class TestBaseline:
 
     def test_escape_byte_is_illegal_opcode(self):
         encoding = BaselineEncoding()
-        writer = bitutils.BitWriter()
-        encoding.write_codeword(writer, 0)
-        first_byte = writer.getvalue()[0]
+        first_byte = bytes.fromhex(encoding.codeword_hex(0))[0]
         assert first_byte in escape_bytes()
 
     def test_codeword_roundtrip_all_escape_groups(self):
         encoding = BaselineEncoding()
         for rank in (0, 255, 256, 511, 4095, 8191):
-            writer = bitutils.BitWriter()
-            encoding.write_codeword(writer, rank)
-            reader = bitutils.BitReader(writer.getvalue())
-            assert encoding.read_item(reader) == ("cw", rank)
+            digits = encoding.codeword_hex(rank)
+            assert len(digits) == 4
+            assert encoding.read_item(_reader(digits)) == ("cw", rank)
 
     def test_instruction_passthrough(self):
         encoding = BaselineEncoding()
-        writer = bitutils.BitWriter()
-        encoding.write_instruction(writer, 0x38610008)
-        reader = bitutils.BitReader(writer.getvalue())
+        assert encoding.escape_hex == ""
+        reader = _reader(_instruction_hex(encoding, 0x38610008))
         assert encoding.read_item(reader) == ("ins", 0x38610008)
 
     def test_capacity_validation(self):
@@ -56,16 +63,14 @@ class TestOneByte:
     def test_codewords_are_escape_bytes(self):
         encoding = OneByteEncoding(32)
         for rank in range(32):
-            writer = bitutils.BitWriter()
-            encoding.write_codeword(writer, rank)
-            assert writer.getvalue()[0] == escape_bytes()[rank]
+            assert bytes.fromhex(encoding.codeword_hex(rank)) == bytes(
+                [escape_bytes()[rank]]
+            )
 
     def test_roundtrip(self):
         encoding = OneByteEncoding(32)
         for rank in (0, 7, 15, 31):
-            writer = bitutils.BitWriter()
-            encoding.write_codeword(writer, rank)
-            reader = bitutils.BitReader(writer.getvalue())
+            reader = _reader(encoding.codeword_hex(rank))
             assert encoding.read_item(reader) == ("cw", rank)
 
     def test_at_most_32_codewords(self):
@@ -89,20 +94,18 @@ class TestNibble:
     def test_uncompressed_instruction_costs_36_bits(self):
         encoding = NibbleEncoding()
         assert encoding.instruction_bits == 36
-        writer = bitutils.BitWriter()
-        encoding.write_instruction(writer, 0x38610008)
-        assert writer.bit_length == 36
+        digits = _instruction_hex(encoding, 0x38610008)
+        assert 4 * len(digits) == 36
         # First nibble is the escape value 15.
-        assert writer.getvalue()[0] >> 4 == 15
+        assert int(digits[0], 16) == 15
+        assert encoding.read_item(_reader(digits)) == ("ins", 0x38610008)
 
     @pytest.mark.parametrize("rank", [0, 7, 8, 42, 71, 72, 300, 583, 584, 2000, 4679])
     def test_codeword_roundtrip(self, rank):
         encoding = NibbleEncoding()
-        writer = bitutils.BitWriter()
-        encoding.write_codeword(writer, rank)
-        assert writer.bit_length == encoding.codeword_bits(rank)
-        reader = bitutils.BitReader(writer.getvalue())
-        assert encoding.read_item(reader) == ("cw", rank)
+        digits = encoding.codeword_hex(rank)
+        assert 4 * len(digits) == encoding.codeword_bits(rank)
+        assert encoding.read_item(_reader(digits)) == ("cw", rank)
 
     @given(st.lists(
         st.one_of(
@@ -113,13 +116,11 @@ class TestNibble:
     ))
     def test_mixed_stream_roundtrip(self, items):
         encoding = NibbleEncoding()
-        writer = bitutils.BitWriter()
-        for kind, payload in items:
-            if kind == "cw":
-                encoding.write_codeword(writer, payload)
-            else:
-                encoding.write_instruction(writer, payload)
-        reader = bitutils.BitReader(writer.getvalue())
+        reader = _reader("".join(
+            encoding.codeword_hex(payload) if kind == "cw"
+            else _instruction_hex(encoding, payload)
+            for kind, payload in items
+        ))
         for kind, payload in items:
             assert encoding.read_item(reader) == (kind, payload)
 
@@ -146,3 +147,52 @@ class TestFactory:
         assert make_encoding("nibble").capacity == 4680
         with pytest.raises(CompressionError):
             make_encoding("huffman")
+
+
+_TABLE_ENCODINGS = {
+    "baseline": lambda: BaselineEncoding(),
+    "baseline16": lambda: BaselineEncoding(16),
+    "onebyte": lambda: OneByteEncoding(32),
+    "onebyte8": lambda: OneByteEncoding(8),
+    "nibble": lambda: NibbleEncoding(),
+    "custom": lambda: CustomNibbleEncoding({1: 5, 2: 10, 3: 0, 4: 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_ENCODINGS))
+class TestTables:
+    """The per-rank and prefix tables agree with the per-item methods."""
+
+    def test_unit_sizes_match_codeword_units(self, name):
+        encoding = _TABLE_ENCODINGS[name]()
+        assert list(encoding.codeword_unit_sizes()) == [
+            encoding.codeword_units(rank) for rank in range(encoding.capacity)
+        ]
+
+    def test_prefix_tables_are_cached_per_encoding(self, name):
+        tables = _TABLE_ENCODINGS[name]().prefix_tables()
+        assert _TABLE_ENCODINGS[name]().prefix_tables() is tables
+        clear_tables()
+        assert _TABLE_ENCODINGS[name]().prefix_tables() is not tables
+
+    def test_prefix_tables_classify_like_read_item(self, name):
+        encoding = _TABLE_ENCODINGS[name]()
+        tables = encoding.prefix_tables()
+        if tables.lens is None:  # byte encodings: first-byte escape ranks
+            for byte in range(256):
+                reader = bitutils.BitReader(bytes([byte, 0, 0, 0]))
+                kind, payload = encoding.read_item(reader)
+                if kind == "ins":
+                    assert tables.ranks[byte] == -1
+                else:
+                    assert tables.ranks[byte] == payload >> (reader.bit_position - 8)
+            return
+        for prefix in range(0, 65536, 7):
+            reader = bitutils.BitReader(prefix.to_bytes(2, "big") + bytes(3))
+            kind, payload = encoding.read_item(reader)
+            length = reader.bit_position // 4
+            assert tables.lens[prefix] == length
+            if kind == "cw":
+                assert tables.ranks[prefix] == payload
+            else:
+                assert length == 9

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import EncodingError
 from repro.isa import fields as f
 from repro.isa.fields import Field, Operand, OperandKind
+from repro.isa.instruction import make
 
 
 class TestField:
@@ -50,21 +52,23 @@ class TestSprSplitField:
 
 
 class TestOperand:
+    """Operand values placed by ``Instruction.encode``, read back by
+    ``Operand.decode_from``."""
+
     def test_signed_operand_encoding(self):
         operand = Operand("SI", OperandKind.SIMM, f.SI)
-        word = operand.encode_into(0, -1)
+        word = make("addi", 0, 0, -1).encode()
         assert word & 0xFFFF == 0xFFFF
         assert operand.decode_from(word) == -1
 
     def test_unsigned_operand_encoding(self):
         operand = Operand("UI", OperandKind.UIMM, f.UI)
-        assert operand.decode_from(operand.encode_into(0, 0xFFFF)) == 0xFFFF
+        assert operand.decode_from(make("ori", 0, 0, 0xFFFF).encode()) == 0xFFFF
 
     def test_signed_overflow_rejected(self):
-        operand = Operand("SI", OperandKind.SIMM, f.SI)
-        with pytest.raises(ValueError):
-            operand.encode_into(0, 0x8000)
+        with pytest.raises(EncodingError, match="out of range for signed 16-bit"):
+            make("addi", 0, 0, 0x8000).encode()
 
     def test_rel_target_sign_extended(self):
         operand = Operand("target", OperandKind.REL_TARGET, f.BD)
-        assert operand.decode_from(operand.encode_into(0, -8192)) == -8192
+        assert operand.decode_from(make("bc", 0, 0, -8192).encode()) == -8192

@@ -42,6 +42,19 @@ def test_corrupt_jump_table_slot_is_found(small_suite):
     assert report.by_rule().get("jump-table", 0) >= 1
 
 
+@pytest.mark.parametrize("encoding_name", ["baseline", "onebyte", "nibble"])
+def test_token_word_that_is_not_its_encoding_is_found(tiny_program, encoding_name):
+    # verify_stream compares the stream with the carried words only;
+    # the full pass re-encodes every instruction token.
+    compressed = compress(tiny_program, make_encoding(encoding_name, None))
+    tokens = [dataclasses.replace(token) for token in compressed.tokens]
+    victim = next(token for token in tokens if token.kind == "ins")
+    victim.word ^= 1
+    report = check_compressed(dataclasses.replace(compressed, tokens=tokens))
+    assert report.by_rule() == {"token-word": 1}
+    assert report.findings[0].unit == victim.address
+
+
 def test_over_capacity_dictionary_is_found(tiny_program):
     compressed = compress(tiny_program, make_encoding("nibble", None))
     entries = list(compressed.dictionary.entries)
