@@ -149,7 +149,11 @@ def tokenize(source: str) -> list[Token]:
         elif group == _NEWLINE:
             line += 1
         elif group == _DECIMAL:
-            append(Token("num", text, int(text), line))
+            try:
+                value = int(text)
+            except ValueError:  # past the interpreter's digit limit
+                raise CompileError("integer literal too long", line) from None
+            append(Token("num", text, value, line))
         elif group == _HEX:
             if len(text) == 2:
                 raise CompileError("hex literal has no digits", line)

@@ -251,32 +251,38 @@ class FunctionLowerer:
     # Conditions
     # ------------------------------------------------------------------
     def _branch_if(self, cond: ast.Expr, label: str, when: bool) -> None:
-        """Branch to ``label`` iff truth(cond) == when; else fall through."""
-        if isinstance(cond, ast.Unary) and cond.op == "!":
-            assert cond.operand is not None
-            self._branch_if(cond.operand, label, not when)
-            return
-        if isinstance(cond, ast.Logical):
-            assert cond.left is not None and cond.right is not None
-            if cond.op == "&&":
-                if when:
+        """Branch to ``label`` iff truth(cond) == when; else fall through.
+
+        ``a && b`` branching when true (and ``a || b`` when false) tests
+        ``a`` against a fresh skip label, then ``b`` against ``label``;
+        the other two cases test both against ``label``.  The left spine
+        of ``!``, ``&&`` and ``||`` is walked in a loop, so a flat chain
+        of any length lowers without recursion.
+        """
+        pending = []  # (right operand, label, when, skip label or None)
+        while True:
+            if isinstance(cond, ast.Unary) and cond.op == "!":
+                assert cond.operand is not None
+                cond, when = cond.operand, not when
+            elif isinstance(cond, ast.Logical):
+                assert cond.left is not None and cond.right is not None
+                if (cond.op == "&&") == when:
                     skip = self._new_label()
-                    self._branch_if(cond.left, skip, when=False)
-                    self._branch_if(cond.right, label, when=True)
-                    self._emit(ir.Label(skip))
+                    pending.append((cond.right, label, when, skip))
+                    label, when = skip, not when
                 else:
-                    self._branch_if(cond.left, label, when=False)
-                    self._branch_if(cond.right, label, when=False)
-            else:  # ||
-                if when:
-                    self._branch_if(cond.left, label, when=True)
-                    self._branch_if(cond.right, label, when=True)
-                else:
-                    skip = self._new_label()
-                    self._branch_if(cond.left, skip, when=True)
-                    self._branch_if(cond.right, label, when=False)
-                    self._emit(ir.Label(skip))
-            return
+                    pending.append((cond.right, label, when, None))
+                cond = cond.left
+            else:
+                break
+        self._branch_on_value(cond, label, when)
+        for right, right_label, right_when, skip in reversed(pending):
+            self._branch_if(right, right_label, right_when)
+            if skip is not None:
+                self._emit(ir.Label(skip))
+
+    def _branch_on_value(self, cond: ast.Expr, label: str, when: bool) -> None:
+        """``_branch_if`` for a condition that is not ``!``/``&&``/``||``."""
         if isinstance(cond, ast.Binary) and cond.op in _DIRECT:
             assert cond.left is not None and cond.right is not None
             a = self._lower_expr(cond.left)
@@ -398,17 +404,27 @@ class FunctionLowerer:
         return ir.Imm(0)
 
     def _lower_binary(self, expr: ast.Binary) -> ir.Operand:
-        assert expr.left is not None and expr.right is not None
+        # Left operand, then right, then the operation, walking the left
+        # spine in a loop: a flat chain of any length lowers without
+        # recursion.
+        spine = []
+        while isinstance(expr, ast.Binary):
+            assert expr.left is not None and expr.right is not None
+            spine.append(expr)
+            expr = expr.left
+        a = self._lower_expr(expr)
+        for node in reversed(spine):
+            a = self._apply_binary(node, a)
+        return a
+
+    def _apply_binary(self, expr: ast.Binary, a: ir.Operand) -> ir.Operand:
+        """Lower ``expr.right`` and combine it with the lowered left ``a``."""
+        b = self._lower_expr(expr.right)
+        dest = self.out.new_vreg()
         if expr.op in _DIRECT:
-            a = self._lower_expr(expr.left)
-            b = self._lower_expr(expr.right)
-            dest = self.out.new_vreg()
             a2, b2, op = self._orient_cmp(a, b, _DIRECT[expr.op])
             self._emit(ir.CmpSet(op, dest, a2, b2))
             return dest
-        a = self._lower_expr(expr.left)
-        b = self._lower_expr(expr.right)
-        dest = self.out.new_vreg()
         ir_op = _BIN_IR[expr.op]
         # Keep immediates on the right for commutative ops.
         if ir_op in ("add", "mul", "and", "or", "xor") and isinstance(a, ir.Imm):

@@ -195,19 +195,21 @@ class Checker:
             return ast.INT
         if isinstance(expr, ast.Call):
             return self._check_call(expr, scope)
-        if isinstance(expr, ast.Binary):
-            assert expr.left is not None and expr.right is not None
-            self._check_value(expr.left, scope)
-            self._check_value(expr.right, scope)
+        if isinstance(expr, (ast.Binary, ast.Logical)):
+            # Left operand, then right, walking the left spine in a
+            # loop: a flat chain of any length checks without recursion.
+            spine = []
+            while isinstance(expr, (ast.Binary, ast.Logical)):
+                assert expr.left is not None and expr.right is not None
+                spine.append(expr.right)
+                expr = expr.left
+            self._check_value(expr, scope)
+            for right in reversed(spine):
+                self._check_value(right, scope)
             return ast.INT
         if isinstance(expr, ast.Unary):
             assert expr.operand is not None
             self._check_value(expr.operand, scope)
-            return ast.INT
-        if isinstance(expr, ast.Logical):
-            assert expr.left is not None and expr.right is not None
-            self._check_value(expr.left, scope)
-            self._check_value(expr.right, scope)
             return ast.INT
         if isinstance(expr, ast.Conditional):
             assert expr.cond is not None

@@ -14,28 +14,19 @@ performance of the compressed fetch path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.compressor import CompressedProgram
 from repro.errors import DecompressionError, SimulationError
 from repro.machine.decompressor import FetchItem, StreamDecoder
 from repro.machine.executor import CONTROL_MNEMONICS, execute_data
 from repro.machine.memory import Memory
-from repro.machine.simulator import HALT_ADDRESS, RunResult, branch_decision, do_syscall
+from repro.machine.simulator import (
+    HALT_ADDRESS,
+    FetchStats,
+    RunResult,
+    branch_decision,
+    do_syscall,
+)
 from repro.machine.state import MachineState
-
-
-@dataclass
-class FetchStats:
-    """Front-end traffic counters."""
-
-    units_fetched: int = 0
-    codeword_expansions: int = 0
-    instructions_issued: int = 0
-    escaped_instructions: int = 0
-
-    def bytes_fetched(self, alignment_bits: int) -> float:
-        return self.units_fetched * alignment_bits / 8.0
 
 
 class CompressedSimulator:
@@ -265,14 +256,35 @@ class CompressedSimulator:
         """Execute one instruction through the translation cache."""
         from repro.machine import fastpath
 
-        fastpath.step_stream_once(self)
+        fastpath.step_once(self)
 
     def run(self) -> RunResult:
         if self.implementation == "fast":
             from repro.machine import fastpath
 
-            return fastpath.run_compressed_fast(self)
+            return fastpath.run_fast(self)
         return self._run_reference()
+
+    # ------------------------------------------------------------------
+    # The translation cache's view of this front end: its flat position
+    # is ``first[item_index] + micro``.
+    # ------------------------------------------------------------------
+    def _translation_cache(self):
+        from repro.machine import fastpath
+
+        return fastpath.stream_cache(
+            self._translation_key(),
+            self._text_base,
+            self._columns,
+            self._alignment_bits,
+        )
+
+    def _position(self, cache) -> int:
+        return cache.first[self.item_index] + self.micro
+
+    def _seek(self, cache, position: int) -> None:
+        self.item_index = item = cache.item_of[position]
+        self.micro = position - cache.first[item]
 
     def _run_reference(self) -> RunResult:
         while not self.state.halted:

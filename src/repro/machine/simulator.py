@@ -63,6 +63,23 @@ def do_syscall(state: MachineState) -> None:
 
 
 @dataclass
+class FetchStats:
+    """Front-end traffic counters.
+
+    An uncompressed program fetches every instruction as an escaped
+    one-unit item (32-bit units), so both simulators count alike.
+    """
+
+    units_fetched: int = 0
+    codeword_expansions: int = 0
+    instructions_issued: int = 0
+    escaped_instructions: int = 0
+
+    def bytes_fetched(self, alignment_bits: int) -> float:
+        return self.units_fetched * alignment_bits / 8.0
+
+
+@dataclass
 class RunResult:
     """Outcome of a program run.
 
@@ -106,9 +123,16 @@ class Simulator:
         self.memory = Memory(program.data_image)
         self.pc = program.entry_index
         self.state.lr = HALT_ADDRESS
-        self.fetches = 0  # fetch transactions (one per executed instruction)
+        self.stats = FetchStats()
         self.fetch_hook = None  # optional callable(byte_address, size_units)
-        self.fetch_index_hook = None  # optional callable(instruction_index)
+        # Optional callable(instruction_index), fired by the reference
+        # step only: run() takes the reference loop while it is set.
+        self.fetch_index_hook = None
+
+    @property
+    def fetches(self) -> int:
+        """Fetch transactions: one per executed instruction."""
+        return self.stats.escaped_instructions
 
     # ------------------------------------------------------------------
     def _link_address(self) -> int:
@@ -138,7 +162,9 @@ class Simulator:
             self.fetch_hook(self.program.address_of(self.pc), 1)
         if self.fetch_index_hook is not None:
             self.fetch_index_hook(self.pc)
-        self.fetches += 1
+        self.stats.units_fetched += 1
+        self.stats.escaped_instructions += 1
+        self.stats.instructions_issued += 1
         ins = self.program.text[self.pc].instruction
         name = ins.mnemonic
         if name not in CONTROL_MNEMONICS:
@@ -177,15 +203,39 @@ class Simulator:
         """Execute one instruction through the translation cache."""
         from repro.machine import fastpath
 
-        fastpath.step_program_once(self)
+        fastpath.step_once(self)
 
     def run(self) -> RunResult:
         """Run until halt or the step budget is exhausted."""
-        if self.implementation == "fast":
+        if self.implementation == "fast" and self.fetch_index_hook is None:
             from repro.machine import fastpath
 
-            return fastpath.run_program_fast(self)
+            return fastpath.run_fast(self)
         return self._run_reference()
+
+    # ------------------------------------------------------------------
+    # The translation cache's view of this front end: its flat position
+    # is the PC index, and a bad transfer is deferred to the next fetch.
+    # ------------------------------------------------------------------
+    def _translation_cache(self):
+        from repro.machine import fastpath
+
+        return fastpath.program_cache(self.program)
+
+    def _position(self, cache) -> int:
+        return self.pc
+
+    def _seek(self, cache, position: int) -> None:
+        self.pc = position
+
+    def _goto_unit(self, unit: int) -> None:
+        self.pc = unit
+
+    def _goto_address(self, address: int) -> None:
+        self.pc = self._to_index(address)
+
+    def _advance(self) -> None:
+        self.pc += 1
 
     def _run_reference(self) -> RunResult:
         while not self.state.halted:
@@ -222,22 +272,23 @@ def profile_program(
     The profile feeds the compressor's ``position_weights`` objective
     (profile-guided dictionary selection for fetch traffic).  The fast
     engine counts whole-trace executions and expands them at the end;
-    the reference engine counts through ``fetch_index_hook`` — neither
-    pays the old address→index lookup per fetched instruction.
+    the reference engine, and the fast engine's step-budget fallback,
+    count through ``fetch_index_hook`` — neither pays the old
+    address→index lookup per fetched instruction.
     """
     counts = [0] * len(program.text)
     simulator = Simulator(
         program, max_steps=max_steps, implementation=implementation
     )
+
+    def hook(index: int) -> None:
+        counts[index] += 1
+
+    simulator.fetch_index_hook = hook
     if implementation == "fast":
         from repro.machine import fastpath
 
-        fastpath.run_program_profiled(simulator, counts)
+        fastpath.run_fast(simulator, counts)
     else:
-
-        def hook(index: int) -> None:
-            counts[index] += 1
-
-        simulator.fetch_index_hook = hook
         simulator.run()
     return counts

@@ -30,9 +30,9 @@ name                       where
                            (nested inside ``build_dictionary``)
 ``build_dictionary``       :func:`repro.core.greedy.build_dictionary`
                            (nested inside ``dict_build``)
-``sim.predecode``          :class:`repro.machine.fastpath.ProgramTranslationCache`
-                           / :class:`~repro.machine.fastpath.StreamTranslationCache`
-                           (one-time thunk predecode of a program or stream)
+``sim.predecode``          :class:`repro.machine.fastpath.TranslationCache`
+                           (one-time thunk predecode of a program or
+                           stream, ``kind="program"`` or ``"stream"``)
 =========================  ================================================
 
 Hierarchical names introduced on top of the table — ``compress`` (the

@@ -242,6 +242,7 @@ class MetricsRegistry:
                     "count": timer.count,
                     "total_seconds": timer.total_seconds,
                     "samples": list(timer.samples),
+                    "stride": timer._stride,
                 }
                 for name, timer in self._timers.items()
             },
@@ -264,7 +265,18 @@ class MetricsRegistry:
             timer = self.timer(name)
             timer.count += data["count"]
             timer.total_seconds += data["total_seconds"]
-            timer.samples.extend(data.get("samples", ()))
+            # A retained sample stands for ``stride`` observations, so
+            # the finer reservoir is decimated to the coarser stride
+            # (both are powers of two) before the two are concatenated.
+            samples = list(data.get("samples", ()))
+            stride = data.get("stride", 1)
+            while timer._stride < stride:
+                timer.samples = timer.samples[::2]
+                timer._stride *= 2
+            while stride < timer._stride:
+                samples = samples[::2]
+                stride *= 2
+            timer.samples.extend(samples)
             while len(timer.samples) > TIMER_SAMPLE_CAP:
                 timer.samples = timer.samples[::2]
                 timer._stride *= 2

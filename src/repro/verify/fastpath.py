@@ -301,40 +301,16 @@ def _lockstep_traces(name, engine, fast, reference, step_trace, step_ref,
     )
 
 
-def lockstep_program(
-    program: Program, *, max_steps: int = 1_000_000
-) -> FastpathResult:
-    """Step the uncompressed simulator fast-vs-reference in lockstep."""
-    fast = Simulator(program, implementation="fast")
-    reference = Simulator(program, implementation="reference")
-    return _lockstep(
-        program.name,
-        "simulator",
-        fast,
-        reference,
-        fast.step_fast,
-        reference.step,
-        lambda sim: sim.pc,
-        max_steps,
-    )
+def _pc(sim):
+    return sim.pc
 
 
-def lockstep_compressed(
-    compressed: CompressedProgram, *, max_steps: int = 1_000_000
-) -> FastpathResult:
-    """Step the compressed simulator fast-vs-reference in lockstep."""
-    fast = CompressedSimulator(compressed, implementation="fast")
-    reference = CompressedSimulator(compressed, implementation="reference")
-    result = _lockstep(
-        fast.name,
-        f"compressed/{compressed.encoding.name}",
-        fast,
-        reference,
-        fast.step_fast,
-        reference.step,
-        lambda sim: (sim.item_index, sim.micro),
-        max_steps,
-    )
+def _item_micro(sim):
+    return (sim.item_index, sim.micro)
+
+
+def _check_stats(result, fast, reference) -> FastpathResult:
+    """Once the lanes agree, the fetch statistics must agree too."""
     if result.ok and fast.stats != reference.stats:
         result.divergence = FastpathDivergence(
             kind="stats",
@@ -344,21 +320,67 @@ def lockstep_compressed(
     return result
 
 
+def _instruction_lane(name, engine, fast, reference, position_of, max_steps):
+    result = _lockstep(
+        name, engine, fast, reference, fast.step_fast, reference.step,
+        position_of, max_steps,
+    )
+    return _check_stats(result, fast, reference)
+
+
+def _trace_lane(name, engine, fast, reference, position_of, max_steps):
+    cache = fast._translation_cache()
+    result = _lockstep_traces(
+        name, engine, fast, reference,
+        lambda: fastpath.step_trace(fast, cache), reference.step,
+        position_of, max_steps,
+    )
+    # Fetch statistics are credited at trace entry, so they are exact
+    # only for runs that complete — matched-error endings tolerate the
+    # documented whole-trace skew.
+    if fast.state.halted:
+        return _check_stats(result, fast, reference)
+    return result
+
+
+def lockstep_program(
+    program: Program, *, max_steps: int = 1_000_000
+) -> FastpathResult:
+    """Step the uncompressed simulator fast-vs-reference in lockstep."""
+    return _instruction_lane(
+        program.name,
+        "simulator",
+        Simulator(program, implementation="fast"),
+        Simulator(program, implementation="reference"),
+        _pc,
+        max_steps,
+    )
+
+
+def lockstep_compressed(
+    compressed: CompressedProgram, *, max_steps: int = 1_000_000
+) -> FastpathResult:
+    """Step the compressed simulator fast-vs-reference in lockstep."""
+    return _instruction_lane(
+        compressed.program.name,
+        f"compressed/{compressed.encoding.name}",
+        CompressedSimulator(compressed, implementation="fast"),
+        CompressedSimulator(compressed, implementation="reference"),
+        _item_micro,
+        max_steps,
+    )
+
+
 def lockstep_program_traces(
     program: Program, *, max_steps: int = 1_000_000
 ) -> FastpathResult:
     """Trace-at-a-time uncompressed lockstep (exercises fused bodies)."""
-    fast = Simulator(program, implementation="fast")
-    reference = Simulator(program, implementation="reference")
-    cache = fastpath.program_cache(program)
-    return _lockstep_traces(
+    return _trace_lane(
         program.name,
         "simulator-traces",
-        fast,
-        reference,
-        lambda: fastpath.step_program_trace(fast, cache),
-        reference.step,
-        lambda sim: sim.pc,
+        Simulator(program, implementation="fast"),
+        Simulator(program, implementation="reference"),
+        _pc,
         max_steps,
     )
 
@@ -367,28 +389,14 @@ def lockstep_compressed_traces(
     compressed: CompressedProgram, *, max_steps: int = 1_000_000
 ) -> FastpathResult:
     """Trace-at-a-time compressed lockstep (exercises fused bodies)."""
-    fast = CompressedSimulator(compressed, implementation="fast")
-    reference = CompressedSimulator(compressed, implementation="reference")
-    result = _lockstep_traces(
-        fast.name,
+    return _trace_lane(
+        compressed.program.name,
         f"compressed-traces/{compressed.encoding.name}",
-        fast,
-        reference,
-        lambda: fastpath.step_stream_trace(fast),
-        reference.step,
-        lambda sim: (sim.item_index, sim.micro),
+        CompressedSimulator(compressed, implementation="fast"),
+        CompressedSimulator(compressed, implementation="reference"),
+        _item_micro,
         max_steps,
     )
-    # Fetch statistics are credited at trace entry, so they are exact
-    # only for runs that complete — matched-error endings tolerate the
-    # documented whole-trace skew.
-    if result.ok and fast.state.halted and fast.stats != reference.stats:
-        result.divergence = FastpathDivergence(
-            kind="stats",
-            detail=f"fast {fast.stats}, reference {reference.stats}",
-            step=result.instructions_compared,
-        )
-    return result
 
 
 def verify_fastpath(

@@ -170,6 +170,8 @@ LEXER_ERRORS = [
     ("a\fb", "line 1: unexpected character '\\x0c'"),
     ("\x00", "line 1: unexpected character '\\x00'"),
     ("`", "line 1: unexpected character '`'"),
+    ("1" * 5000, "line 1: integer literal too long"),
+    ("x\n" + "9" * 4301, "line 2: integer literal too long"),
 ]
 
 
@@ -178,3 +180,52 @@ def test_lexer_error_table(source, message):
     with pytest.raises(CompileError) as info:
         tokenize(source)
     assert str(info.value) == message
+
+
+# Small programs whose code must not change: decimal literals past 32
+# bits (they wrap) and 300-term flat operator chains, as values and as
+# conditions.  Recorded before the literal-length check and before the
+# checker and lowering walked chains in loops instead of recursion.
+_TERM = "!a && b < a + 1"
+SMALL_PROGRAMS = {
+    "literal 4294967296": "int main() { return 4294967296; }",
+    "literal 40 digits": "int main() { return " + "1234567890" * 4 + "; }",
+    **{
+        f"value {op}": "int main() { int a = 1; return "
+        + f" {op} ".join(["a"] * 300) + "; }"
+        for op in ("+", "<", "&&", "||")
+    },
+    **{
+        f"cond {op}": "int main() { int a = 1; if ("
+        + f" {op} ".join(["a"] * 300) + ") return 2; return 3; }"
+        for op in ("+", "<", "&&", "||")
+    },
+    "mixed value": "int main() { int a = 1; int b = 0; return "
+    + " || ".join([_TERM] * 100) + "; }",
+    "mixed cond": "int main() { int a = 1; int b = 0; if ("
+    + " || ".join([_TERM] * 100) + ") return 2; return 3; }",
+    "not or": "int main() { int a = 1; "
+    "while (!(a || a && !a) && a < 3 || !a) a = a + 1; return a; }",
+}
+
+SMALL_PROGRAM_DIGESTS = {
+    "literal 4294967296": "04ffac23c3c341da",
+    "literal 40 digits": "1fc77a649c01c9d1",
+    "value +": "c1e89e71b39e56ff",
+    "cond +": "0476b062020ef7c2",
+    "value <": "ddfba362defc1417",
+    "cond <": "88663f212acde436",
+    "value &&": "29d65fd9c183ddf0",
+    "cond &&": "88eb1792ce58cfae",
+    "value ||": "a7ed83beebe46d83",
+    "cond ||": "1fc95f8bc5daab71",
+    "mixed value": "58d28d34f2f3ac77",
+    "mixed cond": "e1188c66520e4a0f",
+    "not or": "e07aefa4a888b399",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_PROGRAMS))
+def test_small_program_digest(key):
+    program = compile_and_link(SMALL_PROGRAMS[key])
+    assert program_digest(program) == SMALL_PROGRAM_DIGESTS[key]

@@ -5,6 +5,10 @@ operator and ``?:`` arm, against ``MAX_NESTING``.  A program at the
 limit must still compile end to end (check and lowering recurse over
 the same tree), in a worker thread as the server runs it; one level
 more, or ten thousand, is a CompileError naming the offending line.
+
+A flat chain such as ``a + a + ... + a`` is no nesting at all: the
+parser builds it in a loop, and the checker and lowering walk its left
+spine in loops, so any length compiles.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import pytest
 
 from repro.compiler import compile_and_link
 from repro.compiler.parser import MAX_NESTING
-from repro.errors import CompileError
+from repro.errors import CompileError, LinkError
 
 # shape -> (source with `depth` repeats, levels the surroundings add)
 SHAPES = {
@@ -93,3 +97,23 @@ def test_error_names_the_line_of_the_first_level_too_many(opening, unit):
     with pytest.raises(CompileError) as info:
         compile_and_link(opening + unit * 10_000)
     assert info.value.line == MAX_NESTING + 2
+
+
+def _chain(op: str, terms: int) -> str:
+    return "int main() { int a = 1; return " + f" {op} ".join(["a"] * terms) + "; }"
+
+
+@pytest.mark.parametrize("op", ["+", "<", "||"])
+def test_ten_thousand_term_chain_compiles_in_a_worker_thread(op):
+    program = _compile_in_thread(_chain(op, 10_000))
+    assert any(ti.function == "main" for ti in program.text)
+
+
+def test_and_chain_is_bounded_by_branch_range_not_recursion():
+    # Every ``&&`` branches past the rest of the chain.  At 4,000 terms
+    # that still fits; at 10,000 the first ``bc`` offset overflows its
+    # 14-bit field, a typed LinkError rather than a RecursionError.
+    program = _compile_in_thread(_chain("&&", 4_000))
+    assert any(ti.function == "main" for ti in program.text)
+    with pytest.raises(LinkError, match="exceeds 14-bit field"):
+        _compile_in_thread(_chain("&&", 10_000))

@@ -1,7 +1,7 @@
 """Control fusion: fused compare+branch must be invisible except for speed.
 
 The trace builder may absorb a trailing compare into the control
-closure (``Trace.fused_lead_pc`` / ``fused_lead_key``); these tests
+closure (``Trace.fused``); these tests
 prove the absorption changes nothing observable — branch decisions, CR
 side effects, step counts, error locations, fetch statistics, and
 profile counts all stay identical to the reference interpreters — and
@@ -152,7 +152,7 @@ class TestFusedControlSemantics:
         assert fast.state.steps == reference.state.steps
         cache = fastpath.program_cache(program)
         assert any(
-            t.fused_lead_pc is not None for t in cache.traces.values()
+            t.fused for t in cache.traces.values()
         ), "the cmp+bc pair did not fuse"
 
     def test_fused_falloff_error_matches_reference(self):
@@ -162,9 +162,9 @@ class TestFusedControlSemantics:
         fast = CompressedSimulator(compressed, implementation="fast")
         with pytest.raises(SimulationError) as fast_exc:
             fast.run()
-        cache = fastpath.stream_cache_for(fast)
+        cache = fast._translation_cache()
         assert any(
-            t.fused_lead_key is not None for t in cache.traces.values()
+            t.fused for t in cache.traces.values()
         ), "the cmp+bc pair did not fuse in the stream"
         reference = CompressedSimulator(compressed, implementation="reference")
         with pytest.raises(SimulationError) as ref_exc:
@@ -255,7 +255,7 @@ class TestAccounting:
             insns, thunks, cost = plain[pc]
             assert trace.body_insns == insns
             assert trace.steps_cost == cost
-            if trace.fused_lead_pc is not None:
+            if trace.fused:
                 fused_traces += 1
                 assert len(trace.body) == thunks - 1
             else:

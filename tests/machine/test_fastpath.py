@@ -106,15 +106,17 @@ class TestProgramTranslationCache:
         assert trace.control is not None
         assert trace.steps_cost == trace.body_insns + 1
         assert len(trace.body) <= trace.body_insns  # fused pairs shrink it
-        kinds = cache.kinds
-        assert all(kinds[pc] == 0 for pc in range(trace.control_pc))
-        assert kinds[trace.control_pc] == 1
+        control = trace.start + trace.body_insns
+        thunks = cache.thunks
+        assert all(thunks[pc] is not None for pc in range(control))
+        assert thunks[control] is None  # controls compile separately
 
     def test_out_of_text_trace_raises_like_reference(self, tiny_program):
         cache = fastpath.program_cache(tiny_program)
         bad = len(tiny_program.text) + 5
+        sim = Simulator(tiny_program)
         with pytest.raises(SimulationError, match="out of .text"):
-            cache.trace_at(bad).control(Simulator(tiny_program).state, None)
+            cache.trace_at(bad).control(sim.state, sim, cache)
 
 
 class TestBudgetFallback:
@@ -215,7 +217,7 @@ class TestStreamTranslationCache:
         CompressedSimulator(compressed).run()
         assert fastpath.translation_cache_stats()["stream_caches"] == 1
         sim = CompressedSimulator(compressed)
-        cache = fastpath.stream_cache_for(sim)
+        cache = sim._translation_cache()
         misses_before = cache.misses
         sim.run()
         assert fastpath.translation_cache_stats()["stream_caches"] == 1
@@ -226,18 +228,17 @@ class TestStreamTranslationCache:
         from repro.core import BaselineEncoding
 
         compressed = compress(tiny_program, NibbleEncoding())
-        first = fastpath.stream_cache_for(CompressedSimulator(compressed))
+        first = CompressedSimulator(compressed)._translation_cache()
         # Make the real entry the least-recently-used one, then force a
         # fresh insert: the registry must evict back down to capacity,
         # dropping the real entry first.
         for fake in range(fastpath.STREAM_CACHE_CAPACITY):
             fastpath._STREAM_CACHES[("digest", fake)] = object()
         other = compress(tiny_program, BaselineEncoding())
-        fastpath.stream_cache_for(CompressedSimulator(other))
+        CompressedSimulator(other)._translation_cache()
         assert len(fastpath._STREAM_CACHES) == fastpath.STREAM_CACHE_CAPACITY
         assert (
-            fastpath.stream_cache_for(CompressedSimulator(compressed))
-            is not first
+            CompressedSimulator(compressed)._translation_cache() is not first
         )
 
 

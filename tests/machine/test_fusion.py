@@ -7,7 +7,7 @@ reference interpreter, kept separate on purpose — would: registers,
 CR, LR/CTR, steps, memory contents, and the error raised mid-pair.
 The trace-cache integration must rebuild traces when the fusion config
 changes, shrink bodies when pairs fuse, and keep the instruction-level
-accounting (``steps_cost``/``issued``/profiles) unchanged.
+accounting (``steps_cost``/``body_insns``/profiles) unchanged.
 """
 
 import random

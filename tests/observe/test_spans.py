@@ -198,7 +198,7 @@ class TestCompatShim:
         documented -= _docstring_table_names("Metric names currently emitted:")
         assert "dict_build" in documented  # table parsed at all
 
-        from repro.machine.fastpath import ProgramTranslationCache
+        from repro.machine.fastpath import program_cache
 
         from repro import workloads
 
@@ -208,7 +208,7 @@ class TestCompatShim:
         program = workloads.build_benchmark("go", 0.2)
         with Recorder() as recorder:
             Compressor(encoding=NibbleEncoding()).compress(program)
-            ProgramTranslationCache(program)
+            program_cache(program)
         emitted = {
             node.name for root in recorder.spans for node in root.walk()
         }

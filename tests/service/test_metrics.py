@@ -85,6 +85,25 @@ class TestInstruments:
             0.02
         )
 
+    def test_merge_weighs_samples_by_stride(self):
+        # A busy worker's reservoir is decimated (stride 8 here), a quiet
+        # one's is not: concatenated as-is, 100 slow samples would stand
+        # beside 1,251 fast ones for 10,000 observations.
+        busy, quiet = MetricsRegistry(), MetricsRegistry()
+        for _ in range(10_000):
+            busy.timer("job.wall").observe(0.001)
+        for _ in range(100):
+            quiet.timer("job.wall").observe(0.1)
+        for order in ((busy, quiet), (quiet, busy)):
+            parent = MetricsRegistry()
+            for worker in order:
+                parent.merge(worker.as_dict())
+            timer = parent.timer("job.wall")
+            assert timer.count == 10_100
+            slow = sum(1 for sample in timer.samples if sample > 0.01)
+            assert slow / len(timer.samples) < 0.02  # true share 0.99%
+            assert timer.percentile(95) == pytest.approx(0.001)
+
     def test_histogram_buckets(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("h", bounds=(1.0, 10.0))

@@ -198,7 +198,7 @@ class TestPlantedEngineBugs:
             state.gpr[4] = 99  # wrong result for addi r4,0,7
             state.steps += 1
 
-        cache.ops[0] = bad_thunk
+        cache.thunks[0] = bad_thunk
         cache.traces.clear()
         result = lockstep_program(program)
         assert not result.ok
@@ -212,7 +212,7 @@ class TestPlantedEngineBugs:
         def lazy_thunk(state, mem):
             pass  # neither executes nor counts the instruction
 
-        cache.ops[1] = lazy_thunk
+        cache.thunks[1] = lazy_thunk
         cache.traces.clear()
         result = lockstep_program(program)
         assert not result.ok
@@ -221,7 +221,7 @@ class TestPlantedEngineBugs:
     def test_divergence_render_mentions_step(self):
         program = _straightline_program()
         cache = fastpath.program_cache(program)
-        cache.ops[2] = lambda state, mem: None
+        cache.thunks[2] = lambda state, mem: None
         cache.traces.clear()
         result = lockstep_program(program)
         assert not result.ok
