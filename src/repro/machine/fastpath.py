@@ -59,16 +59,24 @@ once.
 Equivalence contract (the same one ``greedy_reference`` carries for the
 compression pipeline): architectural state — registers, CR, LR, CTR,
 memory, output, ``steps``, halt/exit — is byte-identical to the
-reference interpreters at every instruction boundary, and errors carry
-the same messages and structured fields.  The only tolerated skew is
-on *aborting* runs, where per-trace fetch statistics are credited at
-trace entry (an exception mid-trace leaves ``FetchStats`` counting the
-whole trace), and the PC after an error inside a trace body or a fall
-off the end.  A control that raises seeks the simulator to itself
-first, so the PC after a transfer error names the control.  Step
-budgets are exact: a trace that might overrun ``max_steps`` is never
-entered; the simulator falls back to its reference loop so the overrun
-raises at the precise instruction with the reference message.
+reference interpreters at every instruction boundary, errors carry the
+same messages and structured fields, and ``FetchStats`` match on every
+ending, halted or aborted.  The only tolerated skew is the PC after an
+error inside a trace body or a fall off the end.  A control that raises
+seeks the simulator to itself first, so the PC after a transfer error
+names the control.  Step budgets are exact: a trace that might overrun
+``max_steps`` is never entered; the simulator falls back to its
+reference loop so the overrun raises at the precise instruction with
+the reference message.
+
+Per dispatch the run loop does the trace lookup, the budget test, the
+body's thunks, the control and one count of the trace's completed
+entries; generated thunks call no helper besides ``Memory.load`` and
+``store`` (see :mod:`repro.machine.fusion`).  Fetch statistics,
+profile counts and trace-cache metrics are folded from the entry counts
+once, when the loop exits.  A trace that raised is credited up to and
+including the faulting instruction, as the reference counts a fetch
+and issue before executing it.
 
 Observability: predecode passes run under the ``sim.predecode`` stage
 timer; trace-cache effectiveness is reported through the
@@ -125,8 +133,9 @@ class Trace:
     replay executes the lead per-instruction and must not run it a
     second time inside the control.
 
-    ``units``, ``expansions`` and ``escapes`` are the fetch statistics
-    of the items that start inside the trace.
+    ``fetched`` is ``(units, expansions, escapes)``, the fetch
+    statistics of the items that start inside the trace
+    (:meth:`TranslationCache.span_stats`).
     """
 
     __slots__ = (
@@ -138,9 +147,7 @@ class Trace:
         "fused",
         "cont",
         "steps_cost",
-        "units",
-        "expansions",
-        "escapes",
+        "fetched",
     )
 
     def __init__(self, start, body, body_insns, control, steps_cost):
@@ -152,9 +159,7 @@ class Trace:
         self.fused = False
         self.cont = None
         self.steps_cost = steps_cost
-        self.units = 0
-        self.expansions = 0
-        self.escapes = 0
+        self.fetched = (0, 0, 0)
 
 
 def _fuses_control(lead, tail) -> bool:
@@ -437,15 +442,19 @@ class TranslationCache:
             trace.cont = end
             span_end = end
         trace.fused = fused
-        # Items whose first position lies in [start, span_end).
-        lo = self.item_of[start]
-        lo += self.first[lo] != start
-        hi = self.item_of[span_end - 1] + 1
-        trace.units = sum(self.sizes[lo:hi])
-        trace.expansions = sum(self.is_codeword[lo:hi])
-        trace.escapes = hi - lo - trace.expansions
+        trace.fetched = self.span_stats(start, span_end)
         self.traces[start] = trace
         return trace
+
+    def span_stats(self, start, end):
+        """``(units, expansions, escapes)`` of the items whose first
+        position lies in ``[start, end)``: what fetching that span
+        counts."""
+        lo = self.item_of[start]
+        lo += self.first[lo] != start
+        hi = self.item_of[end - 1] + 1
+        expansions = sum(self.is_codeword[lo:hi])
+        return sum(self.sizes[lo:hi]), expansions, hi - lo - expansions
 
     def _body_span(self, start, end):
         """Body thunks for ``[start, end)``, fusing active hot pairs.
@@ -654,27 +663,30 @@ def _note_cache_metrics(cache, dispatches, misses_before):
 def run_fast(sim, counts=None) -> RunResult:
     """Trace-at-a-time execution of either simulator.
 
-    With ``counts`` (a list indexed by flat position), whole-trace
-    executions are counted and expanded to instruction granularity at
-    the end — exact, because a trace either runs fully or aborts the
-    run with an error.  On the step-budget fallback the counts so far
-    are expanded and the reference loop takes over; counting there is
-    the simulator's own (``Simulator.fetch_index_hook``).
+    A dispatch is the trace lookup, the step-budget test, the body, the
+    control and one count of the trace's completed entries.  Fetch
+    statistics and, with ``counts`` (a list indexed by flat position),
+    profile counts are folded from those counts once, as the loop exits
+    (:func:`_fold`): on a halt, on an error, and on the step-budget
+    fallback, where the reference loop takes over and counts on its own
+    (``Simulator.fetch_index_hook``).
     """
     cache = sim._translation_cache()
     state = sim.state
     memory = sim.memory
-    stats = sim.stats
     max_steps = sim.max_steps
     traces = cache.traces
     build = cache.build_trace
     hook = sim.fetch_hook
-    trace_counts = {}
-    dispatches = 0
+    entered = {}
+    aborted = None
+    fallback = False
     misses_before = cache.misses
     tagging = _TRACE_TAGGING
     ident = threading.get_ident() if tagging else 0
     pos = sim._position(cache)
+    trace = None
+    steps = state.steps
     try:
         while not state.halted:
             trace = traces.get(pos)
@@ -682,21 +694,13 @@ def run_fast(sim, counts=None) -> RunResult:
                 trace = build(pos)
             if tagging:
                 _live_trace[ident] = (cache.kind, pos, trace.fused)
-            dispatches += 1
             steps = state.steps
             if steps >= max_steps or steps + trace.steps_cost > max_steps:
                 # The trace would cross the budget: replay it on the
                 # reference loop so the overrun raises at the exact
                 # instruction with the reference message.
-                sim._seek(cache, pos)
-                _expand_counts(trace_counts, counts)
-                return sim._run_reference()
-            if counts is not None:
-                trace_counts[trace] = trace_counts.get(trace, 0) + 1
-            stats.units_fetched += trace.units
-            stats.codeword_expansions += trace.expansions
-            stats.escaped_instructions += trace.escapes
-            stats.instructions_issued += trace.steps_cost
+                fallback = True
+                break
             if hook is None:
                 for thunk in trace.body:
                     thunk(state, memory)
@@ -711,23 +715,57 @@ def run_fast(sim, counts=None) -> RunResult:
                 pos = trace.cont
             else:
                 pos = control(state, sim, cache)
-        sim._seek(cache, pos)
-        _expand_counts(trace_counts, counts)
-        return RunResult(
-            state,
-            state.steps,
-            stats.codeword_expansions + stats.escaped_instructions,
-        )
+            entered[trace] = entered.get(trace, 0) + 1
+    except BaseException:
+        if trace is not None:
+            aborted = trace, state.steps - steps
+        raise
     finally:
         if tagging:
             _live_trace.pop(ident, None)
-        _note_cache_metrics(cache, dispatches, misses_before)
+        _fold(sim.stats, cache, entered, counts, aborted)
+        # A run that did not halt ended on a lookup it did not complete.
+        lookups = sum(entered.values()) + (not state.halted)
+        _note_cache_metrics(cache, lookups, misses_before)
+    sim._seek(cache, pos)
+    if fallback:
+        return sim._run_reference()
+    return RunResult(
+        state,
+        state.steps,
+        sim.stats.codeword_expansions + sim.stats.escaped_instructions,
+    )
 
 
-def _expand_counts(trace_counts, counts):
-    for trace, executions in trace_counts.items():
-        for pos in range(trace.start, trace.start + trace.steps_cost):
-            counts[pos] += executions
+def _fold(stats, cache, entered, counts, aborted=None):
+    """Credit the traces a loop ran: ``entered[trace]`` whole entries.
+
+    ``aborted`` is ``(trace, done)`` when an entry of ``trace`` raised
+    after ``done`` of its steps.  A fault in the body credits the span
+    up to and including the faulting instruction, because the reference
+    counts an instruction's fetch and issue before executing it.  A
+    control counts its step before it raises, so a fault there credits
+    the whole trace.
+    """
+    runs = [
+        (trace.start, trace.steps_cost, trace.fetched, times)
+        for trace, times in entered.items()
+    ]
+    if aborted is not None:
+        trace, done = aborted
+        if done < trace.steps_cost:
+            end = trace.start + done + 1
+            runs.append((trace.start, done + 1, cache.span_stats(trace.start, end), 1))
+        else:
+            runs.append((trace.start, trace.steps_cost, trace.fetched, 1))
+    for start, issued, (units, expansions, escapes), times in runs:
+        stats.units_fetched += units * times
+        stats.codeword_expansions += expansions * times
+        stats.escaped_instructions += escapes * times
+        stats.instructions_issued += issued * times
+        if counts is not None:
+            for pos in range(start, start + issued):
+                counts[pos] += times
 
 
 def _run_trace_hooked(sim, cache, trace, hook):
@@ -797,22 +835,22 @@ def step_trace(sim, cache=None) -> None:
     included, exactly as :func:`run_fast` would — plus its control
     transfer, leaving the simulator at the next trace boundary.
     :func:`step_once` cannot exercise fused bodies; this can.  Fetch
-    statistics are credited at trace entry, as in :func:`run_fast`.
+    statistics are credited after the trace runs, by the same fold as
+    :func:`run_fast`, so they are exact on an abort too.
     """
     if cache is None:
         cache = sim._translation_cache()
     trace = cache.trace_at(sim._position(cache))
     state = sim.state
     memory = sim.memory
-    stats = sim.stats
-    stats.units_fetched += trace.units
-    stats.codeword_expansions += trace.expansions
-    stats.escaped_instructions += trace.escapes
-    stats.instructions_issued += trace.steps_cost
-    for thunk in trace.body:
-        thunk(state, memory)
-    control = trace.control
-    if control is not None:
-        sim._seek(cache, control(state, sim, cache))
-    else:
-        sim._seek(cache, trace.cont)
+    steps = state.steps
+    try:
+        for thunk in trace.body:
+            thunk(state, memory)
+        control = trace.control
+        pos = trace.cont if control is None else control(state, sim, cache)
+    except BaseException:
+        _fold(sim.stats, cache, {}, None, (trace, state.steps - steps))
+        raise
+    _fold(sim.stats, cache, {trace: 1}, None)
+    sim._seek(cache, pos)

@@ -25,6 +25,14 @@ The executor stays a separate, hand-written oracle on purpose: the
 lockstep harness (:mod:`repro.verify.fastpath`) checks every rendering
 against it, so a template bug cannot appear on both sides.
 
+Generated code calls no Python helper of its own: signed reads, sign
+extension and the ``rlwinm`` rotate render as inline expressions (see
+*Inline arithmetic* below), loads and stores call ``mem.load`` and
+``mem.store``, and the only other names it reads are the two entries of
+:data:`_ENV` — ``_cdiv`` for ``divw``, which never fuses, and
+``_SimulationError`` for an unsupported SPR.  The ``bitutils``
+functions those expressions equal stay the executor's.
+
 Step accounting is exact: ``state.steps`` counts per instruction
 whenever either half of a pair can raise (loads/stores), so an
 out-of-range access observes the reference step count; only pure-ALU
@@ -244,6 +252,27 @@ def control_plan_from_profile(program, counts, top_k: int = DEFAULT_TOP_K):
 
 
 # ---------------------------------------------------------------------------
+# Inline arithmetic: each function renders an expression equal to the
+# ``bitutils`` function it names.  ``&`` binds tighter than ``^``, and
+# ``-`` and the shifts tighter than ``&``, so the parentheses below are
+# the ones needed.  Sums, differences, products and negations keep only
+# the low 32 bits, which are the same for ``x`` and ``s32(x)``, so
+# those templates read registers unsigned; only compares, the CR0 of
+# ``andi.``/``andis.`` (its sign bit), the arithmetic shifts and
+# ``divw`` read signed.
+# ---------------------------------------------------------------------------
+def _signed(x):
+    """``bitutils.s32(x)``: the 32-bit value ``x`` read as signed."""
+    return f"(({x} & 0xFFFFFFFF ^ 0x80000000) - 0x80000000)"
+
+
+def _extended(v, width):
+    """``bitutils.sign_extend(v, width)`` wrapped to 32 bits."""
+    sign = 1 << (width - 1)
+    return f"(({v} & {(1 << width) - 1}) ^ {sign}) - {sign} & 0xFFFFFFFF"
+
+
+# ---------------------------------------------------------------------------
 # Statement templates.  ``template(ins)`` returns ``(lines, operands)``:
 # a tuple of statements with ``{name}`` placeholders, and the value of
 # each named operand.  ``{p}`` prefixes temporaries so two templates
@@ -257,7 +286,7 @@ def _t_addi(shift):
         si = ins.operand("SI") << shift
         if ra:
             return (
-                "gpr[{rt}] = (_s32(gpr[{ra}]) + {si}) & 0xFFFFFFFF",
+                "gpr[{rt}] = (gpr[{ra}] + {si}) & 0xFFFFFFFF",
             ), {"rt": rt, "ra": ra, "si": si}
         return ("gpr[{rt}] = {value}",), {"rt": rt, "value": si & _U}
 
@@ -267,14 +296,14 @@ def _t_addi(shift):
 def _t_mulli(ins):
     rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
     return (
-        "gpr[{rt}] = (_s32(gpr[{ra}]) * {si}) & 0xFFFFFFFF",
+        "gpr[{rt}] = (gpr[{ra}] * {si}) & 0xFFFFFFFF",
     ), {"rt": rt, "ra": ra, "si": si}
 
 
 def _t_subfic(ins):
     rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
     return (
-        "gpr[{rt}] = ({si} - _s32(gpr[{ra}])) & 0xFFFFFFFF",
+        "gpr[{rt}] = ({si} - gpr[{ra}]) & 0xFFFFFFFF",
     ), {"rt": rt, "ra": ra, "si": si}
 
 
@@ -292,9 +321,8 @@ def _t_andi_dot(shift):
     lines = (
         "{p}r = gpr[{rs}] & {imm}",
         "gpr[{ra}] = {p}r",
-        "{p}s = _s32({p}r)",
         "state.cr = (state.cr & 0x0FFFFFFF) | "
-        "((8 if {p}s < 0 else 4 if {p}s > 0 else 2) << 28)",
+        "((8 if {p}r & 0x80000000 else 4 if {p}r else 2) << 28)",
     )
 
     def template(ins):
@@ -305,7 +333,7 @@ def _t_andi_dot(shift):
 
 
 def _t_cmp(signed, immediate):
-    read = "_s32(gpr[{%s}])" if signed else "gpr[{%s}]"
+    read = _signed("gpr[{%s}]") if signed else "gpr[{%s}]"
     lines = ["{p}a = " + read % "ra"]
     if immediate:
         rhs = "{imm}"
@@ -347,7 +375,7 @@ def _t_xo(expression):
 
 def _t_neg(ins):
     return (
-        "gpr[{rt}] = -_s32(gpr[{ra}]) & 0xFFFFFFFF",
+        "gpr[{rt}] = -gpr[{ra}] & 0xFFFFFFFF",
     ), {"rt": ins.operand("rT"), "ra": ins.operand("rA")}
 
 
@@ -364,7 +392,7 @@ def _t_x(*lines):
 
 def _t_srawi(ins):
     return (
-        "gpr[{ra}] = (_s32(gpr[{rs}]) >> {sh}) & 0xFFFFFFFF",
+        f"gpr[{{ra}}] = ({_signed('gpr[{rs}]')} >> {{sh}}) & 0xFFFFFFFF",
     ), {"ra": ins.operand("rA"), "rs": ins.operand("rS"), "sh": ins.operand("SH")}
 
 
@@ -374,17 +402,19 @@ def _t_rlwinm(ins):
         mask = (bitutils.mask(me - mb + 1)) << (31 - me)
     else:  # wrapped mask
         mask = _U ^ ((bitutils.mask(mb - me - 1)) << (31 - mb + 1))
-    return ("gpr[{ra}] = _rotl32(gpr[{rs}], {sh}) & {mask}",), {
-        "ra": ins.operand("rA"), "rs": ins.operand("rS"),
-        "sh": ins.operand("SH"), "mask": mask,
+    # One form for every SH: at SH = 0, ``x >> 32`` is 0 for a 32-bit x.
+    sh = ins.operand("SH")
+    return (
+        "{p}x = gpr[{rs}]",
+        "gpr[{ra}] = ({p}x << {sh} | {p}x >> {back}) & {mask}",
+    ), {
+        "rs": ins.operand("rS"), "ra": ins.operand("rA"),
+        "sh": sh, "back": 32 - sh, "mask": mask,
     }
 
 
 def _t_exts(width):
-    lines = (
-        f"gpr[{{ra}}] = _sign_extend(gpr[{{rs}}] & {(1 << width) - 1}, {width})"
-        " & 0xFFFFFFFF",
-    )
+    lines = (f"gpr[{{ra}}] = {_extended('gpr[{rs}]', width)}",)
 
     def template(ins):
         return lines, {"ra": ins.operand("rA"), "rs": ins.operand("rS")}
@@ -406,7 +436,7 @@ def _address(ins):
 def _t_load(size, update=False, signed=False):
     access = [f"{{p}}v = mem.load({{p}}d, {size})"]
     if signed:
-        access.append(f"{{p}}v = _sign_extend({{p}}v, {8 * size}) & 0xFFFFFFFF")
+        access.append(f"{{p}}v = {_extended('{p}v', 8 * size)}")
     access.append("gpr[{rt}] = {p}v")
     if update:
         access.append("gpr[{base}] = {p}d")
@@ -464,11 +494,12 @@ _TEMPLATES = {
     "add": _t_xo("(gpr[{ra}] + gpr[{rb}]) & 0xFFFFFFFF"),
     "subf": _t_xo("(gpr[{rb}] - gpr[{ra}]) & 0xFFFFFFFF"),
     "neg": _t_neg,
-    "mullw": _t_xo("(_s32(gpr[{ra}]) * _s32(gpr[{rb}])) & 0xFFFFFFFF"),
+    "mullw": _t_xo("(gpr[{ra}] * gpr[{rb}]) & 0xFFFFFFFF"),
     # Truncating division; b == 0 yields 0, and -2**31 / -1 wraps to
     # 0x80000000 under the mask.
     "divw": _t_xo(
-        "_cdiv(_s32(gpr[{ra}]), _s32(gpr[{rb}])) & 0xFFFFFFFF if gpr[{rb}] else 0"
+        f"_cdiv({_signed('gpr[{ra}]')}, {_signed('gpr[{rb}]')}) & 0xFFFFFFFF"
+        " if gpr[{rb}] else 0"
     ),
     "divwu": _t_xo("gpr[{ra}] // gpr[{rb}] if gpr[{rb}] else 0"),
     "and": _t_x("gpr[{ra}] = gpr[{rs}] & gpr[{rb}]"),
@@ -485,7 +516,8 @@ _TEMPLATES = {
     ),
     "sraw": _t_x(
         "{p}n = gpr[{rb}] & 63",
-        "gpr[{ra}] = (_s32(gpr[{rs}]) >> (31 if {p}n > 31 else {p}n)) & 0xFFFFFFFF",
+        f"gpr[{{ra}}] = ({_signed('gpr[{rs}]')} >> (31 if {{p}}n > 31 else {{p}}n))"
+        " & 0xFFFFFFFF",
     ),
     "srawi": _t_srawi,
     "rlwinm": _t_rlwinm,
@@ -529,10 +561,9 @@ assert not frozenset(_TEMPLATES) & CONTROL_MNEMONICS
 assert COMPARE_MNEMONICS <= CONTROL_LEAD_MNEMONICS
 assert CONTROL_TAIL_MNEMONICS <= CONTROL_MNEMONICS
 
+# The only names generated code reads besides its arguments: ``divw``
+# (never fused) divides through ``_cdiv``, and an unsupported SPR raises.
 _ENV = {
-    "_s32": bitutils.s32,
-    "_sign_extend": bitutils.sign_extend,
-    "_rotl32": bitutils.rotl32,
     "_cdiv": bitutils.cdiv,
     "_SimulationError": SimulationError,
 }

@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import SimulationError
 from repro.linker.program import DATA_BASE, STACK_TOP
+
+# Big-endian accessors and value masks by access size.
+_STRUCTS = {1: struct.Struct(">B"), 2: struct.Struct(">H"), 4: struct.Struct(">I")}
+_UNPACK = {size: layout.unpack_from for size, layout in _STRUCTS.items()}
+_PACK = {size: layout.pack_into for size, layout in _STRUCTS.items()}
+_MASK = {size: (1 << (8 * size)) - 1 for size in _STRUCTS}
+
+
+def _out_of_range(address: int, size: int) -> SimulationError:
+    return SimulationError(f"memory access at {address:#x} (size {size}) out of range")
 
 
 class Memory:
@@ -13,31 +25,32 @@ class Memory:
     load from the text section (jump tables live in .data), which is
     exactly the property that lets the compressed-program processor
     keep only compressed bytes in instruction memory.
+
+    Each access is one range test on the offset and one ``struct``
+    call.  The test comes first: ``unpack_from`` reads a negative
+    offset from the end of the buffer, so an address below
+    ``DATA_BASE`` would otherwise read stack bytes.
     """
 
     def __init__(self, data_image: bytes | bytearray = b"") -> None:
         self.base = DATA_BASE
         self.limit = STACK_TOP
-        self._bytes = bytearray(self.limit - self.base)
+        self._extent = self.limit - self.base
+        self._bytes = bytearray(self._extent)
         self._bytes[: len(data_image)] = data_image
-
-    def _offset(self, address: int, size: int) -> int:
-        if not self.base <= address <= self.limit - size:
-            raise SimulationError(
-                f"memory access at {address:#x} (size {size}) out of range"
-            )
-        return address - self.base
 
     def load(self, address: int, size: int) -> int:
         """Zero-extended load of 1, 2, or 4 bytes."""
-        offset = self._offset(address, size)
-        return int.from_bytes(self._bytes[offset : offset + size], "big")
+        offset = address - self.base
+        if not 0 <= offset <= self._extent - size:
+            raise _out_of_range(address, size)
+        return _UNPACK[size](self._bytes, offset)[0]
 
     def store(self, address: int, size: int, value: int) -> None:
-        offset = self._offset(address, size)
-        self._bytes[offset : offset + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-            size, "big"
-        )
+        offset = address - self.base
+        if not 0 <= offset <= self._extent - size:
+            raise _out_of_range(address, size)
+        _PACK[size](self._bytes, offset, value & _MASK[size])
 
     def snapshot_data(self, length: int) -> bytes:
         """Copy of the first ``length`` bytes of the data segment."""

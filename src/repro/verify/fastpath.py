@@ -335,12 +335,7 @@ def _trace_lane(name, engine, fast, reference, position_of, max_steps):
         lambda: fastpath.step_trace(fast, cache), reference.step,
         position_of, max_steps,
     )
-    # Fetch statistics are credited at trace entry, so they are exact
-    # only for runs that complete — matched-error endings tolerate the
-    # documented whole-trace skew.
-    if fast.state.halted:
-        return _check_stats(result, fast, reference)
-    return result
+    return _check_stats(result, fast, reference)
 
 
 def lockstep_program(

@@ -12,7 +12,12 @@ the uncompressed simulator and each encoding:
   text, ``unit_address``, ``orig_pc`` and ``step``, plus the fetch
   statistics;
 * the PC must match after transfer errors and halts.  After a fall off
-  the end it is outside the equivalence contract and not compared.
+  the end or an error inside a trace body it is outside the equivalence
+  contract and not compared.
+
+The data-memory rows fault inside a trace body, where the fast engine
+credits fetches up to and including the faulting instruction, as the
+reference does.
 """
 
 import pytest
@@ -21,7 +26,7 @@ from repro.core import compress, make_encoding
 from repro.errors import ReproError
 from repro.isa.instruction import make
 from repro.linker.objfile import InsnRole
-from repro.linker.program import Program, TextInstruction
+from repro.linker.program import STACK_TOP, Program, TextInstruction
 from repro.machine import fastpath, fusion
 from repro.machine.compressed_sim import CompressedSimulator
 from repro.machine.simulator import Simulator
@@ -37,7 +42,7 @@ MAX_STEPS = 64  # bounds run() on the one program that never terminates
 LOCKSTEP_STEPS = 200
 
 # 0x10000 is the text base: ``addis r3, 0, 1`` then ``addi r3, r3, 2``
-# puts text_base + 2 in r3.
+# puts text_base + 2 in r3.  r1 starts at STACK_TOP - 64.
 FAULT_PROGRAMS = {
     # name: (rows of (instruction, target index or None), compare PC)
     "falloff_after_data": ([
@@ -78,6 +83,26 @@ FAULT_PROGRAMS = {
         (make("addi", 3, 0, 4), None),
         (make("bclr", 20, 0), None),  # LR still holds HALT_ADDRESS
     ], True),
+    "load_below_data": ([
+        (make("addi", 3, 0, 1), None),
+        (make("lwz", 4, (0, 0)), None),   # address 0
+        (make("addi", 5, 0, 2), None),
+        (make("addi", 6, 0, 3), None),
+    ], False),
+    # ``add`` + ``stw`` is a default data pair, so the store faults in
+    # the second slot of a fused thunk.
+    "store_straddles_top_fused": ([
+        (make("addis", 3, 0, 1), None),
+        (make("add", 5, 3, 0), None),
+        (make("stw", 5, (62, 1)), None),  # STACK_TOP - 2, size 4
+        (make("addi", 6, 0, 1), None),
+        (make("addi", 7, 0, 2), None),
+    ], False),
+    "lbz_at_top": ([
+        (make("stb", 3, (63, 1)), None),  # the last byte: in range
+        (make("lbz", 4, (64, 1)), None),  # STACK_TOP
+        (make("addi", 5, 0, 1), None),
+    ], False),
 }
 
 # Under the baseline encoding unit 2 is an item boundary, so the bclr
@@ -187,3 +212,19 @@ def test_every_front_end_difference_is_reached():
     for engine in ENGINES:
         assert endings["halting_sc_last", engine] == "halted"
         assert endings["bclr_to_halt", engine] == "halted"
+        assert endings["load_below_data", engine] == (
+            "memory access at 0x0 (size 4) out of range"
+        )
+        assert endings["store_straddles_top_fused", engine] == (
+            f"memory access at {STACK_TOP - 2:#x} (size 4) out of range"
+        )
+        assert endings["lbz_at_top", engine] == (
+            f"memory access at {STACK_TOP:#x} (size 1) out of range"
+        )
+
+
+def test_straddling_store_faults_inside_a_fused_pair():
+    program = _program("store_straddles_top_fused")
+    add, stw = (row.instruction for row in program.text[1:3])
+    trace = fastpath.program_cache(program).trace_at(0)
+    assert fusion.fused_thunk(add, stw) in trace.body

@@ -8,8 +8,13 @@ CR, LR/CTR, steps, memory contents, and the error raised mid-pair.
 The trace-cache integration must rebuild traces when the fusion config
 changes, shrink bodies when pairs fuse, and keep the instruction-level
 accounting (``steps_cost``/``body_insns``/profiles) unchanged.
+
+The templates render signed reads, sign extension and the ``rlwinm``
+rotate inline, so their corners are swept exhaustively here, and the
+generated code is checked to read no helper at all.
 """
 
+import itertools
 import random
 
 import pytest
@@ -245,6 +250,72 @@ class TestFusedSemantics:
         from repro.machine.executor import CONTROL_MNEMONICS
 
         assert not fusion.FUSABLE_MNEMONICS & CONTROL_MNEMONICS
+
+
+# Every name generated code may read besides its locals: state fields,
+# the two memory accessors, and the two _ENV entries.
+_GENERATED_NAMES = frozenset({
+    "gpr", "steps", "cr", "lr", "ctr", "load", "store", "_cdiv", "_SimulationError",
+})
+
+
+class TestInlineArithmetic:
+    def _agree(self, instruction, values):
+        """The bound thunk and the executor leave the registers alike
+        for each value of the source register, r4."""
+        thunk = fastpath.bound_thunk(instruction)
+        for value in values:
+            state_f, state_r = MachineState(), MachineState()
+            state_f.gpr[4] = state_r.gpr[4] = value
+            thunk(state_f, None)
+            execute_data(instruction, state_r, None)
+            assert state_f.gpr == state_r.gpr, (str(instruction), hex(value))
+
+    def test_rlwinm_every_shift_and_mask(self):
+        values = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0x9E3779B9)
+        for sh, mb, me in itertools.product(range(32), repeat=3):
+            self._agree(ins("rlwinm", rA=5, rS=4, SH=sh, MB=mb, ME=me), values)
+
+    @pytest.mark.parametrize("mnemonic,lows,high", [
+        ("extsb", range(256), 0xFFFFFF00),
+        ("extsh", (0, 0x7FFF, 0x8000, 0xFFFF), 0xFFFF0000),
+    ])
+    def test_sign_extension_corners(self, mnemonic, lows, high):
+        values = [bits | low for low in lows for bits in (0, high)]
+        self._agree(ins(mnemonic, rA=5, rS=4), values)
+
+    def test_lha_halfword_corners(self):
+        load = ins("lha", rT=5, **{"D(rA)": (2, 13)})
+        thunk = fastpath.bound_thunk(load)
+        for half in (0, 0x7FFF, 0x8000, 0xFFFF):
+            memory = Memory(bytes(4096) + half.to_bytes(4, "big"))
+            state_f, state_r = MachineState(), MachineState()
+            state_f.gpr[13] = state_r.gpr[13] = DATA_BASE + 4096
+            thunk(state_f, memory)
+            execute_data(load, state_r, memory)
+            assert state_f.gpr[5] == state_r.gpr[5], hex(half)
+        assert state_f.gpr[5] == 0xFFFFFFFF
+
+    def test_generated_code_calls_no_helper(self):
+        """Bound thunks, fused pairs and compare feeds of every template
+        read only state, memory and the two ``_ENV`` names."""
+        rng = random.Random("names")
+        codes = []
+        for mnemonic in sorted(fusion._TEMPLATES):
+            for _ in range(8):
+                single = _sample_instruction(mnemonic, rng)
+                codes.append(fastpath.bound_thunk(single).__code__)
+                if mnemonic in fusion.COMPARE_MNEMONICS:
+                    codes.append(fusion.compare_feed(single)[0].__code__)
+            if mnemonic in fusion.FUSABLE_MNEMONICS:
+                for partner in sorted(fusion.FUSABLE_MNEMONICS):
+                    pair = (
+                        _sample_instruction(mnemonic, rng),
+                        _sample_instruction(partner, rng),
+                    )
+                    codes.append(fusion.fused_thunk(*pair).__code__)
+        names = frozenset().union(*(code.co_names for code in codes))
+        assert names <= _GENERATED_NAMES, sorted(names - _GENERATED_NAMES)
 
 
 class TestPlanning:

@@ -1,5 +1,7 @@
 """Data-memory tests."""
 
+import re
+
 import pytest
 
 from repro.errors import SimulationError
@@ -45,3 +47,53 @@ class TestMemory:
         memory = Memory()
         memory.store(STACK_TOP - 64, 4, 7)
         assert memory.load(STACK_TOP - 64, 4) == 7
+
+
+# Boundary table, independent of the executor: both lockstep sides share
+# Memory, so only a direct test can catch a bug in it.  The image has no
+# zero byte, so a load that silently read the wrong place would show.
+EXTENT = STACK_TOP - DATA_BASE
+IMAGE = (bytes(range(1, 252)) * (EXTENT // 251 + 1))[:EXTENT]
+BOUNDARY_CASES = sorted({
+    (size, address)
+    for size in (1, 2, 4)
+    for address in (
+        0, DATA_BASE - size, DATA_BASE - 1, DATA_BASE,
+        STACK_TOP - size, STACK_TOP - size + 1, STACK_TOP, 0xFFFFFFFF,
+    )
+})
+
+
+def _in_range(size, address):
+    return DATA_BASE <= address and address + size <= STACK_TOP
+
+
+def _refusal(size, address):
+    return re.escape(f"memory access at {address:#x} (size {size}) out of range")
+
+
+@pytest.mark.parametrize("size,address", BOUNDARY_CASES)
+def test_boundary_load(size, address):
+    memory = Memory(IMAGE)
+    if _in_range(size, address):
+        offset = address - DATA_BASE
+        expected = int.from_bytes(IMAGE[offset : offset + size], "big")
+        assert memory.load(address, size) == expected
+    else:
+        with pytest.raises(SimulationError, match=_refusal(size, address)):
+            memory.load(address, size)
+
+
+@pytest.mark.parametrize("size,address", BOUNDARY_CASES)
+def test_boundary_store(size, address):
+    memory = Memory(IMAGE)
+    value = 0x89ABCDEF
+    expected = bytearray(IMAGE)
+    if _in_range(size, address):
+        offset = address - DATA_BASE
+        expected[offset : offset + size] = value.to_bytes(4, "big")[4 - size :]
+        memory.store(address, size, value)
+    else:
+        with pytest.raises(SimulationError, match=_refusal(size, address)):
+            memory.store(address, size, value)
+    assert memory.snapshot_data(EXTENT) == expected
