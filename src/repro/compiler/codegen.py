@@ -100,6 +100,19 @@ class FunctionCodegen:
         if needs_frame:
             size = 8 + 4 * self.alloc.num_spill_slots + 4 * len(saved)
             size = (size + 15) & ~15
+            # Every frame offset the prologue, epilogue and spill code
+            # emit is a signed 16-bit field; the epilogue's ``addi``
+            # immediate is ``size`` itself.
+            offsets = [-size, size] + [size - 4 * (32 - r) for r in saved]
+            if self.alloc.has_calls:
+                offsets.append(size + 4)
+            if self.alloc.num_spill_slots:
+                offsets.append(self._spill_offset(self.alloc.num_spill_slots - 1))
+            if not all(bitutils.fits_signed(offset, 16) for offset in offsets):
+                raise CompileError(
+                    f"function {self.fn.name!r}: stack frame of {size} bytes "
+                    "does not fit a 16-bit displacement"
+                )
         return {"needs_frame": needs_frame, "size": size, "saved": saved}
 
     def _spill_offset(self, slot_index: int) -> int:

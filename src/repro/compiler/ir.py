@@ -8,7 +8,17 @@ immediate instruction forms (``addi``, ``cmpwi`` …) when an ``Imm``
 fits its field.
 
 Every instruction reports its ``defs()`` and ``uses()`` so the
-optimizer and the register allocator share one dataflow view.
+optimizer and the register allocator share one dataflow view.  What
+the passes ask of an instruction's kind is fixed per class:
+``has_side_effects`` and ``is_terminator`` are class attributes, and
+``uses()`` reads the class's ``_use_fields`` tuple.  Operands are still
+read on every call, because copy propagation rewrites them in place
+(``replace_uses``).
+
+Dead-code elimination may remove only a :class:`Copy`, :class:`Bin`,
+:class:`Un`, :class:`CmpSet` or :class:`AddrOf` whose ``dest`` nothing
+uses: the optimizer names these five explicitly, so a new class is
+never removable by default.  Loads and calls are never removed.
 """
 
 from __future__ import annotations
@@ -49,20 +59,30 @@ Operand = VReg | Imm
 
 
 class Instr:
-    """Base class; subclasses are simple records."""
+    """Base class; subclasses are slotted records.
+
+    The class attributes below are per-class constants, left
+    unannotated so the dataclass subclasses keep them off their fields.
+    """
+
+    __slots__ = ()
+
+    # Names of the fields holding operands this instruction reads.
+    _use_fields = ()
+    has_side_effects = False
+    is_terminator = False
 
     def defs(self) -> tuple[VReg, ...]:
-        dest = getattr(self, "dest", None)
-        return (dest,) if isinstance(dest, VReg) else ()
+        return ()
 
     def uses(self) -> tuple[VReg, ...]:
         out: list[VReg] = []
-        for name in getattr(self, "_use_fields", ()):
+        for name in self._use_fields:
             value = getattr(self, name)
-            if isinstance(value, VReg):
+            if type(value) is VReg:
                 out.append(value)
-            elif isinstance(value, list):
-                out.extend(v for v in value if isinstance(v, VReg))
+            elif type(value) is list:
+                out.extend(v for v in value if type(v) is VReg)
         return tuple(out)
 
     def replace_uses(self, mapping: dict[VReg, Operand]) -> bool:
@@ -71,43 +91,45 @@ class Instr:
         Returns whether any use changed.
         """
         changed = False
-        for name in getattr(self, "_use_fields", ()):
+        for name in self._use_fields:
             value = getattr(self, name)
-            if isinstance(value, VReg):
+            if type(value) is VReg:
                 if value in mapping:
                     setattr(self, name, mapping[value])
                     changed = True
-            elif isinstance(value, list) and any(v in mapping for v in value):
+            elif type(value) is list and any(v in mapping for v in value):
                 setattr(self, name, [mapping.get(v, v) for v in value])
                 changed = True
         return changed
 
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (Br, Ret, Switch))
 
-    @property
-    def has_side_effects(self) -> bool:
-        return isinstance(
-            self,
-            (StoreSym, StoreIdx, Call, Ret, Br, CBr, Switch, Out, OutC, Halt, Label),
-        )
+class _Defines(Instr):
+    """An instruction that always defines its one ``dest``."""
+
+    __slots__ = ()
+
+    def defs(self) -> tuple[VReg, ...]:
+        return (self.dest,)
 
 
-@dataclass
+@dataclass(slots=True)
 class Label(Instr):
     name: str
+    has_side_effects = True
 
 
-@dataclass
-class Copy(Instr):
+@dataclass(slots=True)
+class Copy(_Defines):
     dest: VReg
     src: Operand
     _use_fields = ("src",)
 
+    def uses(self) -> tuple[VReg, ...]:
+        return (self.src,) if type(self.src) is VReg else ()
 
-@dataclass
-class Bin(Instr):
+
+@dataclass(slots=True)
+class Bin(_Defines):
     op: str
     dest: VReg
     a: Operand
@@ -117,9 +139,15 @@ class Bin(Instr):
     def __post_init__(self) -> None:
         assert self.op in BIN_OPS, self.op
 
+    def uses(self) -> tuple[VReg, ...]:
+        a, b = self.a, self.b
+        if type(a) is VReg:
+            return (a, b) if type(b) is VReg else (a,)
+        return (b,) if type(b) is VReg else ()
 
-@dataclass
-class Un(Instr):
+
+@dataclass(slots=True)
+class Un(_Defines):
     op: str
     dest: VReg
     a: Operand
@@ -129,8 +157,8 @@ class Un(Instr):
         assert self.op in UN_OPS, self.op
 
 
-@dataclass
-class CmpSet(Instr):
+@dataclass(slots=True)
+class CmpSet(_Defines):
     """dest = (a <op> b) ? 1 : 0"""
 
     op: str
@@ -143,16 +171,16 @@ class CmpSet(Instr):
         assert self.op in CMP_OPS, self.op
 
 
-@dataclass
-class AddrOf(Instr):
+@dataclass(slots=True)
+class AddrOf(_Defines):
     """dest = address of a global data symbol (for array arguments)."""
 
     dest: VReg
     symbol: str
 
 
-@dataclass
-class LoadSym(Instr):
+@dataclass(slots=True)
+class LoadSym(_Defines):
     """dest = mem[symbol + index * scale], size 1 or 4 bytes."""
 
     dest: VReg
@@ -163,7 +191,7 @@ class LoadSym(Instr):
     _use_fields = ("index",)
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreSym(Instr):
     """mem[symbol + index * scale] = src."""
 
@@ -173,10 +201,11 @@ class StoreSym(Instr):
     scale: int
     size: int
     _use_fields = ("src", "index")
+    has_side_effects = True
 
 
-@dataclass
-class LoadIdx(Instr):
+@dataclass(slots=True)
+class LoadIdx(_Defines):
     """dest = mem[base + index * scale] — array-parameter access."""
 
     dest: VReg
@@ -187,7 +216,7 @@ class LoadIdx(Instr):
     _use_fields = ("base", "index")
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreIdx(Instr):
     """mem[base + index * scale] = src."""
 
@@ -197,31 +226,37 @@ class StoreIdx(Instr):
     scale: int
     size: int
     _use_fields = ("src", "base", "index")
+    has_side_effects = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Instr):
     dest: VReg | None
     name: str
     args: list[Operand]
     _use_fields = ("args",)
+    has_side_effects = True
 
     def defs(self) -> tuple[VReg, ...]:
         return (self.dest,) if self.dest is not None else ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Ret(Instr):
     src: Operand | None
     _use_fields = ("src",)
+    has_side_effects = True
+    is_terminator = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Br(Instr):
     target: str
+    has_side_effects = True
+    is_terminator = True
 
 
-@dataclass
+@dataclass(slots=True)
 class CBr(Instr):
     """Branch to ``target`` when (a <op> b); otherwise fall through."""
 
@@ -230,34 +265,39 @@ class CBr(Instr):
     b: Operand
     target: str
     _use_fields = ("a", "b")
+    has_side_effects = True
 
     def __post_init__(self) -> None:
         assert self.op in CMP_OPS, self.op
 
 
-@dataclass
+@dataclass(slots=True)
 class Switch(Instr):
     selector: VReg
     cases: list[tuple[int, str]]
     default: str
     _use_fields = ("selector",)
+    has_side_effects = True
+    is_terminator = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Out(Instr):
     src: Operand
     _use_fields = ("src",)
+    has_side_effects = True
 
 
-@dataclass
+@dataclass(slots=True)
 class OutC(Instr):
     src: Operand
     _use_fields = ("src",)
+    has_side_effects = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Halt(Instr):
-    pass
+    has_side_effects = True
 
 
 @dataclass
@@ -281,18 +321,3 @@ class IRFunction:
         reg = VReg(self.next_vreg)
         self.next_vreg += 1
         return reg
-
-    def label_indices(self) -> dict[str, int]:
-        """Map label name -> instruction index."""
-        return {
-            ins.name: i for i, ins in enumerate(self.instrs) if isinstance(ins, Label)
-        }
-
-    def branch_targets(self, ins: Instr) -> list[str]:
-        if isinstance(ins, Br):
-            return [ins.target]
-        if isinstance(ins, CBr):
-            return [ins.target]
-        if isinstance(ins, Switch):
-            return [label for _, label in ins.cases] + [ins.default]
-        return []

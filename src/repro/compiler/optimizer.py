@@ -10,7 +10,7 @@ increase code size".  We implement the size-neutral scalar cleanups:
 * dead-code elimination,
 * branch simplification (constant conditions, jumps-to-next).
 
-All passes run to a fixpoint.
+All passes run to a fixpoint, at most 20 iterations.
 """
 
 from __future__ import annotations
@@ -174,88 +174,83 @@ def _copy_propagate(fn: ir.IRFunction) -> bool:
 # ---------------------------------------------------------------------------
 # Branch simplification
 # ---------------------------------------------------------------------------
+_ENDS_STRAIGHT_LINE = frozenset({ir.Br, ir.Ret, ir.Switch, ir.Halt})
+
+
 def _simplify_branches(fn: ir.IRFunction) -> bool:
+    """Fold constant conditions; then drop jumps to the very next label
+    and straight-line code after an unconditional terminator."""
     changed = False
-    out: list[ir.Instr] = []
+    instrs: list[ir.Instr] = []
     for instr in fn.instrs:
-        if isinstance(instr, ir.CBr) and isinstance(instr.a, ir.Imm) and isinstance(
-            instr.b, ir.Imm
-        ):
-            taken = _CMP[instr.op](instr.a.value, instr.b.value)
-            if taken:
-                out.append(ir.Br(instr.target))
+        if type(instr) is ir.CBr and type(instr.a) is ir.Imm and type(instr.b) is ir.Imm:
+            if _CMP[instr.op](instr.a.value, instr.b.value):
+                instrs.append(ir.Br(instr.target))
             changed = True
             continue
-        out.append(instr)
-    fn.instrs = out
+        instrs.append(instr)
 
-    # Remove branches to the immediately following label.
-    out = []
-    for index, instr in enumerate(fn.instrs):
-        if isinstance(instr, (ir.Br, ir.CBr)):
-            next_label = _next_label(fn.instrs, index + 1)
-            if next_label is not None and next_label == instr.target:
+    # One sweep over ``instrs`` applies the other two rules.  A jump goes
+    # when the instruction right after it is its target label.  Code after
+    # a kept unconditional terminator goes up to the next label; labels
+    # are never dropped here, so this matches a second sweep over the
+    # instructions the first rule kept.
+    out: list[ir.Instr] = []
+    last = len(instrs) - 1
+    unreachable = False
+    for index, instr in enumerate(instrs):
+        cls = type(instr)
+        if (cls is ir.Br or cls is ir.CBr) and index < last:
+            following = instrs[index + 1]
+            if type(following) is ir.Label and following.name == instr.target:
                 changed = True
                 continue
-        out.append(instr)
-    fn.instrs = out
-
-    # Drop unreachable straight-line code after unconditional terminators.
-    out = []
-    unreachable = False
-    for instr in fn.instrs:
-        if isinstance(instr, ir.Label):
+        if cls is ir.Label:
             unreachable = False
-        if unreachable:
+        elif unreachable:
             changed = True
             continue
         out.append(instr)
-        if isinstance(instr, (ir.Br, ir.Ret, ir.Switch)) or isinstance(instr, ir.Halt):
+        if cls in _ENDS_STRAIGHT_LINE:
             unreachable = True
     fn.instrs = out
     return changed
 
 
-def _next_label(instrs: list[ir.Instr], start: int) -> str | None:
-    for instr in instrs[start:]:
-        if isinstance(instr, ir.Label):
-            return instr.name
-        return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Dead-code elimination
 # ---------------------------------------------------------------------------
+# The classes an unused ``dest`` makes removable.  Loads and calls stay,
+# and so does any class not listed here.
+_REMOVABLE = frozenset({ir.Copy, ir.Bin, ir.Un, ir.CmpSet, ir.AddrOf})
+
+
 def _dead_code(fn: ir.IRFunction) -> bool:
+    """Drop removable instructions whose ``dest`` no instruction uses,
+    then labels nothing branches to (keeps codegen tidy).
+
+    A removal does not cascade within one call: an instruction used only
+    by a removed one goes in the next fixpoint iteration.
+    """
     used: set[ir.VReg] = set()
     for instr in fn.instrs:
         used.update(instr.uses())
-    out: list[ir.Instr] = []
-    changed = False
-    for instr in fn.instrs:
-        defs = instr.defs()
-        removable = (
-            defs
-            and not instr.has_side_effects
-            and not isinstance(instr, (ir.Call, ir.LoadIdx, ir.LoadSym))
-            and all(d not in used for d in defs)
-        )
-        if removable:
-            changed = True
-            continue
-        out.append(instr)
-    fn.instrs = out
-
-    # Remove labels that nothing branches to (keeps codegen tidy).
+    kept: list[ir.Instr] = []
     referenced: set[str] = set()
     for instr in fn.instrs:
-        referenced.update(fn.branch_targets(instr))
-    out = []
-    for instr in fn.instrs:
-        if isinstance(instr, ir.Label) and instr.name not in referenced:
-            changed = True
-            continue
-        out.append(instr)
+        cls = type(instr)
+        if cls in _REMOVABLE:
+            if instr.dest not in used:
+                continue
+        elif cls is ir.Br or cls is ir.CBr:
+            referenced.add(instr.target)
+        elif cls is ir.Switch:
+            referenced.update(label for _, label in instr.cases)
+            referenced.add(instr.default)
+        kept.append(instr)
+    out = [
+        instr for instr in kept if type(instr) is not ir.Label or instr.name in referenced
+    ]
+    changed = len(out) != len(fn.instrs)
     fn.instrs = out
     return changed

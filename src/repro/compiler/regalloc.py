@@ -12,16 +12,28 @@ Targets the PowerPC SysV convention the paper's GCC used:
 
 Virtual registers whose live interval crosses a call must live in a
 non-volatile register (or spill to the frame).
+
+Allocation is linear in function length apart from the liveness
+fixpoint.  One forward sweep finds the basic blocks, each block's
+upward-exposed uses and defs, every vreg's first and last position and
+the clobber positions (calls and the ``Out``/``OutC`` system calls); the
+backward liveness fixpoint then widens intervals to block boundaries.
+Whether an interval crosses a clobber is one ``bisect`` on the sorted
+clobber positions, and the scan keeps active intervals and both free
+pools in heaps, so it never rescans or re-sorts a list.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass, field
 
 from repro.compiler import ir
 
 VOLATILE_POOL: tuple[int, ...] = tuple(range(3, 11))  # r3..r10
 NONVOLATILE_POOL: tuple[int, ...] = tuple(range(31, 13, -1))  # r31..r14
+_VOLATILE = frozenset(VOLATILE_POOL)
 
 
 @dataclass(frozen=True)
@@ -56,188 +68,170 @@ class Allocation:
         return self.location[vreg]
 
 
-@dataclass
-class _Interval:
-    vreg: ir.VReg
-    start: int
-    end: int
-    crosses_call: bool = False
-
-
 # ---------------------------------------------------------------------------
-# Basic blocks and liveness
+# One sweep: blocks, per-block use/def, vreg extents, clobbers
 # ---------------------------------------------------------------------------
-@dataclass
-class _Block:
-    start: int  # index of first instruction
-    end: int  # one past last
-    succs: list[int] = field(default_factory=list)
-    use: set = field(default_factory=set)
-    defs: set = field(default_factory=set)
-    live_in: set = field(default_factory=set)
-    live_out: set = field(default_factory=set)
+# A label starts a basic block; these end one.
+_ENDS_BLOCK = frozenset({ir.Br, ir.CBr, ir.Switch, ir.Ret, ir.Halt})
+# Blocks ending in one of these have no fall-through successor.
+_NO_FALL_THROUGH = frozenset({ir.Br, ir.Ret, ir.Switch, ir.Halt})
+# Out/OutC templates clobber the argument registers (they marshal into
+# r3 before ``sc``), so they constrain allocation like calls.
+_CLOBBERS = frozenset({ir.Call, ir.Out, ir.OutC})
+
+_REGS = {n: reg(n) for n in VOLATILE_POOL + NONVOLATILE_POOL}
 
 
-def _split_blocks(fn: ir.IRFunction) -> list[_Block]:
-    leaders = {0}
-    labels = fn.label_indices()
-    for i, instr in enumerate(fn.instrs):
-        if isinstance(instr, ir.Label):
-            leaders.add(i)
-        if isinstance(instr, (ir.Br, ir.CBr, ir.Switch, ir.Ret, ir.Halt)):
-            leaders.add(i + 1)
-    ordered = sorted(l for l in leaders if l < len(fn.instrs))
-    blocks = []
-    for bi, start in enumerate(ordered):
-        end = ordered[bi + 1] if bi + 1 < len(ordered) else len(fn.instrs)
-        blocks.append(_Block(start, end))
-    index_of_block = {}
-    for bi, block in enumerate(blocks):
-        for i in range(block.start, block.end):
-            index_of_block[i] = bi
-    for bi, block in enumerate(blocks):
-        if block.start == block.end:
+def allocate(fn: ir.IRFunction) -> Allocation:
+    """Run liveness + linear scan, returning vreg locations."""
+    instrs = fn.instrs
+    # Per block: first instruction index, upward-exposed uses, defs.
+    starts: list[int] = []
+    block_uses: list[set] = []
+    block_defs: list[set] = []
+    label_block: dict[str, int] = {}
+    # Positions only grow, so a vreg's first touch is its interval's
+    # start and its latest touch the end.  Parameters are defined at
+    # position -1 (function entry).
+    first: dict[ir.VReg, int] = {}
+    last: dict[ir.VReg, int] = {}
+    for pid in range(fn.nparams):
+        first[ir.VReg(pid)] = last[ir.VReg(pid)] = -1
+    clobbers: list[int] = []
+    has_calls = False
+    uses: set = set()
+    defs: set = set()
+    leader = True
+    for i, instr in enumerate(instrs):
+        cls = type(instr)
+        if leader or cls is ir.Label:
+            starts.append(i)
+            uses = set()
+            defs = set()
+            block_uses.append(uses)
+            block_defs.append(defs)
+            leader = False
+        if cls is ir.Label:
+            label_block[instr.name] = len(starts) - 1
             continue
-        last = fn.instrs[block.end - 1]
-        for target in fn.branch_targets(last):
-            block.succs.append(index_of_block[labels[target]])
-        falls_through = not isinstance(last, (ir.Br, ir.Ret, ir.Switch, ir.Halt))
-        if falls_through and bi + 1 < len(blocks):
-            block.succs.append(bi + 1)
-    return blocks
+        for vreg in instr.uses():
+            if vreg not in defs:
+                uses.add(vreg)
+            if vreg not in last:
+                first[vreg] = i
+            last[vreg] = i
+        for vreg in instr.defs():
+            defs.add(vreg)
+            if vreg not in last:
+                first[vreg] = i
+            last[vreg] = i
+        if cls in _CLOBBERS:
+            clobbers.append(i)
+            has_calls = has_calls or cls is ir.Call
+        elif cls in _ENDS_BLOCK:
+            leader = True
 
+    # Successors: branch targets, then the fall-through block.
+    count = len(starts)
+    ends = starts[1:] + [len(instrs)]
+    succs: list[list[int]] = []
+    for b in range(count):
+        tail = instrs[ends[b] - 1]
+        cls = type(tail)
+        if cls is ir.Br or cls is ir.CBr:
+            out = [label_block[tail.target]]
+        elif cls is ir.Switch:
+            out = [label_block[label] for _, label in tail.cases]
+            out.append(label_block[tail.default])
+        else:
+            out = []
+        if cls not in _NO_FALL_THROUGH and b + 1 < count:
+            out.append(b + 1)
+        succs.append(out)
 
-def _compute_liveness(fn: ir.IRFunction, blocks: list[_Block]) -> None:
-    for block in blocks:
-        seen_defs: set = set()
-        for i in range(block.start, block.end):
-            instr = fn.instrs[i]
-            for use in instr.uses():
-                if use not in seen_defs:
-                    block.use.add(use)
-            for dest in instr.defs():
-                seen_defs.add(dest)
-        block.defs = seen_defs
+    # Liveness: backward dataflow to a fixpoint.
+    live_in: list[set] = [set() for _ in range(count)]
+    live_out: list[set] = [set() for _ in range(count)]
     changed = True
     while changed:
         changed = False
-        for block in reversed(blocks):
-            live_out = set()
-            for succ in block.succs:
-                live_out |= blocks[succ].live_in
-            live_in = block.use | (live_out - block.defs)
-            if live_in != block.live_in or live_out != block.live_out:
-                block.live_in = live_in
-                block.live_out = live_out
+        for b in range(count - 1, -1, -1):
+            out_set: set = set()
+            for succ in succs[b]:
+                out_set |= live_in[succ]
+            in_set = block_uses[b] | (out_set - block_defs[b])
+            if in_set != live_in[b] or out_set != live_out[b]:
+                live_in[b] = in_set
+                live_out[b] = out_set
                 changed = True
 
+    # A vreg live into a block extends to its start, one live out of it
+    # to its last instruction.
+    for b in range(count):
+        start = starts[b]
+        for vreg in live_in[b]:
+            if start < first[vreg]:
+                first[vreg] = start
+            if start > last[vreg]:
+                last[vreg] = start
+        end = ends[b] - 1
+        for vreg in live_out[b]:
+            if end < first[vreg]:
+                first[vreg] = end
+            if end > last[vreg]:
+                last[vreg] = end
 
-def _build_intervals(fn: ir.IRFunction, blocks: list[_Block]) -> list[_Interval]:
-    start: dict[ir.VReg, int] = {}
-    end: dict[ir.VReg, int] = {}
-
-    def touch(vreg: ir.VReg, pos: int) -> None:
-        if vreg not in start:
-            start[vreg] = pos
-            end[vreg] = pos
-        else:
-            start[vreg] = min(start[vreg], pos)
-            end[vreg] = max(end[vreg], pos)
-
-    # Parameters are defined at position -1 (function entry).
-    for pid in range(fn.nparams):
-        touch(ir.VReg(pid), -1)
-    for i, instr in enumerate(fn.instrs):
-        for vreg in instr.uses():
-            touch(vreg, i)
-        for vreg in instr.defs():
-            touch(vreg, i)
-    for block in blocks:
-        for vreg in block.live_in:
-            touch(vreg, block.start)
-        for vreg in block.live_out:
-            touch(vreg, max(block.start, block.end - 1))
-
-    # Out/OutC templates clobber the argument registers (they marshal
-    # into r3 before ``sc``), so they constrain allocation like calls.
-    call_positions = [
-        i
-        for i, instr in enumerate(fn.instrs)
-        if isinstance(instr, (ir.Call, ir.Out, ir.OutC))
-    ]
-    intervals = []
-    for vreg in start:
-        interval = _Interval(vreg, start[vreg], end[vreg])
-        interval.crosses_call = any(
-            interval.start < pos < interval.end for pos in call_positions
-        )
-        intervals.append(interval)
-    intervals.sort(key=lambda iv: (iv.start, iv.end, iv.vreg.id))
-    return intervals
+    intervals = sorted((first[vreg], last[vreg], vreg.id, vreg) for vreg in first)
+    allocation = _linear_scan(intervals, clobbers)
+    allocation.has_calls = has_calls
+    return allocation
 
 
 # ---------------------------------------------------------------------------
 # Linear scan
 # ---------------------------------------------------------------------------
-def allocate(fn: ir.IRFunction) -> Allocation:
-    """Run liveness + linear scan, returning vreg locations."""
-    blocks = _split_blocks(fn)
-    _compute_liveness(fn, blocks)
-    intervals = _build_intervals(fn, blocks)
+def _linear_scan(intervals: list[tuple], clobbers: list[int]) -> Allocation:
+    """Assign each (start, end, id, vreg) interval, in order, a register
+    or a spill slot.
 
+    Active intervals sit in a heap keyed by (end, order), so expiring
+    pops only what ended.  Free volatile registers are a min-heap and
+    free non-volatile ones a max-heap (stored negated): an interval
+    takes the lowest volatile register, else the highest non-volatile
+    one; one that crosses a clobber takes only a non-volatile register.
+    """
     allocation = Allocation()
-    allocation.has_calls = any(
-        isinstance(instr, ir.Call) for instr in fn.instrs
-    )
-
-    free_volatile = list(VOLATILE_POOL)
-    free_nonvolatile = list(NONVOLATILE_POOL)
-    active: list[tuple[_Interval, Loc]] = []
+    location = allocation.location
+    free_volatile = list(VOLATILE_POOL)  # ascending: already a min-heap
+    free_nonvolatile = [-n for n in NONVOLATILE_POOL]  # -31 .. -14: a heap
+    active: list[tuple[int, int, int]] = []  # (end, order, register)
+    used_nonvolatile: set[int] = set()
     next_slot = 0
-
-    def expire(position: int) -> None:
-        nonlocal active
-        keep = []
-        for interval, location in active:
-            if interval.end < position:
-                if location.kind == "reg":
-                    if location.index in VOLATILE_POOL:
-                        free_volatile.append(location.index)
-                        free_volatile.sort()
-                    else:
-                        free_nonvolatile.append(location.index)
-                        free_nonvolatile.sort(reverse=True)
+    for order, (start, end, _, vreg) in enumerate(intervals):
+        while active and active[0][0] < start:
+            register = heapq.heappop(active)[2]
+            if register in _VOLATILE:
+                heapq.heappush(free_volatile, register)
             else:
-                keep.append((interval, location))
-        active = keep
-
-    for interval in intervals:
-        expire(interval.start)
-        location = _take_register(interval, free_volatile, free_nonvolatile)
-        if location is None:
-            location = slot(next_slot)
+                heapq.heappush(free_nonvolatile, -register)
+        # A clobber strictly inside (start, end) forces a non-volatile.
+        k = bisect.bisect_right(clobbers, start)
+        if k < len(clobbers) and clobbers[k] < end:
+            register = -heapq.heappop(free_nonvolatile) if free_nonvolatile else None
+        elif free_volatile:
+            register = heapq.heappop(free_volatile)
+        elif free_nonvolatile:
+            register = -heapq.heappop(free_nonvolatile)
+        else:
+            register = None
+        if register is None:
+            location[vreg] = slot(next_slot)
             next_slot += 1
-        if location.kind == "reg" and location.index in NONVOLATILE_POOL:
-            if location.index not in allocation.used_nonvolatile:
-                allocation.used_nonvolatile.append(location.index)
-        allocation.location[interval.vreg] = location
-        if location.kind == "reg":
-            active.append((interval, location))
-
+            continue
+        if register not in _VOLATILE:
+            used_nonvolatile.add(register)
+        location[vreg] = _REGS[register]
+        heapq.heappush(active, (end, order, register))
     allocation.num_spill_slots = next_slot
-    allocation.used_nonvolatile.sort(reverse=True)
+    allocation.used_nonvolatile = sorted(used_nonvolatile, reverse=True)
     return allocation
-
-
-def _take_register(
-    interval: _Interval, free_volatile: list[int], free_nonvolatile: list[int]
-) -> Loc | None:
-    if interval.crosses_call:
-        if free_nonvolatile:
-            return reg(free_nonvolatile.pop(0))
-        return None
-    if free_volatile:
-        return reg(free_volatile.pop(0))
-    if free_nonvolatile:
-        return reg(free_nonvolatile.pop(0))
-    return None

@@ -9,11 +9,13 @@ in .data with absolute code addresses.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro import bitutils
 from repro.errors import LinkError
 from repro.isa.fields import OperandKind
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import SPEC_BY_MNEMONIC
+from repro.isa.opcodes import SPEC_BY_MNEMONIC, InstrSpec
 from repro.linker.objfile import AsmOp, DataItem, FunctionUnit, ObjectModule
 from repro.linker.program import (
     DATA_BASE,
@@ -38,6 +40,46 @@ def _lo(address: int) -> int:
 
 def _align(value: int, alignment: int) -> int:
     return (value + alignment - 1) & ~(alignment - 1)
+
+
+class _LinkPlan(NamedTuple):
+    """What linking needs of one mnemonic's operand list.
+
+    ``rel_slot`` is the ``REL_TARGET`` operand a resolved branch offset
+    goes into and ``rel_width`` its signed field width.  A ``lo``
+    relocation rewrites the displacement of ``disp_slot`` when there is
+    one, else ``imm_slot``; a ``hi`` relocation always rewrites
+    ``imm_slot``.  ``None`` marks a slot the mnemonic lacks.  No spec
+    has two operands of one kind.
+    """
+
+    spec: InstrSpec
+    rel_slot: int | None
+    rel_width: int
+    imm_slot: int | None
+    disp_slot: int | None
+
+
+def _plan(spec: InstrSpec) -> _LinkPlan:
+    def first(*kinds: OperandKind) -> int | None:
+        for slot, operand in enumerate(spec.operands):
+            if operand.kind in kinds:
+                return slot
+        return None
+
+    rel_slot = first(OperandKind.REL_TARGET)
+    return _LinkPlan(
+        spec,
+        rel_slot,
+        0 if rel_slot is None else spec.operands[rel_slot].field.width,
+        first(OperandKind.SIMM, OperandKind.UIMM),
+        first(OperandKind.DISP_GPR),
+    )
+
+
+_PLANS: dict[str, _LinkPlan] = {
+    mnemonic: _plan(spec) for mnemonic, spec in SPEC_BY_MNEMONIC.items()
+}
 
 
 def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
@@ -91,24 +133,36 @@ def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
     text: list[TextInstruction] = []
     for fn in ordered:
         base = func_base[fn.name]
+        labels = fn.labels
         for local_index, op in enumerate(fn.ops):
-            index = base + local_index
+            plan = _PLANS[op.mnemonic]
+            values = op.values
             target_index = None
-            values = list(op.values)
             if op.target is not None:
-                target_index = _resolve_target(op, fn, func_base, by_name)
-                slot = _rel_target_slot(op.mnemonic)
-                offset = target_index - index
-                _check_branch_range(op.mnemonic, offset, fn.name)
-                values[slot] = offset
+                local = labels.get(op.target)
+                if local is not None:
+                    target_index = base + local
+                elif op.target in by_name:
+                    target_index = func_base[op.target]
+                else:
+                    raise LinkError(f"{fn.name}: undefined branch target {op.target!r}")
+                if plan.rel_slot is None:
+                    raise LinkError(f"{op.mnemonic} has no relative target operand")
+                offset = target_index - base - local_index
+                if not bitutils.fits_signed(offset, plan.rel_width):
+                    raise LinkError(
+                        f"{fn.name}: {op.mnemonic} offset {offset} exceeds "
+                        f"{plan.rel_width}-bit field"
+                    )
+                values = list(values)
+                values[plan.rel_slot] = offset
             if op.hi_symbol is not None:
-                values = _apply_hi(op, values, op.hi_symbol, data_addr, fn.name)
+                values = _apply_hi(op, plan, values, data_addr, fn.name)
             if op.lo_symbol is not None:
-                values = _apply_lo(op, values, op.lo_symbol, op.lo_addend, data_addr, fn.name)
-            instruction = Instruction(SPEC_BY_MNEMONIC[op.mnemonic], tuple(values))
+                values = _apply_lo(op, plan, values, data_addr, fn.name)
             text.append(
                 TextInstruction(
-                    instruction=instruction,
+                    instruction=Instruction(plan.spec, tuple(values)),
                     role=op.role,
                     function=fn.name,
                     is_library=fn.is_library,
@@ -148,77 +202,44 @@ def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
     return program
 
 
-def _resolve_target(
-    op: AsmOp,
-    fn: FunctionUnit,
-    func_base: dict[str, int],
-    by_name: dict[str, FunctionUnit],
-) -> int:
-    assert op.target is not None
-    if op.target in fn.labels:
-        return func_base[fn.name] + fn.labels[op.target]
-    if op.target in by_name:
-        return func_base[op.target]
-    raise LinkError(f"{fn.name}: undefined branch target {op.target!r}")
-
-
-def _rel_target_slot(mnemonic: str) -> int:
-    spec = SPEC_BY_MNEMONIC[mnemonic]
-    for slot, operand in enumerate(spec.operands):
-        if operand.kind is OperandKind.REL_TARGET:
-            return slot
-    raise LinkError(f"{mnemonic} has no relative target operand")
-
-
-def _check_branch_range(mnemonic: str, offset: int, function: str) -> None:
-    spec = SPEC_BY_MNEMONIC[mnemonic]
-    for operand in spec.operands:
-        if operand.kind is OperandKind.REL_TARGET:
-            if not bitutils.fits_signed(offset, operand.field.width):
-                raise LinkError(
-                    f"{function}: {mnemonic} offset {offset} exceeds "
-                    f"{operand.field.width}-bit field"
-                )
-
-
 def _apply_hi(
-    op: AsmOp, values: list, symbol: str, data_addr: dict[str, int], function: str
+    op: AsmOp,
+    plan: _LinkPlan,
+    values: tuple | list,
+    data_addr: dict[str, int],
+    function: str,
 ) -> list:
+    symbol = op.hi_symbol
     if symbol not in data_addr:
         raise LinkError(f"{function}: undefined data symbol {symbol!r}")
-    address = data_addr[symbol] + op.lo_addend if op.lo_symbol is None else data_addr[symbol]
     # @ha always pairs with a signed low half that includes the addend.
     full = data_addr[symbol] + op.lo_addend
     values = list(values)
-    values[_immediate_slot(op.mnemonic)] = bitutils.sign_extend(_ha(full), 16)
+    values[_immediate_slot(op.mnemonic, plan)] = bitutils.sign_extend(_ha(full), 16)
     return values
 
 
 def _apply_lo(
     op: AsmOp,
-    values: list,
-    symbol: str,
-    addend: int,
+    plan: _LinkPlan,
+    values: tuple | list,
     data_addr: dict[str, int],
     function: str,
 ) -> list:
+    symbol = op.lo_symbol
     if symbol not in data_addr:
         raise LinkError(f"{function}: undefined data symbol {symbol!r}")
-    low = _lo(data_addr[symbol] + addend)
-    spec = SPEC_BY_MNEMONIC[op.mnemonic]
+    low = _lo(data_addr[symbol] + op.lo_addend)
     values = list(values)
-    for slot, operand in enumerate(spec.operands):
-        if operand.kind is OperandKind.DISP_GPR:
-            _, base = values[slot]
-            values[slot] = (low, base)
-            return values
-    values[_immediate_slot(op.mnemonic)] = low
+    if plan.disp_slot is not None:
+        _, base = values[plan.disp_slot]
+        values[plan.disp_slot] = (low, base)
+    else:
+        values[_immediate_slot(op.mnemonic, plan)] = low
     return values
 
 
-def _immediate_slot(mnemonic: str) -> int:
-    spec = SPEC_BY_MNEMONIC[mnemonic]
-    for slot, operand in enumerate(spec.operands):
-        if operand.kind in (OperandKind.SIMM, OperandKind.UIMM):
-            return slot
-    raise LinkError(f"{mnemonic} has no immediate operand for relocation")
+def _immediate_slot(mnemonic: str, plan: _LinkPlan) -> int:
+    if plan.imm_slot is None:
+        raise LinkError(f"{mnemonic} has no immediate operand for relocation")
+    return plan.imm_slot

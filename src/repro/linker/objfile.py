@@ -29,7 +29,7 @@ class InsnRole(enum.Enum):
     BODY = "body"
 
 
-@dataclass
+@dataclass(slots=True)
 class AsmOp:
     """One pre-layout instruction.
 

@@ -1,0 +1,342 @@
+"""The linear-sweep back half computes exactly what the reference does.
+
+``reference_backend`` holds the straightforward dead-code, branch and
+register-allocation passes.  The compiler's own passes must produce the
+same instruction lists, the same ``changed`` flags and the same
+allocations on generated IR and on every function of the suite.  The
+golden digests alone cannot show this for the allocator: no suite
+function spills, so they never reach the spill path of the scan.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.compiler import ast_nodes as ast
+from repro.compiler import ir, optimizer
+from repro.compiler.lowering import FunctionLowerer
+from repro.compiler.parser import parse
+from repro.compiler.regalloc import NONVOLATILE_POOL, VOLATILE_POOL, allocate
+from repro.compiler.runtime import RUNTIME_SOURCE
+from repro.compiler.semantics import check
+from repro.workloads import BENCHMARK_NAMES, benchmark_source
+
+from . import reference_backend as ref
+
+# (compiler pass, reference pass), in the optimizer's order.
+PASSES = [
+    (optimizer._fold_constants, optimizer._fold_constants),
+    (optimizer._copy_propagate, ref.copy_propagate),
+    (optimizer._simplify_branches, ref.simplify_branches),
+    (optimizer._dead_code, ref.dead_code),
+]
+REGISTERS = len(VOLATILE_POOL) + len(NONVOLATILE_POOL)
+
+
+def v(n: int) -> ir.VReg:
+    return ir.VReg(n)
+
+
+def _ir_classes(cls: type) -> set[type]:
+    """The instruction classes ``ir`` defines below ``cls``."""
+    out = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__ == ir.__name__ and dataclasses.is_dataclass(sub):
+            out.add(sub)
+        out |= _ir_classes(sub)
+    return out
+
+
+def _one_of_each() -> list[ir.Instr]:
+    return [
+        ir.Label("L1"),
+        ir.Copy(v(1), v(2)),
+        ir.Copy(v(1), ir.Imm(3)),
+        ir.Bin("add", v(1), v(2), v(3)),
+        ir.Bin("sub", v(1), v(2), ir.Imm(4)),
+        ir.Bin("mul", v(1), ir.Imm(4), v(3)),
+        ir.Bin("or", v(1), ir.Imm(4), ir.Imm(5)),
+        ir.Un("neg", v(1), v(2)),
+        ir.Un("not", v(1), ir.Imm(2)),
+        ir.CmpSet("lt", v(1), v(2), v(3)),
+        ir.CmpSet("eq", v(1), ir.Imm(2), v(3)),
+        ir.AddrOf(v(1), "table"),
+        ir.LoadSym(v(1), "g", None, 1, 4),
+        ir.LoadSym(v(1), "table", v(2), 4, 4),
+        ir.LoadSym(v(1), "table", ir.Imm(2), 1, 1),
+        ir.StoreSym(ir.Imm(7), "g", None, 1, 4),
+        ir.StoreSym(v(1), "table", v(2), 4, 4),
+        ir.LoadIdx(v(1), v(2), v(3), 4, 4),
+        ir.LoadIdx(v(1), v(2), ir.Imm(3), 1, 1),
+        ir.StoreIdx(v(1), v(2), v(3), 4, 4),
+        ir.StoreIdx(ir.Imm(1), v(2), ir.Imm(3), 1, 1),
+        ir.Call(None, "f", []),
+        ir.Call(v(1), "f", [v(2), ir.Imm(1), v(3), v(2)]),
+        ir.Call(None, "f", [ir.Imm(1)]),
+        ir.Ret(None),
+        ir.Ret(v(1)),
+        ir.Ret(ir.Imm(0)),
+        ir.Br("L1"),
+        ir.CBr("ne", v(1), ir.Imm(0), "L1"),
+        ir.CBr("lt", ir.Imm(1), v(2), "L1"),
+        ir.Switch(v(1), [(0, "L1"), (3, "L2")], "L3"),
+        ir.Out(v(1)),
+        ir.Out(ir.Imm(1)),
+        ir.OutC(v(1)),
+        ir.Halt(),
+    ]
+
+
+class TestInstrTable:
+    def test_table_has_every_class(self):
+        assert {type(i) for i in _one_of_each()} == _ir_classes(ir.Instr)
+
+    def test_methods_and_flags_match_reference(self):
+        for instr in _one_of_each():
+            assert instr.defs() == ref.defs(instr), instr
+            assert instr.uses() == ref.uses(instr), instr
+            assert instr.has_side_effects == ref.has_side_effects(instr), instr
+            assert instr.is_terminator == ref.is_terminator(instr), instr
+
+    def test_replace_uses_matches_reference(self):
+        mapping = {v(2): ir.Imm(9), v(3): v(5)}
+        for ours, theirs in zip(_one_of_each(), _one_of_each()):
+            assert ours.replace_uses(mapping) == ref.replace_uses(theirs, mapping)
+            assert repr(ours) == repr(theirs)
+
+    def test_records_are_slotted_and_flags_are_not_fields(self):
+        for instr in _one_of_each():
+            assert not hasattr(instr, "__dict__"), type(instr)
+            names = {f.name for f in dataclasses.fields(instr)}
+            assert not names & {"_use_fields", "has_side_effects", "is_terminator"}
+
+    def test_a_new_class_with_an_unused_dest_is_kept(self):
+        @dataclasses.dataclass(slots=True)
+        class Fresh(ir.Instr):
+            dest: ir.VReg
+
+            def defs(self) -> tuple[ir.VReg, ...]:
+                return (self.dest,)
+
+        fn = _function([Fresh(v(1)), ir.Ret(None)])
+        assert not optimizer._dead_code(fn)
+        assert isinstance(fn.instrs[0], Fresh)
+
+
+# ---------------------------------------------------------------------------
+# Generated IR
+# ---------------------------------------------------------------------------
+def _function(instrs: list[ir.Instr], nparams: int = 0) -> ir.IRFunction:
+    return ir.IRFunction(
+        name="t",
+        nparams=nparams,
+        param_is_array=(False,) * nparams,
+        returns_value=True,
+        instrs=instrs,
+        next_vreg=1000,
+    )
+
+
+def _operand(spec):
+    if spec is None:
+        return None
+    kind, value = spec
+    return ir.VReg(value) if kind == "v" else ir.Imm(value)
+
+
+def build(recipe) -> ir.IRFunction:
+    """A fresh function from a recipe of plain tuples, so each side of a
+    comparison gets its own instruction objects."""
+    nparams, rows = recipe
+    instrs = []
+    for kind, *fields in rows:
+        cls = getattr(ir, kind)
+        if kind == "Call":
+            dest, name, args = fields
+            instrs.append(ir.Call(_operand(dest), name, [_operand(a) for a in args]))
+        elif kind == "Switch":
+            selector, cases, default = fields
+            instrs.append(ir.Switch(_operand(selector), list(cases), default))
+        else:
+            instrs.append(
+                cls(*(_operand(f) if isinstance(f, tuple) or f is None else f for f in fields))
+            )
+    return _function(instrs, nparams)
+
+
+def pressure(mode: str, count: int, first: int = 100) -> tuple[list, list]:
+    """Rows defining ``count`` vregs up front and using them all at the
+    end: through a chain of adds (no clobber) or one ``Out`` each (every
+    vreg but the first crosses a clobber)."""
+    prefix = [("Copy", ("v", first + j), ("i", j)) for j in range(count)]
+    if mode == "chain":
+        total = ("v", first + count)
+        suffix = [("Copy", total, ("i", 0))]
+        suffix += [("Bin", "add", total, total, ("v", first + j)) for j in range(count)]
+        suffix.append(("Ret", total))
+    else:
+        suffix = [("Out", ("v", first + j)) for j in range(count)]
+        suffix.append(("Ret", None))
+    return prefix, suffix
+
+
+IMMEDIATES = st.sampled_from([0, 1, -1, 2, 3, 4, 8, 31, 32, -8, 0x7FFF, -0x8000, 0x12345])
+KINDS = [
+    "Copy", "Bin", "Un", "CmpSet", "AddrOf", "LoadSym", "StoreSym", "LoadIdx",
+    "StoreIdx", "Call", "Ret", "Br", "CBr", "Switch", "Out", "OutC", "Halt",
+]
+
+
+@st.composite
+def ir_recipes(draw):
+    vregs = draw(st.integers(1, 40))
+    labels = [f"L{i}" for i in range(draw(st.integers(0, 5)))]
+
+    def vreg():
+        return ("v", draw(st.integers(0, vregs - 1)))
+
+    def operand():
+        return vreg() if draw(st.booleans()) else ("i", draw(IMMEDIATES))
+
+    def maybe(value):
+        return value() if draw(st.booleans()) else None
+
+    kinds = KINDS if labels else [k for k in KINDS if k not in ("Br", "CBr", "Switch")]
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "Copy":
+            rows.append((kind, vreg(), operand()))
+        elif kind == "Bin":
+            rows.append((kind, draw(st.sampled_from(ir.BIN_OPS)), vreg(), operand(), operand()))
+        elif kind == "Un":
+            rows.append((kind, draw(st.sampled_from(ir.UN_OPS)), vreg(), operand()))
+        elif kind == "CmpSet":
+            rows.append((kind, draw(st.sampled_from(ir.CMP_OPS)), vreg(), operand(), operand()))
+        elif kind == "AddrOf":
+            rows.append((kind, vreg(), "table"))
+        elif kind == "LoadSym":
+            rows.append((kind, vreg(), "table", maybe(operand), 4, 4))
+        elif kind == "StoreSym":
+            rows.append((kind, operand(), "table", maybe(operand), 1, 1))
+        elif kind == "LoadIdx":
+            rows.append((kind, vreg(), vreg(), operand(), 4, 4))
+        elif kind == "StoreIdx":
+            rows.append((kind, operand(), vreg(), operand(), 1, 1))
+        elif kind == "Call":
+            args = tuple(operand() for _ in range(draw(st.integers(0, 8))))
+            rows.append((kind, maybe(vreg), "f", args))
+        elif kind == "Ret":
+            rows.append((kind, maybe(operand)))
+        elif kind == "Br":
+            rows.append((kind, draw(st.sampled_from(labels))))
+        elif kind == "CBr":
+            op = draw(st.sampled_from(ir.CMP_OPS))
+            rows.append((kind, op, operand(), operand(), draw(st.sampled_from(labels))))
+        elif kind == "Switch":
+            values = draw(st.lists(st.integers(-4, 12), max_size=6, unique=True))
+            cases = tuple((value, draw(st.sampled_from(labels))) for value in values)
+            rows.append((kind, vreg(), cases, draw(st.sampled_from(labels))))
+        elif kind in ("Out", "OutC"):
+            rows.append((kind, operand()))
+        else:
+            rows.append((kind,))
+    # Every label once, anywhere: branches reach forward and backward.
+    for name in labels:
+        rows.insert(draw(st.integers(0, len(rows))), ("Label", name))
+    mode = draw(st.sampled_from([None, "chain", "clobber"]))
+    if mode is not None:
+        prefix, suffix = pressure(mode, draw(st.integers(REGISTERS - 4, REGISTERS + 10)))
+        rows = prefix + rows + suffix
+    return draw(st.integers(0, 3)), tuple(rows)
+
+
+def assert_same_allocation(fn_ours: ir.IRFunction, fn_ref: ir.IRFunction) -> None:
+    ours, theirs = allocate(fn_ours), ref.allocate(fn_ref)
+    assert ours.location == theirs.location
+    assert ours.used_nonvolatile == theirs.used_nonvolatile
+    assert ours.num_spill_slots == theirs.num_spill_slots
+    assert ours.has_calls == theirs.has_calls
+
+
+def assert_lockstep(ours: ir.IRFunction, theirs: ir.IRFunction) -> None:
+    """Run the optimizer's fixpoint loop on both sides, one pass at a
+    time, comparing after every pass."""
+    for _ in range(20):
+        changed = False
+        for pass_ours, pass_ref in PASSES:
+            changed_ours = pass_ours(ours)
+            assert changed_ours == pass_ref(theirs), pass_ours.__name__
+            assert repr(ours.instrs) == repr(theirs.instrs), pass_ours.__name__
+            changed |= changed_ours
+        if not changed:
+            break
+
+
+def _pressure_only(mode: str, count: int, nparams: int) -> tuple:
+    prefix, suffix = pressure(mode, count)
+    return nparams, tuple(prefix + suffix)
+
+
+CHAIN = _pressure_only("chain", REGISTERS + 6, 0)
+CLOBBER = _pressure_only("clobber", REGISTERS + 2, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ir_recipes())
+@example(CHAIN)
+@example(CLOBBER)
+def test_passes_and_allocation_match_reference(recipe):
+    assert_same_allocation(build(recipe), build(recipe))
+    ours, theirs = build(recipe), build(recipe)
+    assert_lockstep(ours, theirs)
+    assert_same_allocation(ours, theirs)
+    optimized, reference = build(recipe), build(recipe)
+    optimizer.optimize_function(optimized)
+    ref.optimize_function(reference)
+    assert repr(optimized.instrs) == repr(reference.instrs)
+
+
+def test_pressure_examples_reach_the_spill_paths():
+    # Volatile and non-volatile registers run out without a clobber, and
+    # the non-volatile ones alone run out with one.
+    assert allocate(build(CHAIN)).num_spill_slots > 0
+    clobbered = allocate(build(CLOBBER))
+    assert clobbered.num_spill_slots > 0
+    assert clobbered.used_nonvolatile == list(NONVOLATILE_POOL)
+
+
+# ---------------------------------------------------------------------------
+# Real IR
+# ---------------------------------------------------------------------------
+def _lowered(source: str, runtime: ast.TranslationUnit | None) -> list[ir.IRFunction]:
+    unit = parse(source)
+    if runtime is None:
+        info, is_library = check(unit), True
+    else:
+        info, is_library = check(
+            ast.TranslationUnit(
+                globals=runtime.globals + unit.globals,
+                functions=runtime.functions + unit.functions,
+            )
+        ), False
+    return [FunctionLowerer(fn, info, is_library).lower() for fn in unit.functions]
+
+
+def test_suite_functions_match_reference():
+    runtime = parse(RUNTIME_SOURCE)
+    sources = [(RUNTIME_SOURCE, None)]
+    sources += [(benchmark_source(name, 0.1), runtime) for name in BENCHMARK_NAMES]
+    functions = 0
+    for source, unit in sources:
+        for ours, theirs in zip(_lowered(source, unit), _lowered(source, unit)):
+            assert_same_allocation(ours, theirs)
+            optimizer.optimize_function(ours)
+            ref.optimize_function(theirs)
+            assert repr(ours.instrs) == repr(theirs.instrs), ours.name
+            assert_same_allocation(ours, theirs)
+            functions += 1
+    assert functions > 100

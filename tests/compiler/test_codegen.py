@@ -1,9 +1,14 @@
 """Structural code-generation tests: prologue/epilogue shape, roles,
 SDTS template properties."""
 
+import pytest
+
+from repro import compress
 from repro.compiler import compile_and_link
 from repro.compiler.driver import CompileOptions, compile_source
 from repro.compiler.codegen import CodegenConfig
+from repro.core import make_encoding
+from repro.errors import CompileError
 from repro.linker.objfile import InsnRole
 
 
@@ -64,6 +69,33 @@ class TestPrologueEpilogue:
         ]
         # 18 callee-saved registers (r14-r31) + the LR save.
         assert len(prologue_stores) == 19
+
+
+def _many_locals(count: int) -> str:
+    """``main`` with ``count`` locals, all live at its return."""
+    declarations = "".join(f"int a{i} = g + {i};\n" for i in range(count))
+    total = " + ".join(f"a{i}" for i in range(count))
+    return f"int g;\nint main() {{\n{declarations}return {total};\n}}\n"
+
+
+class TestFrameSize:
+    """Frame offsets are signed 16-bit fields, so the frame size is
+    bounded; a larger frame is a CompileError, not a Program that no
+    later ``words()`` call can encode."""
+
+    def test_largest_frame_compiles_and_compresses(self):
+        # 8,193 live locals spill into a 32,752-byte frame, the largest
+        # whose epilogue ``addi r1,r1,size`` fits its immediate.
+        program = compile_and_link(_many_locals(8_193))
+        stwu = next(ti for ti in function_ops(program, "main") if ti.mnemonic == "stwu")
+        assert stwu.instruction.values[1] == (-32_752, 1)
+        compressed = compress(program, make_encoding("nibble"))
+        assert compressed.compression_ratio < 1
+
+    @pytest.mark.parametrize("count,size", [(8_194, 32_768), (9_000, 35_984)])
+    def test_larger_frame_is_a_compile_error(self, count, size):
+        with pytest.raises(CompileError, match=f"'main': stack frame of {size} bytes"):
+            compile_and_link(_many_locals(count))
 
 
 class TestTemplateReuse:
