@@ -19,9 +19,13 @@ traces without re-entering the dispatch loop.  Every thunk is generated
 from the per-mnemonic statement templates of
 :mod:`repro.machine.fusion`; trace bodies may embed
 *superinstructions* — fused two-instruction thunks for the hottest
-adjacent pairs — and strict-mode stream decoding goes through the
+adjacent pairs.
+
+A compressed image is decoded by one strict decode,
+:meth:`~repro.machine.decompressor.StreamDecoder.decode`: the
 table-driven bulk decoder (:mod:`repro.machine.bulkdecode`) instead of
-the item-at-a-time walk.
+the item-at-a-time walk, memoized in one content-keyed cache whose
+entries also carry each image's translation cache.
 
 The integration tests run every workload through both front ends and
 both implementations and require identical architectural results — the
@@ -38,11 +42,7 @@ from repro.machine.simulator import (
     run_program,
 )
 from repro.machine.compressed_sim import CompressedSimulator, run_compressed
-from repro.machine.bulkdecode import (
-    bulk_stats,
-    clear_tables,
-    set_backend,
-)
+from repro.machine.bulkdecode import bulk_stats, clear_tables
 from repro.machine.fastpath import (
     clear_translation_caches,
     translation_cache_stats,
@@ -70,7 +70,6 @@ __all__ = [
     "plan_from_profile",
     "profile_program",
     "run_program",
-    "set_backend",
     "translation_cache_stats",
     "CompressedSimulator",
     "run_compressed",

@@ -31,23 +31,25 @@ The tables themselves live in :mod:`repro.core.encodings`
 process per encoding token and shared with the compressor's stream
 verification; this module keeps only their numpy views.
 
-Two interchangeable backends share the same tables.  The pure-Python
-backend is a cursor walk over the table — one list index per item.
-The numpy backend (selected at import when numpy is available) removes
-the per-item Python loop entirely:
+Two interchangeable backends share the same tables, and
+:func:`decode_columns`, the one entry, picks between them from what it
+can observe.  The pure-Python backend is a cursor walk over the table
+— one list index per item.  The numpy backend, used when numpy is
+importable and the stream is at least ``_NUMPY_MIN_BYTES`` long,
+removes the per-item Python loop entirely:
 
 1. *classify* every stream position with one table gather;
 2. *enumerate* item boundaries by path-doubling the jump table
    (``J = J[J]`` squarings seed the first 256 boundaries, then fixed
    256-item strides fill the rest);
 3. *materialize* columns (addresses, lengths, ranks, instruction
-   tuples) with object-dtype gathers and a single C-level
-   ``map(tuple.__new__, repeat(FetchItem), zip(...))`` pass.
+   tuples) with object-dtype gathers, one ``.tolist()`` per column.
 
 The walk is optimistic: any anomaly (codeword rank beyond the
 dictionary, an escaped word that does not decode, a truncated stream,
 a unit-count mismatch) raises :class:`BulkFallback` and the caller
-re-runs the reference walk so strict-mode errors are byte-identical.
+(:meth:`~repro.machine.decompressor.StreamDecoder.decode`) re-runs the
+reference walk so strict-mode errors are byte-identical.
 """
 
 from __future__ import annotations
@@ -67,8 +69,6 @@ try:  # pragma: no cover - exercised via backend()
     import numpy as _np
 except Exception:  # pragma: no cover - numpy is optional
     _np = None
-
-_BACKEND = "numpy" if _np is not None else "python"
 
 # Below this stream size the vectorized classification pass costs more
 # than it saves; the pure-Python walk handles small streams directly.
@@ -92,7 +92,6 @@ class BulkFallback(Exception):
 _STATS = {
     "decodes": 0,
     "fallbacks": 0,
-    "last_fallback": None,
     # reason -> count: which anomaly triggered each BulkFallback, so a
     # silent fallback-to-reference shows up in bench output instead of
     # masquerading as bulk throughput.
@@ -101,24 +100,9 @@ _STATS = {
 
 
 def backend() -> str:
-    """The active backend: ``"numpy"`` or ``"python"``."""
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Select the backend process-wide; returns the previous one."""
-    global _BACKEND
-    if name not in ("numpy", "python"):
-        raise ValueError(f"unknown bulk-decode backend {name!r}")
-    if name == "numpy" and _np is None:
-        raise ValueError("numpy backend requested but numpy is unavailable")
-    previous = _BACKEND
-    _BACKEND = name
-    return previous
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("python",) if _np is None else ("python", "numpy")
+    """The backend streams of ``_NUMPY_MIN_BYTES`` or more decode on:
+    ``"numpy"`` when numpy is importable, else ``"python"``."""
+    return "python" if _np is None else "numpy"
 
 
 def bulk_stats() -> dict:
@@ -128,7 +112,7 @@ def bulk_stats() -> dict:
     :class:`BulkFallback` to how many times it fired (a copy — safe to
     retain across later decodes).
     """
-    stats = dict(_STATS, backend=_BACKEND)
+    stats = dict(_STATS, backend=backend())
     stats["fallback_reasons"] = dict(_STATS["fallback_reasons"])
     return stats
 
@@ -137,13 +121,11 @@ def reset_bulk_stats() -> None:
     """Zero the counters (benchmark isolation, tests)."""
     _STATS["decodes"] = 0
     _STATS["fallbacks"] = 0
-    _STATS["last_fallback"] = None
     _STATS["fallback_reasons"] = {}
 
 
 def _fallback(reason: str):
     _STATS["fallbacks"] += 1
-    _STATS["last_fallback"] = reason
     reasons = _STATS["fallback_reasons"]
     reasons[reason] = reasons.get(reason, 0) + 1
     raise BulkFallback(reason)
@@ -166,20 +148,17 @@ def clear_tables() -> None:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-def decode_stream_columnar(decoder):
-    """Bulk-decode ``decoder``'s stream into :class:`StreamColumns`.
+def decode_columns(decoder):
+    """Bulk-decode the strict ``decoder``'s stream into :class:`StreamColumns`.
 
-    The native product of the bulk walk: both backends build parallel
-    per-field arrays, and this entry hands them over without ever
-    constructing a ``FetchItem`` tuple — the simulator predecode layer
-    binds thunks straight from the columns.  Raises
-    :class:`BulkFallback` whenever the reference walk must run instead
-    (lenient mode, unknown encoding, or any malformed stream).
+    Both backends build parallel per-field arrays, and this entry hands
+    them over without ever constructing a ``FetchItem`` tuple — the
+    simulator predecode layer binds thunks straight from the columns.
+    Raises :class:`BulkFallback` whenever the reference walk must run
+    instead (unknown encoding, or any malformed stream).
     """
-    if not decoder.strict:
-        _fallback("lenient decode always uses the reference walk")
     encoding = decoder.encoding
-    use_numpy = _BACKEND == "numpy" and len(decoder.stream) >= _NUMPY_MIN_BYTES
+    use_numpy = _np is not None and len(decoder.stream) >= _NUMPY_MIN_BYTES
     if isinstance(encoding, CustomNibbleEncoding):
         tables = encoding.prefix_tables()
         if use_numpy:
@@ -197,15 +176,6 @@ def decode_stream_columnar(decoder):
         _fallback(f"unsupported encoding {encoding.name!r}")
     _STATS["decodes"] += 1
     return columns
-
-
-def decode_stream(decoder) -> list:
-    """Bulk-decode ``decoder``'s stream into a list of ``FetchItem``.
-
-    Compatibility entry over :func:`decode_stream_columnar` for
-    consumers that want materialized tuples.
-    """
-    return list(decode_stream_columnar(decoder).items())
 
 
 def _memo_instructions(word: int):

@@ -76,18 +76,14 @@ class CompressedSimulator:
         # The columnar decode is shared through the process-wide decode
         # cache: constructing many simulators over the same image (e.g.
         # differential verification, benchmark repeats) decodes the
-        # stream once.  The fast path binds thunks straight from the
-        # parallel arrays; the FetchItem tuple view materializes lazily
-        # only if a reference-engine consumer asks (``self.items``).
-        # All shared structures are read-only here.
-        decoder = StreamDecoder(stream, dictionary, encoding, total_units)
-        self._columns = decoder.decode_all_columnar()
+        # stream once, and the fast path's translation cache rides on
+        # the same columns.  The FetchItem tuple view materializes
+        # lazily only if a reference-engine consumer asks
+        # (``self.items``).  All shared structures are read-only here.
+        self._columns = StreamDecoder(
+            stream, dictionary, encoding, total_units
+        ).decode()
         self.item_at_address: dict[int, int] = self._columns.index
-        # Kept for the fast path: the translation-cache registry keys
-        # predecoded thunks by the same content digest as the decode
-        # cache, computed lazily on first fast run.
-        self._decoder = decoder
-        self._content_key: str | None = None
         # Unit address -> original instruction index, when provenance is
         # available (in-memory compressor results keep it; standalone
         # images do not).  repro.verify uses this to map failures back
@@ -117,11 +113,6 @@ class CompressedSimulator:
     def from_image(cls, image, max_steps: int = 50_000_000) -> "CompressedSimulator":
         """Run a deserialized :class:`CompressedImage`."""
         return cls(image=image, max_steps=max_steps)
-
-    def _translation_key(self) -> str:
-        if self._content_key is None:
-            self._content_key = self._decoder.content_key()
-        return self._content_key
 
     @property
     def items(self) -> tuple[FetchItem, ...]:
@@ -273,10 +264,7 @@ class CompressedSimulator:
         from repro.machine import fastpath
 
         return fastpath.stream_cache(
-            self._translation_key(),
-            self._text_base,
-            self._columns,
-            self._alignment_bits,
+            self._columns, self._text_base, self._alignment_bits
         )
 
     def _position(self, cache) -> int:

@@ -12,40 +12,40 @@ hardware table lookup performs; the result maps every unit address to
 the item starting there, so branches can be validated to land only on
 item boundaries.
 
-Two decode modes exist:
+A decoder decodes through one of two methods:
 
-* **strict** (the default, and the only mode the production fetch path
-  uses): the first malformed item raises
-  :class:`~repro.errors.DecompressionError` carrying the failing unit
-  address in a structured field;
-* **lenient** (``strict=False``, used by fault-injection campaigns):
-  malformed items are recorded as :class:`DecodeDiagnostic` entries and
-  decoding resynchronizes one alignment unit later, bounded by
+* :meth:`StreamDecoder.decode` is the one strict decode, and the only
+  one the production fetch path uses.  It runs the table-driven bulk
+  walker of :mod:`repro.machine.bulkdecode` and returns the read-only
+  :class:`StreamColumns`; ``FetchItem`` tuples are only their lazy
+  :meth:`~StreamColumns.items` view.  Whenever the bulk walk declines,
+  the reference walk runs instead, so the first malformed item raises
+  the same :class:`~repro.errors.DecompressionError`, carrying the
+  failing unit address in a structured field, either way.
+* :meth:`StreamDecoder.decode_all_reference` is the one-item-at-a-time
+  reference walk: the equivalence oracle on a strict decoder, and the
+  lenient walk on a ``strict=False`` one.  A lenient walk records
+  malformed items as :class:`DecodeDiagnostic` entries and
+  resynchronizes one alignment unit later, bounded by
   ``max_diagnostics`` so a corrupt header can never make the walk
   unbounded.
-
-Strict decodes run through the table-driven bulk walker of
-:mod:`repro.machine.bulkdecode` by default and fall back to the
-one-item-at-a-time reference walk (:meth:`StreamDecoder.
-decode_all_reference`) whenever the stream is malformed, so error
-behavior is byte-identical either way.  Lenient decodes always use the
-reference walk — resynchronization and diagnostics are defined in
-terms of it.
 
 Strict decodes are memoized in a process-wide :class:`DecodeCache`
 keyed by the image content (stream bytes, dictionary words, encoding,
 unit count): verification reruns, repeated simulator constructions, and
 benchmark sweeps over the same image decode the stream once instead of
-once per consumer.  Hit/miss/eviction counts are surfaced through
+once per consumer.  The fast path keeps each image's translation cache
+on its cached columns (:func:`repro.machine.fastpath.stream_cache`), so
+one LRU entry holds both the decode and the predecode of an image.
+Hit/miss/eviction counts are surfaced through
 :func:`repro.observe.metric` (``decode_cache.hits`` / ``.misses`` /
-``.evictions``) and :func:`decode_cache_stats`.  Lenient decodes are
-never cached — their whole point is to re-walk a possibly-corrupt
-stream and collect diagnostics.
+``.evictions``) and :func:`decode_cache_stats`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -90,6 +90,9 @@ class StreamColumns:
     tuple per item.  :meth:`items` materializes (and memoizes) the
     classic ``FetchItem`` tuple for every other consumer, and
     :attr:`index` is the lazily built unit-address -> row index map.
+    ``translation`` is the fast path's translation cache for these
+    columns, set on first fast run (:func:`repro.machine.fastpath.
+    stream_cache`).
 
     Both views are *the same decode*: ``items()[i] == (addresses[i],
     sizes[i], is_codeword[i], ranks[i], instructions[i])`` by
@@ -103,6 +106,7 @@ class StreamColumns:
         "is_codeword",
         "ranks",
         "instructions",
+        "translation",
         "_index",
         "_items",
     )
@@ -113,6 +117,7 @@ class StreamColumns:
         self.is_codeword = is_codeword
         self.ranks = ranks
         self.instructions = instructions
+        self.translation = None
         self._index = None
         self._items = None
 
@@ -123,14 +128,6 @@ class StreamColumns:
         if rows:
             return cls(*map(list, zip(*rows)))
         return cls([], [], [], [], [])
-
-    @classmethod
-    def from_items(cls, items) -> "StreamColumns":
-        """Columns over an existing ``FetchItem`` sequence (reference
-        walk fallback); the item view is retained, not rebuilt."""
-        columns = cls.from_rows(items)
-        columns._items = tuple(items)
-        return columns
 
     def __len__(self) -> int:
         return len(self.addresses)
@@ -174,12 +171,13 @@ class DecodeDiagnostic:
 class DecodeCache:
     """LRU cache of successful strict decode passes.
 
-    Values are ``(columns, item_at_address)`` — the
-    :class:`StreamColumns` view of the decode plus the unit-address
-    index over it (the tuple-item view hangs off the columns, built
-    lazily).  Both are shared between consumers, which is safe because
-    a strict decode of a given image content is deterministic; every
-    cached structure must be treated as read-only by callers.
+    Values are the decodes' :class:`StreamColumns`, with the
+    unit-address index, the tuple-item view and the fast path's
+    translation cache hanging off them, each built lazily.  They are
+    shared between consumers, which is safe because a strict decode of
+    a given image content is deterministic; every cached structure must
+    be treated as read-only by callers.  One lock guards the entries, so
+    executor threads may share the cache.
 
     Eviction is bounded two ways: ``capacity`` caps the entry count and
     ``max_bytes`` caps the approximate retained size.  Each entry is
@@ -196,10 +194,9 @@ class DecodeCache:
         self.misses = 0
         self.evictions = 0
         self.bytes = 0
-        self._entries: OrderedDict[
-            str, tuple["StreamColumns", dict[int, int]]
-        ] = OrderedDict()
+        self._entries: OrderedDict[str, StreamColumns] = OrderedDict()
         self._costs: dict[str, int] = {}
+        self._lock = threading.Lock()
 
     @staticmethod
     def content_key(
@@ -216,57 +213,65 @@ class DecodeCache:
         hasher.update(stream)
         return hasher.hexdigest()
 
-    def lookup(
-        self, key: str
-    ) -> tuple["StreamColumns", dict[int, int]] | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            observe.metric("decode_cache.misses")
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        observe.metric("decode_cache.hits")
-        return entry
+    def lookup(self, key: str) -> StreamColumns | None:
+        with self._lock:
+            columns = self._entries.get(key)
+            if columns is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+        observe.metric(
+            "decode_cache.misses" if columns is None else "decode_cache.hits"
+        )
+        return columns
 
     def store(
-        self,
-        key: str,
-        columns: "StreamColumns",
-        index: dict[int, int],
-        stream_bytes: int = 0,
+        self, key: str, columns: StreamColumns, stream_bytes: int = 0
     ) -> None:
-        if key in self._entries:
-            self.bytes -= self._costs.get(key, 0)
-        self._entries[key] = (columns, index)
-        self._entries.move_to_end(key)
-        cost = stream_bytes + len(columns)
-        self._costs[key] = cost
-        self.bytes += cost
-        # Keep at least the entry just stored: it is the live working
-        # set even when it alone exceeds the byte bound.
-        while len(self._entries) > self.capacity or (
-            self.bytes > self.max_bytes and len(self._entries) > 1
-        ):
-            evicted, _ = self._entries.popitem(last=False)
-            self.bytes -= self._costs.pop(evicted, 0)
-            self.evictions += 1
+        evicted = 0
+        with self._lock:
+            if key in self._entries:
+                self.bytes -= self._costs.get(key, 0)
+            self._entries[key] = columns
+            self._entries.move_to_end(key)
+            cost = stream_bytes + len(columns)
+            self._costs[key] = cost
+            self.bytes += cost
+            # Keep at least the entry just stored: it is the live working
+            # set even when it alone exceeds the byte bound.
+            while len(self._entries) > self.capacity or (
+                self.bytes > self.max_bytes and len(self._entries) > 1
+            ):
+                oldest, _ = self._entries.popitem(last=False)
+                self.bytes -= self._costs.pop(oldest, 0)
+                evicted += 1
+            self.evictions += evicted
+        for _ in range(evicted):
             observe.metric("decode_cache.evictions")
 
+    def snapshot(self) -> list[StreamColumns]:
+        """The cached columns, least recently used first."""
+        with self._lock:
+            return list(self._entries.values())
+
     def clear(self) -> None:
-        self._entries.clear()
-        self._costs.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bytes = 0
+        """Drop every entry, with its translation cache, and the counters."""
+        with self._lock:
+            for columns in self._entries.values():
+                columns.translation = None
+            self._entries.clear()
+            self._costs.clear()
+            self.hits = 0
+            self.misses = 0
+            self.evictions = 0
+            self.bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
 _decode_cache = DecodeCache()
-_decode_cache_enabled = True
 
 
 def decode_cache_stats() -> dict[str, int]:
@@ -283,16 +288,9 @@ def decode_cache_stats() -> dict[str, int]:
 
 
 def clear_decode_cache() -> None:
-    """Drop all cached decodes and reset the counters."""
+    """Drop all cached decodes, with their translation caches, and reset
+    the counters."""
     _decode_cache.clear()
-
-
-def set_decode_cache_enabled(enabled: bool) -> bool:
-    """Enable/disable the cache process-wide; returns the previous state."""
-    global _decode_cache_enabled
-    previous = _decode_cache_enabled
-    _decode_cache_enabled = enabled
-    return previous
 
 
 class StreamDecoder:
@@ -315,17 +313,14 @@ class StreamDecoder:
         self.strict = strict
         self.max_diagnostics = max_diagnostics
         self.diagnostics: list[DecodeDiagnostic] = []
-        # Which engine produced the last decode_all result:
-        # "bulk-numpy", "bulk-python", or "reference".
-        self.last_implementation: str | None = None
         # Pre-decode dictionary entries once (the on-chip dictionary RAM).
-        # A lenient decoder keeps going past entries whose words no
-        # longer decode; codewords that reference them become
-        # diagnostics instead of expansions.
+        # A lenient decoder keeps going past entries that are empty or
+        # whose words no longer decode; codewords that reference them
+        # become diagnostics instead of expansions.
         self._entries: list[tuple[Instruction, ...] | None] = []
         for rank, entry in enumerate(dictionary.entries):
             try:
-                self._entries.append(tuple(decode(word) for word in entry.words))
+                expansion = tuple(decode(word) for word in entry.words)
             except DecodingError as exc:
                 if strict:
                     raise DecompressionError(
@@ -334,7 +329,14 @@ class StreamDecoder:
                 self.diagnostics.append(
                     DecodeDiagnostic(-1, f"dictionary entry {rank}: {exc}")
                 )
-                self._entries.append(None)
+                expansion = None
+            if expansion == ():
+                message = f"dictionary entry {rank} is empty"
+                if strict:
+                    raise DecompressionError(message)
+                self.diagnostics.append(DecodeDiagnostic(-1, message))
+                expansion = None
+            self._entries.append(expansion)
 
     # ------------------------------------------------------------------
     def _read_one(
@@ -372,96 +374,37 @@ class StreamDecoder:
             instructions=(decode(payload),),
         )
 
-    def content_key(self) -> str:
-        """Digest of everything this decode depends on.
+    def decode(self) -> StreamColumns:
+        """Strict decode of the whole stream into :class:`StreamColumns`.
 
-        The same key indexes the decode cache and the fast path's
-        translation-cache registry (:mod:`repro.machine.fastpath`), so
-        predecoded thunks follow the decoded items' identity.
-        """
-        return DecodeCache.content_key(
-            self.stream, self.dictionary, self.encoding, self.total_units
-        )
-
-    def decode_all(self, *, implementation: str = "bulk") -> tuple[FetchItem, ...]:
-        """Decode the full stream into items with unit addresses.
-
-        Strict decodes default to the table-driven bulk walker and are
-        served from the process-wide :class:`DecodeCache` when the same
-        image content was decoded before; the returned tuple is
-        **shared** between consumers and must not be mutated.  Pass
-        ``implementation="reference"`` to force the one-item-at-a-time
-        walk.  Lenient decoders always take the reference walk — bulk
-        decoding cannot attribute diagnostics to resynchronization
-        points (and asserts nothing about malformed tails).
-        """
-        if implementation not in ("bulk", "reference"):
-            raise ValueError(f"unknown decode implementation {implementation!r}")
-        if not self.strict or implementation == "reference":
-            return tuple(self.decode_all_reference())
-        if _decode_cache_enabled:
-            return self.decode_all_indexed()[0]
-        return self._decode_columns().items()
-
-    def decode_all_reference(self) -> list[FetchItem]:
-        """The one-item-at-a-time reference walk (equivalence oracle)."""
-        self.last_implementation = "reference"
-        return self._walk_stream()
-
-    def decode_all_columnar(self) -> StreamColumns:
-        """Strict decode returning the columnar view + address index.
-
-        This is the fast path's native fetch product: the bulk decoder
-        hands over its parallel arrays directly and no ``FetchItem``
-        tuple is ever built unless a consumer asks the returned
-        :class:`StreamColumns` for :meth:`~StreamColumns.items`.  The
-        columns are cached in the process-wide :class:`DecodeCache`
-        (same entry the tuple view shares) and must be treated as
-        read-only.  Strict mode only.
+        Served from the process-wide :class:`DecodeCache` when the same
+        image content was decoded before; the columns are **shared**
+        between consumers and must not be mutated.  A miss runs the
+        table-driven bulk walker, and the reference walk when the bulk
+        walk declines, so a malformed stream raises the reference
+        walk's error.  Strict decoders only: a lenient walk is
+        :meth:`decode_all_reference`.
         """
         if not self.strict:
-            raise ValueError("decode_all_columnar requires a strict decoder")
-        key = None
-        if _decode_cache_enabled:
-            key = self.content_key()
-            cached = _decode_cache.lookup(key)
-            if cached is not None:
-                return cached[0]
-        columns = self._decode_columns()
-        if key is not None:
-            _decode_cache.store(key, columns, columns.index, len(self.stream))
-        return columns
-
-    def decode_all_indexed(
-        self,
-    ) -> tuple[tuple[FetchItem, ...], dict[int, int]]:
-        """Strict decode returning ``(items, unit_address -> index)``.
-
-        Both structures may be shared with other consumers via the
-        decode cache — treat them as read-only.  Only available in
-        strict mode (lenient walks are never cached; their item lists
-        depend on diagnostic state).  The tuple view is materialized
-        lazily from the cached columns, once per image content.
-        """
-        if not self.strict:
-            raise ValueError("decode_all_indexed requires a strict decoder")
-        columns = self.decode_all_columnar()
-        return columns.items(), columns.index
-
-    def _decode_columns(self) -> StreamColumns:
-        """Strict bulk decode, deferring to the reference walk on any
-        anomaly so errors stay byte-identical."""
+            raise ValueError("decode() requires a strict decoder")
         from repro.machine import bulkdecode
 
-        try:
-            columns = bulkdecode.decode_stream_columnar(self)
-        except bulkdecode.BulkFallback:
-            self.last_implementation = "reference"
-            return StreamColumns.from_items(self._walk_stream())
-        self.last_implementation = f"bulk-{bulkdecode.backend()}"
+        key = DecodeCache.content_key(
+            self.stream, self.dictionary, self.encoding, self.total_units
+        )
+        columns = _decode_cache.lookup(key)
+        if columns is None:
+            try:
+                columns = bulkdecode.decode_columns(self)
+            except bulkdecode.BulkFallback:
+                columns = StreamColumns.from_rows(self.decode_all_reference())
+            _decode_cache.store(key, columns, len(self.stream))
         return columns
 
-    def _walk_stream(self) -> list[FetchItem]:
+    def decode_all_reference(self) -> list[FetchItem]:
+        """The one-item-at-a-time reference walk: the equivalence oracle
+        of :meth:`decode`, and the lenient walk on a ``strict=False``
+        decoder."""
         reader = bitutils.BitReader(self.stream)
         items: list[FetchItem] = []
         address = 0

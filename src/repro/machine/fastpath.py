@@ -49,12 +49,13 @@ past the end              (``_goto_unit``, ``_goto_address``,
 fetch accounting          ``FetchStats`` on both simulators
 ========================  ==========================================
 
-The per-program cache lives in ``program._analysis_cache``; stream
-caches are shared process-wide through an LRU registry keyed by the
-same content digest as the
-:class:`~repro.machine.decompressor.DecodeCache`, so repeated runs over
-one image (differential verification, benchmark repeats) predecode
-once.
+The per-program cache lives in ``program._analysis_cache``.  A stream
+cache lives on its image's decoded
+:class:`~repro.machine.decompressor.StreamColumns` (``translation``),
+which the process-wide :class:`~repro.machine.decompressor.DecodeCache`
+holds: repeated runs over one image (differential verification,
+benchmark repeats) decode and predecode once, and one LRU entry evicts
+both.
 
 Equivalence contract (the same one ``greedy_reference`` carries for the
 compression pipeline): architectural state — registers, CR, LR, CTR,
@@ -86,7 +87,6 @@ timer; trace-cache effectiveness is reported through the
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from itertools import accumulate, chain, repeat
 import threading
 import time
@@ -94,7 +94,11 @@ import time
 from repro import observe
 from repro.errors import SimulationError
 from repro.machine import fusion
-from repro.machine.decompressor import StreamColumns
+from repro.machine.decompressor import (
+    StreamColumns,
+    _decode_cache,
+    clear_decode_cache,
+)
 from repro.machine.executor import CONTROL_MNEMONICS
 from repro.machine.fusion import bound_thunk
 from repro.machine.simulator import RunResult, branch_decision, do_syscall
@@ -523,29 +527,21 @@ def program_cache(program) -> TranslationCache:
     return _current(cache)
 
 
-# Process-wide registry: one stream cache per image content,
-# LRU-evicted, keyed by the DecodeCache content digest + text base so
-# repeated simulator constructions over one image predecode once.
-_STREAM_CACHES: OrderedDict = OrderedDict()
-STREAM_CACHE_CAPACITY = 32
+def stream_cache(columns, text_base, alignment_bits) -> TranslationCache:
+    """The translation cache of a decoded image, kept on its columns.
 
-
-def stream_cache(
-    content_key, text_base, columns, alignment_bits
-) -> TranslationCache:
-    key = (content_key, text_base)
-    cache = _STREAM_CACHES.get(key)
-    if cache is None:
-        cache = TranslationCache(
+    Built on first use, and again when the text base differs.  The
+    alignment needs no check: the encoding is part of the digest that
+    keys the columns.  The cache holds the columns' lists, not the
+    columns, so evicting them frees both without a cycle collection.
+    """
+    cache = columns.translation
+    if cache is None or cache.text_base != text_base:
+        cache = columns.translation = TranslationCache(
             "stream", columns, columns.index,
             text_base=text_base, link_scale=1, hook_base=0,
             alignment_bits=alignment_bits, halt_advance=0,
         )
-        _STREAM_CACHES[key] = cache
-        while len(_STREAM_CACHES) > STREAM_CACHE_CAPACITY:
-            _STREAM_CACHES.popitem(last=False)
-    else:
-        _STREAM_CACHES.move_to_end(key)
     return _current(cache)
 
 
@@ -560,10 +556,11 @@ _GENERATED_MEMOS = (
 def clear_translation_caches() -> None:
     """Drop all shared predecode state (tests, memory pressure).
 
-    That is the stream caches and every memo of generated code: bound
-    and fused thunks, compare feeds and the template factories.
+    That is the stream caches, and with them the decode cache they live
+    in, and every memo of generated code: bound and fused thunks,
+    compare feeds and the template factories.
     """
-    _STREAM_CACHES.clear()
+    clear_decode_cache()
     for memo in _GENERATED_MEMOS:
         memo.cache_clear()
 
@@ -571,7 +568,10 @@ def clear_translation_caches() -> None:
 def translation_cache_stats() -> dict:
     info = bound_thunk.cache_info()
     return {
-        "stream_caches": len(_STREAM_CACHES),
+        "stream_caches": sum(
+            columns.translation is not None
+            for columns in _decode_cache.snapshot()
+        ),
         "thunk_hits": info.hits,
         "thunk_misses": info.misses,
         "thunks": info.currsize,

@@ -50,8 +50,11 @@ Metric names currently emitted:
 name                       where
 =========================  ================================================
 ``candidates.count``       :func:`repro.core.candidates.enumerate_candidates`
-``decode_cache.hits``      :meth:`repro.machine.decompressor.StreamDecoder`
-``decode_cache.misses``    :meth:`repro.machine.decompressor.StreamDecoder`
+``decode_cache.hits``      :meth:`repro.machine.decompressor.StreamDecoder.decode`
+``decode_cache.misses``    :meth:`repro.machine.decompressor.StreamDecoder.decode`
+``decode_cache.evictions`` :class:`repro.machine.decompressor.DecodeCache`
+                           (one per image evicted, its translation cache
+                           with it)
 ``sim.trace_cache.hits``   :mod:`repro.machine.fastpath` run loops (trace
                            dispatches served from the translation cache)
 ``sim.trace_cache.misses`` :mod:`repro.machine.fastpath` run loops (traces

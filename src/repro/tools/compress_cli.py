@@ -143,7 +143,7 @@ def _disasm_image(path: Path, args) -> int:
     )
     print(f"{image.name} ({image.encoding_name}, "
           f"{len(image.dictionary)} codewords):")
-    for item in decoder.decode_all():
+    for item in decoder.decode().items():
         if item.is_codeword:
             body = "; ".join(format_instruction(ins) for ins in item.instructions)
             print(f"  unit {item.address:6d}  CW#{item.rank:<5d} -> {body}")

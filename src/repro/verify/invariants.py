@@ -115,7 +115,7 @@ def _decode_items(
     """Strict-decode the stream; a failure becomes a finding."""
     try:
         decoder = StreamDecoder(stream, dictionary, encoding, total_units)
-        items = decoder.decode_all()
+        items = decoder.decode().items()
     except (DecompressionError, CompressionError) as exc:
         checker.fail(
             "stream-decode", str(exc),

@@ -291,7 +291,7 @@ class TestColumnarEquivalence:
                 compressed.encoding,
                 compressed.total_units(),
             )
-            columns = decoder.decode_all_columnar()
+            columns = decoder.decode()
             items = columns.items()
             assert items is columns.items()  # memoized view
             assert list(items) == decoder.decode_all_reference(), name

@@ -1,9 +1,15 @@
 """Stream decoder tests: the compressed fetch engine."""
 
+import dataclasses
+
 import pytest
 
-from repro.core import BaselineEncoding, NibbleEncoding, compress
+from repro.core import BaselineEncoding, CompressedImage, NibbleEncoding, compress
+from repro.core.dictionary import Dictionary, DictionaryEntry
+from repro.core.encodings import make_encoding
 from repro.errors import DecompressionError
+from repro.machine import bulkdecode
+from repro.machine.compressed_sim import CompressedSimulator
 from repro.machine.decompressor import StreamDecoder
 
 
@@ -14,7 +20,7 @@ def decode_items(compressed):
         compressed.encoding,
         compressed.total_units(),
     )
-    return decoder.decode_all()
+    return decoder.decode().items()
 
 
 class TestStreamDecoding:
@@ -58,7 +64,7 @@ class TestStreamDecoding:
         )
         if len(compressed.dictionary) > 1:
             with pytest.raises(DecompressionError):
-                decoder.decode_all()
+                decoder.decode()
 
     def test_wrong_total_units_detected(self, tiny_program):
         compressed = compress(tiny_program, BaselineEncoding())
@@ -69,7 +75,7 @@ class TestStreamDecoding:
             compressed.total_units() + 1,
         )
         with pytest.raises((DecompressionError, EOFError)):
-            decoder.decode_all()
+            decoder.decode()
 
 
 class TestStrictErrors:
@@ -87,7 +93,7 @@ class TestStrictErrors:
             compressed.total_units(),
         )
         with pytest.raises(DecompressionError) as excinfo:
-            decoder.decode_all()
+            decoder.decode()
         assert excinfo.value.unit_address is not None
         assert f"unit {excinfo.value.unit_address}" in str(excinfo.value)
 
@@ -100,7 +106,7 @@ class TestStrictErrors:
             compressed.total_units(),
         )
         with pytest.raises(DecompressionError) as excinfo:
-            decoder.decode_all()
+            decoder.decode()
         assert excinfo.value.unit_address is not None
 
 
@@ -113,7 +119,7 @@ class TestLenientMode:
             compressed.stream, compressed.dictionary, compressed.encoding,
             compressed.total_units(), strict=False,
         )
-        items = decoder.decode_all()
+        items = decoder.decode_all_reference()
         assert decoder.diagnostics == []
         assert len(items) == len(compressed.tokens)
 
@@ -128,7 +134,7 @@ class TestLenientMode:
             compressed.stream, broken, compressed.encoding,
             compressed.total_units(), strict=False,
         )
-        decoder.decode_all()  # must not raise
+        decoder.decode_all_reference()  # must not raise
         assert decoder.diagnostics
         assert all(d.unit_address >= 0 for d in decoder.diagnostics)
 
@@ -140,21 +146,27 @@ class TestLenientMode:
             compressed.stream, Dictionary([]), compressed.encoding,
             compressed.total_units(), strict=False, max_diagnostics=5,
         )
-        decoder.decode_all()
+        decoder.decode_all_reference()
         assert len(decoder.diagnostics) <= 6  # budget + final marker
         assert decoder.diagnostics[-1].message == "diagnostic budget exhausted"
 
     def test_lenient_decode_always_uses_reference_walk(self, tiny_program):
-        # Bulk decoding asserts nothing about malformed tails, so
-        # lenient decodes must defer to the reference walk even when
-        # the stream is perfectly clean.
+        # Bulk decoding asserts nothing about malformed tails, so a
+        # lenient decoder has no bulk decode at all: decode() refuses
+        # it, and its walk never reaches the bulk walker.
         compressed = compress(tiny_program, NibbleEncoding())
         decoder = StreamDecoder(
             compressed.stream, compressed.dictionary, compressed.encoding,
             compressed.total_units(), strict=False,
         )
-        decoder.decode_all()
-        assert decoder.last_implementation == "reference"
+        with pytest.raises(ValueError):
+            decoder.decode()
+        before = bulkdecode.bulk_stats()
+        assert len(decoder.decode_all_reference()) == len(compressed.tokens)
+        after = bulkdecode.bulk_stats()
+        assert (after["decodes"], after["fallbacks"]) == (
+            before["decodes"], before["fallbacks"]
+        )
 
 
 class TestLenientTailResync:
@@ -171,7 +183,7 @@ class TestLenientTailResync:
             compressed.stream, Dictionary([]), compressed.encoding,
             compressed.total_units(), strict=False, max_diagnostics=1,
         )
-        decoder.decode_all()
+        decoder.decode_all_reference()
         assert len(decoder.diagnostics) == 2
         failure, marker = decoder.diagnostics
         assert marker.message == "diagnostic budget exhausted"
@@ -189,8 +201,8 @@ class TestLenientTailResync:
         decoder = StreamDecoder(
             b"\x00\x00", Dictionary([]), encoding, 4, strict=False,
         )
-        items = decoder.decode_all()
-        assert items == ()
+        items = decoder.decode_all_reference()
+        assert items == []
         assert decoder.diagnostics
         assert decoder.diagnostics[-1].message != "diagnostic budget exhausted"
         assert not any(
@@ -208,7 +220,55 @@ class TestLenientTailResync:
             bytes(corrupt), compressed.dictionary, compressed.encoding,
             compressed.total_units(), strict=False,
         )
-        items = decoder.decode_all()
+        items = decoder.decode_all_reference()
         if decoder.diagnostics:
             first_bad = min(d.unit_address for d in decoder.diagnostics)
             assert any(item.address > first_bad for item in items)
+
+
+def _empty_entry_image(program, encoding_name, rank=0):
+    """A well-formed image of ``program`` whose entry ``rank`` is empty,
+    after a round trip through bytes (the CRC is valid)."""
+    image = CompressedImage.from_compressed(
+        compress(program, make_encoding(encoding_name))
+    )
+    entries = list(image.dictionary.entries)
+    entries[rank] = DictionaryEntry(words=(), uses=entries[rank].uses)
+    image = dataclasses.replace(image, dictionary=Dictionary(entries))
+    return CompressedImage.from_bytes(image.to_bytes())
+
+
+class TestEmptyDictionaryEntry:
+    """An empty dictionary entry is a typed error at decode."""
+
+    @pytest.mark.parametrize("implementation", ["fast", "reference"])
+    @pytest.mark.parametrize("encoding_name", ["baseline", "onebyte", "nibble"])
+    def test_simulator_construction_raises(
+        self, tiny_program, encoding_name, implementation
+    ):
+        image = _empty_entry_image(tiny_program, encoding_name)
+        with pytest.raises(DecompressionError, match="dictionary entry 0 is empty"):
+            CompressedSimulator(image=image, implementation=implementation)
+
+    def test_lenient_decoder_records_a_diagnostic(self, tiny_program):
+        image = _empty_entry_image(tiny_program, "nibble")
+        decoder = StreamDecoder(
+            image.stream, image.dictionary, image.encoding(),
+            image.total_units, strict=False,
+        )
+        assert decoder._entries[0] is None
+        assert decoder.diagnostics[0].message == "dictionary entry 0 is empty"
+        decoder.decode_all_reference()
+        assert any(
+            "undecodable dictionary entry" in d.message
+            for d in decoder.diagnostics
+        )
+
+    @pytest.mark.parametrize("encoding_name", ["baseline", "onebyte", "nibble"])
+    def test_check_image_reports_stream_decode(self, tiny_program, encoding_name):
+        from repro.verify import check_image
+
+        report = check_image(_empty_entry_image(tiny_program, encoding_name))
+        assert ("stream-decode", "dictionary entry 0 is empty") in {
+            (finding.rule, finding.message) for finding in report.findings
+        }

@@ -224,19 +224,22 @@ class TestStreamTranslationCache:
         assert cache.misses == misses_before  # warm: no new traces built
         assert cache.hits > 0
 
-    def test_stream_cache_lru_eviction(self, tiny_program):
+    def test_stream_cache_lru_eviction(self, tiny_program, monkeypatch):
         from repro.core import BaselineEncoding
+        from repro.machine import decompressor
 
+        # The stream cache lives on its decode-cache entry: evicting the
+        # decode drops the predecode with it.
+        monkeypatch.setattr(decompressor._decode_cache, "capacity", 1)
         compressed = compress(tiny_program, NibbleEncoding())
         first = CompressedSimulator(compressed)._translation_cache()
-        # Make the real entry the least-recently-used one, then force a
-        # fresh insert: the registry must evict back down to capacity,
-        # dropping the real entry first.
-        for fake in range(fastpath.STREAM_CACHE_CAPACITY):
-            fastpath._STREAM_CACHES[("digest", fake)] = object()
+        assert (
+            CompressedSimulator(compressed)._translation_cache() is first
+        )
         other = compress(tiny_program, BaselineEncoding())
         CompressedSimulator(other)._translation_cache()
-        assert len(fastpath._STREAM_CACHES) == fastpath.STREAM_CACHE_CAPACITY
+        assert fastpath.translation_cache_stats()["stream_caches"] == 1
+        assert decompressor.decode_cache_stats()["evictions"] == 1
         assert (
             CompressedSimulator(compressed)._translation_cache() is not first
         )

@@ -66,7 +66,7 @@ def test_image_roundtrip_reproduces_every_instruction(program, encoding_name):
     )
     decoded = [
         ins.encode()
-        for item in decoder.decode_all()
+        for item in decoder.decode().items()
         for ins in item.instructions
     ]
     assert decoded == program.words()
