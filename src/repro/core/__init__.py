@@ -11,8 +11,8 @@ Pipeline (paper section 3.1):
 4. :mod:`encodings` — codeword spaces: the 2-byte baseline built from
    PowerPC's illegal opcodes, the 1-byte small-dictionary scheme, and
    the nibble-aligned variable-length scheme of Figure 10.
-5. :mod:`replace` / :mod:`branch_patch` — build the token stream, lay
-   it out at codeword granularity, re-patch every relative branch and
+5. :mod:`replace` / :mod:`branch_patch` — build the item columns, lay
+   them out at codeword granularity, re-patch every relative branch and
    jump-table slot, relaxing branches whose offsets no longer reach.
 6. :mod:`compressor` — the orchestrator; :mod:`stats` — size
    accounting for the paper's figures.

@@ -1,22 +1,32 @@
 """The compressor: orchestrates the full pipeline of section 3.1.
 
 ``compress(program, encoding)`` returns a :class:`CompressedProgram`
-holding the dictionary, the patched token stream, the serialized
+holding the dictionary, the patched item columns, the serialized
 bit stream, the re-patched data image, and the address map — enough
 both for size accounting (the paper's figures) and for execution on
 the compressed-program processor model.
+
+From the greedy pick to the verified stream the program travels as
+parallel columns (:class:`~repro.core.replace.TokenColumns`): greedy
+returns replacement columns, ``build_tokens`` item columns,
+``patch_branches`` lays them out with one ``accumulate`` and patches
+branch words in place, ``_serialize`` joins the columns into hex
+digits, and ``verify_stream`` zips the classified stream against them.
+No object is built per item; :attr:`CompressedProgram.tokens` is a
+view built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress as select
 
 from repro import bitutils, observe
-from repro.core.branch_patch import patch_branches, patch_jump_tables
+from repro.core.branch_patch import patch_branches, patch_jump_tables, tokens_view
 from repro.core.dictionary import Dictionary
 from repro.core.encodings import BaselineEncoding, Encoding
 from repro.core.greedy import GreedyResult, build_dictionary
-from repro.core.replace import Token, build_tokens
+from repro.core.replace import Token, TokenColumns, build_tokens
 from repro.errors import CompressionError
 from repro.linker.program import Program
 
@@ -28,7 +38,7 @@ class CompressedProgram:
     program: Program
     encoding: Encoding
     dictionary: Dictionary
-    tokens: list[Token]
+    columns: TokenColumns
     index_to_unit: dict[int, int]
     stream: bytes
     data_image: bytearray
@@ -43,8 +53,14 @@ class CompressedProgram:
         return self.program.text_size
 
     @property
+    def tokens(self) -> list[Token]:
+        """The stream as one :class:`Token` per item, built on each
+        access (see :func:`~repro.core.branch_patch.tokens_view`)."""
+        return tokens_view(self.columns, self.program)
+
+    @property
     def stream_bits(self) -> int:
-        return sum(t.size_units for t in self.tokens) * self.encoding.alignment_bits
+        return self.total_units() * self.encoding.alignment_bits
 
     @property
     def stream_bytes(self) -> int:
@@ -66,19 +82,20 @@ class CompressedProgram:
 
     # ------------------------------------------------------------------
     def total_units(self) -> int:
-        return sum(token.size_units for token in self.tokens)
+        """Stream length in alignment units: the end address of layout."""
+        return self.columns.addresses[-1]
 
     def verify_stream(self) -> None:
-        """Re-parse the serialized stream and check it matches the tokens.
+        """Re-parse the serialized stream and check it matches the items.
 
         This is the bit-level proof that a hardware decoder could walk
         the stream: every item must round-trip through the encoding, sit
-        at its token's unit address, and the stream must end with the
-        last item plus zero padding to a whole byte.  Items are
-        classified through the encoding's prefix tables; only a failing
-        stream is re-walked item by item, to name the first mismatch.
+        at its unit address, and the stream must end with the last item
+        plus zero padding to a whole byte.  Items are classified through
+        the encoding's prefix tables; only a failing stream is re-walked
+        item by item, to name the first mismatch.
         """
-        if self.encoding.matches_tokens(self.stream, self.tokens):
+        if self.encoding.matches_tokens(self.stream, self.columns):
             return
         self._raise_first_mismatch()
         used_bits = self.total_units() * self.encoding.alignment_bits
@@ -99,26 +116,29 @@ class CompressedProgram:
         )
 
     def _raise_first_mismatch(self) -> None:
-        """Walk the stream with ``read_item``; raise at the first token
-        whose item differs or is cut off by the end of the stream."""
+        """Walk the stream with ``read_item``; raise at the first item
+        that differs or is cut off by the end of the stream."""
         reader = bitutils.BitReader(self.stream)
-        for token in self.tokens:
+        columns = self.columns
+        for is_codeword, value, address in zip(
+            columns.kinds, columns.values, columns.addresses
+        ):
             try:
                 kind, payload = self.encoding.read_item(reader)
             except EOFError as exc:
                 raise CompressionError(
-                    f"stream truncated at unit {token.address}: {exc}"
+                    f"stream truncated at unit {address}: {exc}"
                 ) from exc
-            if token.kind == "cw":
-                if kind != "cw" or payload != token.rank:
+            if is_codeword:
+                if kind != "cw" or payload != value:
                     raise CompressionError(
-                        f"stream mismatch at unit {token.address}: "
-                        f"expected codeword {token.rank}, read {kind}:{payload}"
+                        f"stream mismatch at unit {address}: "
+                        f"expected codeword {value}, read {kind}:{payload}"
                     )
-            elif kind != "ins" or payload != token.word:
+            elif kind != "ins" or payload != value:
                 raise CompressionError(
-                    f"stream mismatch at unit {token.address}: "
-                    f"expected instruction {token.word:#010x}, read {kind}:{payload}"
+                    f"stream mismatch at unit {address}: "
+                    f"expected instruction {value:#010x}, read {kind}:{payload}"
                 )
 
 
@@ -162,18 +182,18 @@ class Compressor:
                 implementation=self.greedy_implementation,
             )
         with observe.stage("tokenize"):
-            tokens = build_tokens(program, greedy, greedy.dictionary)
+            columns = build_tokens(program, greedy, greedy.dictionary)
         with observe.stage("branch_patch"):
-            tokens, index_to_unit, relaxations = patch_branches(tokens, encoding)
+            index_to_unit, relaxations = patch_branches(columns, program, encoding)
         with observe.stage("serialize"):
-            stream = _serialize(tokens, encoding, len(greedy.dictionary))
+            stream = _serialize(columns, encoding, len(greedy.dictionary))
         with observe.stage("jump_tables"):
             data_image = patch_jump_tables(program, index_to_unit)
         compressed = CompressedProgram(
             program=program,
             encoding=encoding,
             dictionary=greedy.dictionary,
-            tokens=tokens,
+            columns=columns,
             index_to_unit=index_to_unit,
             stream=stream,
             data_image=data_image,
@@ -183,8 +203,12 @@ class Compressor:
         return compressed
 
 
-def _serialize(tokens: list[Token], encoding: Encoding, dictionary_size: int) -> bytes:
-    """The stream of ``tokens`` as hex digits, converted once.
+# Maps the kind column to a mask of its escaped instructions.
+_INSTRUCTION_MASK = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _serialize(columns: TokenColumns, encoding: Encoding, dictionary_size: int) -> bytes:
+    """The stream of ``columns`` as hex digits, converted once.
 
     Codeword digits are joined in place and each instruction leaves a
     ``%08x`` slot, filled from the carried words by one ``%``: no string
@@ -192,10 +216,11 @@ def _serialize(tokens: list[Token], encoding: Encoding, dictionary_size: int) ->
     """
     digits = list(map(encoding.codeword_hex, range(dictionary_size)))
     escaped = encoding.escape_hex + "%08x"
+    kinds, values = columns.kinds, columns.values
     template = "".join(
-        [digits[t.rank] if t.kind == "cw" else escaped for t in tokens]
+        [digits[value] if kind else escaped for kind, value in zip(kinds, values)]
     )
-    text = template % tuple([t.word for t in tokens if t.kind == "ins"])
+    text = template % tuple(select(values, kinds.translate(_INSTRUCTION_MASK)))
     if len(text) & 1:
         text += "0"
     return bytes.fromhex(text)

@@ -27,8 +27,8 @@ rank: 4 for baseline, 2 for one-byte, 1-4 for nibble.  An escaped
 instruction is :attr:`Encoding.escape_hex` (``"f"``, the nibble escape;
 empty for the byte encodings) followed by the word's 8 digits.  A
 stream is then one ``"".join`` (with a ``%08x`` slot per instruction,
-filled from the tokens' carried words by one ``%``), a ``"0"`` pad when
-the digit count is odd, and one ``bytes.fromhex``.
+filled from the item columns' carried words by one ``%``), a ``"0"``
+pad when the digit count is odd, and one ``bytes.fromhex``.
 
 **Classification tables.**  Reading classifies items through prefix
 tables, the table-driven decoding of Plaisance, Kurz and Lemire's
@@ -125,11 +125,12 @@ class Encoding:
         """Read one stream item: ('cw', rank) or ('ins', word)."""
         raise NotImplementedError
 
-    def matches_tokens(self, stream: bytes, tokens) -> bool:
-        """True iff ``stream`` is exactly the items of ``tokens``.
+    def matches_tokens(self, stream: bytes, columns) -> bool:
+        """True iff ``stream`` is exactly the items of ``columns``.
 
-        Each token's kind, rank or 32-bit ``word``, and unit
-        ``address`` must match the item classified there, and the
+        Each item's kind, rank or 32-bit word, and unit address (the
+        :class:`~repro.core.replace.TokenColumns` ``kinds``, ``values``
+        and ``addresses``) must match the item classified there, and the
         stream must end with the last item plus zero padding to a
         whole byte.  Only says whether; ``read_item`` walks find where.
         """
@@ -199,25 +200,27 @@ class _ByteAlignedEncoding(Encoding):
             ranks[byte] = rank
         return PrefixTables(None, ranks)
 
-    def matches_tokens(self, stream: bytes, tokens) -> bool:
+    def matches_tokens(self, stream: bytes, columns) -> bool:
         escape_ranks = self.prefix_tables().ranks
         indexed = self._indexed
         unit_bytes = self.alignment_bits // 8  # also a codeword's bytes
         position = 0  # byte cursor
         try:
-            for token in tokens:
-                if token.address * unit_bytes != position:
+            for is_codeword, value, address in zip(
+                columns.kinds, columns.values, columns.addresses
+            ):
+                if address * unit_bytes != position:
                     return False
                 rank = escape_ranks[stream[position]]
                 if rank < 0:
                     word = int.from_bytes(stream[position : position + 4], "big")
-                    if token.kind != "ins" or word != token.word:
+                    if is_codeword or word != value:
                         return False
                     position += 4
                 else:
                     if indexed:
                         rank = (rank << 8) | stream[position + 1]
-                    if token.kind != "cw" or rank != token.rank:
+                    if not is_codeword or rank != value:
                         return False
                     position += unit_bytes
         except IndexError:
@@ -433,7 +436,7 @@ class CustomNibbleEncoding(Encoding):
         lens[escape_start : escape_start + 4096] = b"\x09" * 4096
         return PrefixTables(lens, ranks)
 
-    def matches_tokens(self, stream: bytes, tokens) -> bool:
+    def matches_tokens(self, stream: bytes, columns) -> bool:
         tables = self.prefix_tables()
         lens = tables.lens
         ranks = tables.ranks
@@ -442,8 +445,10 @@ class CustomNibbleEncoding(Encoding):
         data = stream + bytes(5)
         position = 0  # nibble cursor: one nibble is one unit
         try:
-            for token in tokens:
-                if token.address != position:
+            for is_codeword, value, address in zip(
+                columns.kinds, columns.values, columns.addresses
+            ):
+                if address != position:
                     return False
                 i = position >> 1
                 if position & 1:
@@ -456,12 +461,12 @@ class CustomNibbleEncoding(Encoding):
                         word = int.from_bytes(data[i + 1 : i + 5], "big")
                     else:
                         word = (int.from_bytes(data[i : i + 5], "big") >> 4) & 0xFFFFFFFF
-                    if token.kind != "ins" or word != token.word:
+                    if is_codeword or word != value:
                         return False
-                elif not length or token.kind != "cw" or ranks[prefix] != token.rank:
+                elif not length or not is_codeword or ranks[prefix] != value:
                     return False
                 position += length
-        except IndexError:  # tokens run past the padded stream
+        except IndexError:  # items run past the padded stream
             return False
         if (position + 1) >> 1 != len(stream):
             return False

@@ -20,6 +20,12 @@ The loop uses a lazy max-heap: entry priorities only ever decrease
 grow), so a popped entry whose recomputed priority is unchanged is the
 true maximum.
 
+The chosen occurrences come back as two position-sorted columns,
+:attr:`GreedyResult.positions` and :attr:`GreedyResult.entry_words`,
+which :func:`repro.core.replace.build_tokens` walks directly;
+:class:`Replacement` objects exist only in the
+:attr:`GreedyResult.replacements` view.
+
 Two implementations produce byte-identical :class:`GreedyResult`\\ s:
 
 * :func:`greedy_reference` — the original direct transcription, kept
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro import observe
 from repro.core.candidates import (
@@ -80,19 +87,24 @@ class Replacement:
 
 @dataclass
 class GreedyResult:
-    """Output of dictionary construction."""
+    """Output of dictionary construction.
+
+    ``positions`` and ``entry_words`` are parallel columns, one entry
+    per chosen occurrence, sorted by position: the occurrence at
+    ``positions[k]`` is replaced by the entry ``entry_words[k]``.
+    """
 
     dictionary: Dictionary
-    replacements: list[Replacement] = field(default_factory=list)
+    positions: list[int] = field(default_factory=list)
+    entry_words: list[tuple[int, ...]] = field(default_factory=list)
     # Savings actually achieved per selection step, in stream bits —
     # used by the Figure 7 analysis.
     step_savings_bits: list[int] = field(default_factory=list)
 
-    def covered_positions(self) -> set[int]:
-        covered = set()
-        for rep in self.replacements:
-            covered.update(range(rep.position, rep.position + rep.length))
-        return covered
+    @property
+    def replacements(self) -> list[Replacement]:
+        """The chosen occurrences as objects, built on each access."""
+        return list(map(Replacement, self.positions, self.entry_words))
 
 
 def _valid_occurrences(candidate: Candidate, covered: list[bool]) -> list[int]:
@@ -286,12 +298,11 @@ def _build_dictionary_fast(
             for i in order
         ]
     )
-    replacements = [
-        Replacement(p, key) for p, key in enumerate(rep_at) if key is not None
-    ]
+    # Every key is a non-empty tuple, so truth picks the chosen starts.
     return GreedyResult(
         dictionary=dictionary,
-        replacements=replacements,
+        positions=list(compress(range(store.n), rep_at)),
+        entry_words=list(filter(None, rep_at)),
         step_savings_bits=step_savings,
     )
 
@@ -336,7 +347,7 @@ def greedy_reference(
     heapq.heapify(heap)
 
     chosen_entries: list[tuple[tuple[int, ...], int]] = []  # (words, uses)
-    replacements: list[Replacement] = []
+    replacements: list[tuple[int, tuple[int, ...]]] = []  # (position, words)
     step_savings: list[int] = []
 
     while heap and len(chosen_entries) < capacity:
@@ -355,7 +366,7 @@ def greedy_reference(
         chosen_entries.append((key, len(occurrences)))
         step_savings.append(current)
         for position in occurrences:
-            replacements.append(Replacement(position, key))
+            replacements.append((position, key))
             for index in range(position, position + candidate.length):
                 covered[index] = True
 
@@ -371,9 +382,10 @@ def greedy_reference(
             for i in order
         ]
     )
-    replacements.sort(key=lambda rep: rep.position)
+    replacements.sort(key=lambda rep: rep[0])
     return GreedyResult(
         dictionary=dictionary,
-        replacements=replacements,
+        positions=[position for position, _ in replacements],
+        entry_words=[words for _, words in replacements],
         step_savings_bits=step_savings,
     )

@@ -13,6 +13,7 @@ paper's evaluation does:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.core.compressor import CompressedProgram
 
@@ -63,34 +64,21 @@ class CompressionStats:
 def collect_stats(compressed: CompressedProgram) -> CompressionStats:
     """Measure a compressed program."""
     encoding = compressed.encoding
-    uncompressed_bits = 0
+    columns = compressed.columns
+    ranks = list(compress(columns.values, columns.kinds))
+    uncompressed_bits = (len(columns) - len(ranks)) * encoding.instruction_bits
     index_bits = 0
     escape_bits = 0
-    codeword_tokens = 0
-    for token in compressed.tokens:
-        if token.kind == "cw":
-            assert token.rank is not None
-            codeword_tokens += 1
-            total = encoding.codeword_bits(token.rank)
-            escape = encoding.escape_bits(token.rank)
-            escape_bits += escape
-            index_bits += total - escape
-        else:
-            uncompressed_bits += encoding.instruction_bits
-
     saved_by_length: dict[int, float] = {}
     dictionary = compressed.dictionary
-    for token in compressed.tokens:
-        if token.kind != "cw":
-            continue
-        assert token.rank is not None
-        entry = dictionary[token.rank]
-        saved_bits = entry.length * encoding.instruction_bits - encoding.codeword_bits(
-            token.rank
-        )
-        saved_by_length[entry.length] = (
-            saved_by_length.get(entry.length, 0.0) + saved_bits / 8.0
-        )
+    for rank in ranks:
+        total = encoding.codeword_bits(rank)
+        escape = encoding.escape_bits(rank)
+        escape_bits += escape
+        index_bits += total - escape
+        length = dictionary[rank].length
+        saved_bits = length * encoding.instruction_bits - total
+        saved_by_length[length] = saved_by_length.get(length, 0.0) + saved_bits / 8.0
     # Charge each entry's dictionary storage against its length class.
     for entry in dictionary.entries:
         saved_by_length[entry.length] = (
@@ -105,7 +93,7 @@ def collect_stats(compressed: CompressedProgram) -> CompressionStats:
         uncompressed_ins_bits=uncompressed_bits,
         codeword_index_bits=index_bits,
         codeword_escape_bits=escape_bits,
-        codeword_count_static=codeword_tokens,
+        codeword_count_static=len(ranks),
         dictionary_entries=len(dictionary),
         entry_length_histogram=dictionary.length_histogram(),
         bytes_saved_by_length=saved_by_length,

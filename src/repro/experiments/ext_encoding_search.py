@@ -16,7 +16,7 @@ gains are a slight *underestimate* of a full per-allocation rerun.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress as compress_items, product
 
 from repro.core import NibbleEncoding, compress
 from repro.experiments.common import pct, render_table, suite_programs
@@ -89,14 +89,12 @@ def run(scale: float | None = None) -> list[Row]:
     rows = []
     for name, program in suite_programs(scale).items():
         compressed = compress(program, NibbleEncoding())
-        # Token statistics with ranks in dictionary order.
+        # Item statistics with ranks in dictionary order.
+        columns = compressed.columns
         rank_uses = [0] * len(compressed.dictionary)
-        escaped = 0
-        for token in compressed.tokens:
-            if token.kind == "cw":
-                rank_uses[token.rank] += 1
-            else:
-                escaped += 1
+        for rank in compress_items(columns.values, columns.kinds):
+            rank_uses[rank] += 1
+        escaped = len(columns) - sum(rank_uses)
         rank_lengths = [entry.length for entry in compressed.dictionary.entries]
         original_bits = 8.0 * program.text_size
 

@@ -91,7 +91,8 @@ def _best(fn, repeats: int) -> float:
 def _same_greedy(a, b) -> bool:
     return (
         a.dictionary.entries == b.dictionary.entries
-        and a.replacements == b.replacements
+        and a.positions == b.positions
+        and a.entry_words == b.entry_words
         and a.step_savings_bits == b.step_savings_bits
     )
 

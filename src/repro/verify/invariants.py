@@ -214,7 +214,8 @@ def check_compressed(compressed: CompressedProgram) -> InvariantReport:
         compressed.total_units(),
     )
     boundaries = {item.address for item in items}
-    token_starts = {token.address for token in compressed.tokens}
+    tokens = compressed.tokens
+    token_starts = {token.address for token in tokens}
     if items:
         checker.check(
             boundaries == token_starts,
@@ -226,7 +227,7 @@ def check_compressed(compressed: CompressedProgram) -> InvariantReport:
     _check_dictionary(checker, compressed.dictionary, encoding)
 
     # Branch targets and field widths, at token granularity.
-    for token in compressed.tokens:
+    for token in tokens:
         if token.kind == "cw":
             checker.check(
                 token.rank is not None

@@ -1,25 +1,71 @@
 """Branch patching tests: layout, offset rewrite, relaxation, Table 1."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro import bitutils
 from repro.core import BaselineEncoding, NibbleEncoding, compress
+from repro.core import branch_patch
 from repro.core.branch_patch import (
+    _target_field_width,
     layout,
     offset_usage,
+    offset_word,
     patch_branches,
+    relative_branches,
+    tokens_view,
 )
-from repro.core.replace import Token
+from repro.core.replace import CODEWORD, INSTRUCTION, TokenColumns
 from repro.errors import BranchRangeError
-from repro.isa.instruction import make
+from repro.isa.fields import OperandKind
+from repro.isa.instruction import Instruction, make
+from repro.isa.opcodes import SPEC_BY_MNEMONIC
+from repro.linker.objfile import InsnRole
+from repro.linker.program import Program, TextInstruction
+
+_FILLER = TextInstruction(make("addi", 3, 3, 1), InsnRole.BODY, "f", False)
 
 
 def ins_token(mnemonic, *values, target_index=None):
-    return Token(
-        kind="ins",
-        instruction=make(mnemonic, *values),
-        orig_index=None,
-        target_index=target_index,
+    """An escaped item: one text instruction."""
+    return TextInstruction(
+        make(mnemonic, *values), InsnRole.BODY, "f", False, target_index
     )
+
+
+def cw_token(rank, length=1):
+    """A codeword item standing for ``length`` filler instructions."""
+    return rank, length
+
+
+def hand_built(items):
+    """The program and item columns of a hand-built stream of
+    ``ins_token`` and ``cw_token`` items, in order."""
+    text = []
+    kinds = bytearray()
+    values = []
+    origins = []
+    for item in items:
+        origins.append(len(text))
+        if isinstance(item, TextInstruction):
+            kinds.append(INSTRUCTION)
+            values.append(item.word)
+            text.append(item)
+        else:
+            rank, length = item
+            kinds.append(CODEWORD)
+            values.append(rank)
+            text += [_FILLER] * length
+    program = Program(name="hand", text=text, data_image=bytearray(), symbols={})
+    return program, TokenColumns(kinds, values, origins)
+
+
+def patch(stream, encoding):
+    """``patch_branches`` on a hand-built stream; returns the patched
+    items as tokens, the address map and the relaxation count."""
+    program, columns = stream
+    index_to_unit, relaxations = patch_branches(columns, program, encoding)
+    return tokens_view(columns, program), index_to_unit, relaxations
 
 
 class TestLayout:
@@ -63,20 +109,14 @@ class TestOffsetPatching:
 class TestRelaxation:
     def _far_branch_tokens(self, distance):
         """A bc whose target sits ``distance`` filler instructions away."""
-        tokens = [ins_token("bc", 12, 2, 0, target_index=distance)]
-        for index in range(1, distance + 1):
-            filler = Token(
-                kind="ins",
-                instruction=make("addi", 3, 3, 1),
-                orig_index=index,
-            )
-            tokens.append(filler)
-        tokens[0].target_index = distance  # last filler's orig_index
-        return tokens
+        return hand_built(
+            [ins_token("bc", 12, 2, 0, target_index=distance)]
+            + [ins_token("addi", 3, 3, 1) for _ in range(distance)]
+        )
 
     def test_in_range_branch_untouched(self):
         tokens = self._far_branch_tokens(10)
-        patched, _, relaxations = patch_branches(tokens, BaselineEncoding())
+        patched, _, relaxations = patch(tokens, BaselineEncoding())
         assert relaxations == 0
         assert patched[0].instruction.mnemonic == "bc"
 
@@ -85,7 +125,7 @@ class TestRelaxation:
         # 2 bytes, one instruction = 2 units, so ~5000 instructions is
         # out of range.
         tokens = self._far_branch_tokens(5000)
-        patched, _, relaxations = patch_branches(tokens, BaselineEncoding())
+        patched, _, relaxations = patch(tokens, BaselineEncoding())
         assert relaxations == 1
         # The bc inverted over an unconditional b.
         assert patched[0].instruction.mnemonic == "bc"
@@ -99,20 +139,35 @@ class TestRelaxation:
         assert target_unit == patched[-1].address
 
     def test_unconditional_out_of_range_raises(self):
-        # A b cannot be relaxed further; force failure with a tiny field
-        # by targeting something absurdly far under the nibble encoding.
-        token = ins_token("bc", 16, 0, 0)  # bdnz: invertible
-        token.token_target = 0
-        # bdnz inversion exists, so craft an uninvertible BO instead.
-        bad = ins_token("bc", 20, 0, 0)  # BO=20: branch-always
-        bad.target_index = 60000
-        tokens = [bad]
-        for index in range(1, 60001):
-            tokens.append(
-                Token(kind="ins", instruction=make("addi", 3, 3, 1), orig_index=index)
-            )
+        # A branch whose BO has no inversion cannot be relaxed: BO=20
+        # (branch-always) targeting something absurdly far must fail.
+        bad = ins_token("bc", 20, 0, 0, target_index=60000)
+        tokens = hand_built([bad] + [ins_token("addi", 3, 3, 1)] * 60000)
         with pytest.raises(BranchRangeError):
-            patch_branches(tokens, BaselineEncoding())
+            patch(tokens, BaselineEncoding())
+
+    def test_every_overflowing_branch_relaxes_in_one_round(self, monkeypatch):
+        # Two bcs that both overflow: both relax in the first round (one
+        # layout before it, one after), and each b reaches the shared
+        # target.
+        layouts = []
+
+        def counting_layout(*args):
+            layouts.append(args)
+            return layout(*args)
+
+        monkeypatch.setattr(branch_patch, "layout", counting_layout)
+        tokens = hand_built(
+            [ins_token("bc", 12, 2, 0, target_index=5001),
+             ins_token("bc", 4, 2, 0, target_index=5001)]
+            + [ins_token("addi", 3, 3, 1)] * 5000
+        )
+        patched, _, relaxations = patch(tokens, BaselineEncoding())
+        assert relaxations == 2
+        assert len(layouts) == 2
+        assert [t.instruction.mnemonic for t in patched[:4]] == ["bc", "b", "bc", "b"]
+        for b in (patched[1], patched[3]):
+            assert b.address + b.instruction.operand("target") == patched[-1].address
 
 
 class TestFieldWidthBoundary:
@@ -128,24 +183,21 @@ class TestFieldWidthBoundary:
     def _forward_stream(self, offset):
         """bc at unit 0 targeting a token exactly ``offset`` units away."""
         fillers = offset - self._INS_UNITS  # 1-unit cw tokens in between
-        tokens = [ins_token("bc", 12, 2, 0, target_index=fillers + 1)]
-        for index in range(1, fillers + 1):
-            tokens.append(Token(kind="cw", orig_index=index, length=1, rank=0))
-        tokens.append(
-            Token(kind="ins", instruction=make("addi", 3, 3, 1),
-                  orig_index=fillers + 1)
+        return hand_built(
+            [ins_token("bc", 12, 2, 0, target_index=fillers + 1)]
+            + [cw_token(0)] * fillers
+            + [ins_token("addi", 3, 3, 1)]
         )
-        return tokens
 
     def test_offset_8191_fits_exactly(self):
-        patched, _, relaxations = patch_branches(
+        patched, _, relaxations = patch(
             self._forward_stream(8191), NibbleEncoding()
         )
         assert relaxations == 0
         assert patched[0].instruction.operand("target") == 8191
 
     def test_offset_8192_relaxes(self):
-        patched, _, relaxations = patch_branches(
+        patched, _, relaxations = patch(
             self._forward_stream(8192), NibbleEncoding()
         )
         assert relaxations == 1
@@ -158,24 +210,21 @@ class TestFieldWidthBoundary:
     def _backward_stream(self, offset):
         """bc at the end targeting a token ``offset`` units behind it."""
         fillers = offset - self._INS_UNITS
-        tokens = [
-            Token(kind="ins", instruction=make("addi", 3, 3, 1), orig_index=0)
-        ]
-        for index in range(1, fillers + 1):
-            tokens.append(Token(kind="cw", orig_index=index, length=1, rank=0))
-        tokens.append(ins_token("bc", 12, 2, 0, target_index=0))
-        tokens[-1].orig_index = fillers + 1
-        return tokens
+        return hand_built(
+            [ins_token("addi", 3, 3, 1)]
+            + [cw_token(0)] * fillers
+            + [ins_token("bc", 12, 2, 0, target_index=0)]
+        )
 
     def test_offset_minus_8192_fits_exactly(self):
-        patched, _, relaxations = patch_branches(
+        patched, _, relaxations = patch(
             self._backward_stream(8192), NibbleEncoding()
         )
         assert relaxations == 0
         assert patched[-1].instruction.operand("target") == -8192
 
     def test_offset_minus_8193_relaxes(self):
-        patched, _, relaxations = patch_branches(
+        patched, _, relaxations = patch(
             self._backward_stream(8193), NibbleEncoding()
         )
         assert relaxations == 1
@@ -187,21 +236,17 @@ class TestBranchIntoReplacedSequence:
 
     def test_backward_branch_into_cw_middle_rejected(self):
         # cw covers original indices 0..3; the bc targets index 2.
-        tokens = [
-            Token(kind="cw", orig_index=0, length=4, rank=0),
-            ins_token("bc", 12, 2, 0, target_index=2),
-        ]
-        tokens[1].orig_index = 4
+        tokens = hand_built(
+            [cw_token(0, length=4), ins_token("bc", 12, 2, 0, target_index=2)]
+        )
         with pytest.raises(BranchRangeError, match="inside an encoded"):
-            patch_branches(tokens, BaselineEncoding())
+            patch(tokens, BaselineEncoding())
 
     def test_branch_to_cw_start_allowed(self):
-        tokens = [
-            Token(kind="cw", orig_index=0, length=4, rank=0),
-            ins_token("bc", 12, 2, 0, target_index=0),
-        ]
-        tokens[1].orig_index = 4
-        patched, _, relaxations = patch_branches(tokens, BaselineEncoding())
+        tokens = hand_built(
+            [cw_token(0, length=4), ins_token("bc", 12, 2, 0, target_index=0)]
+        )
+        patched, _, relaxations = patch(tokens, BaselineEncoding())
         assert relaxations == 0
         assert patched[1].instruction.operand("target") == -patched[1].address
 
@@ -263,3 +308,76 @@ class TestOffsetUsage:
             row = offset_usage(program)
             fraction = row.static_branches / len(program.text)
             assert 0.05 < fraction < 0.35, name
+
+
+# Every spec with a PC-relative offset operand: bc, bcl, b, bl.  AA and
+# LK are fixed fields of each spec, so drawing the spec draws them.
+_BRANCH_SPECS = sorted(
+    (
+        spec for spec in SPEC_BY_MNEMONIC.values()
+        if any(op.kind is OperandKind.REL_TARGET for op in spec.operands)
+    ),
+    key=lambda spec: spec.mnemonic,
+)
+
+
+def _branch(spec, **values):
+    return Instruction(spec, tuple(values[op.name] for op in spec.operands))
+
+
+def _table_entry(instruction):
+    """The relative-branch table's (cleared word, offset field) for a
+    program holding only ``instruction``."""
+    program = Program(
+        name="one",
+        text=[TextInstruction(instruction, InsnRole.BODY, "f", False, 0)],
+        data_image=bytearray(),
+        symbols={},
+    )
+    [(_, _, cleared, field)] = relative_branches(program)
+    return cleared, field
+
+
+class TestWordPatch:
+    """The patcher ORs each offset into the branch's carried word; the
+    result must be ``replace_operand("target", offset).encode()``, and an
+    offset must overflow exactly where ``bitutils.fits_signed`` says."""
+
+    def test_every_relative_branch_spec_is_covered(self):
+        assert [spec.mnemonic for spec in _BRANCH_SPECS] == ["b", "bc", "bcl", "bl"]
+
+    @pytest.mark.parametrize("spec", _BRANCH_SPECS, ids=lambda spec: spec.mnemonic)
+    def test_field_bounds(self, spec):
+        instruction = _branch(spec, BO=12, BI=2, target=5)
+        cleared, field = _table_entry(instruction)
+        width = _target_field_width(instruction)
+        low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        for offset in (low, high, 0, 1, -1):
+            assert offset_word(cleared, field, offset) == (
+                instruction.replace_operand("target", offset).encode()
+            )
+        for offset in (low - 1, high + 1):
+            assert not bitutils.fits_signed(offset, width)
+            assert offset_word(cleared, field, offset) is None
+
+    @given(st.data())
+    def test_drawn_offsets_and_operands(self, data):
+        spec = data.draw(st.sampled_from(_BRANCH_SPECS))
+        width = _target_field_width(_branch(spec, BO=0, BI=0, target=0))
+        half = 1 << (width - 1)
+        instruction = _branch(
+            spec,
+            BO=data.draw(st.integers(0, 31)),
+            BI=data.draw(st.integers(0, 31)),
+            target=data.draw(st.integers(-half, half - 1)),
+        )
+        cleared, field = _table_entry(instruction)
+        offset = data.draw(
+            st.one_of(st.integers(-2 * half, 2 * half),
+                      st.sampled_from([-half - 1, -half, half - 1, half]))
+        )
+        if bitutils.fits_signed(offset, width):
+            expected = instruction.replace_operand("target", offset).encode()
+        else:
+            expected = None
+        assert offset_word(cleared, field, offset) == expected

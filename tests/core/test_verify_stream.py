@@ -18,7 +18,7 @@ import pytest
 from repro.core import compress, make_encoding
 from repro.core.compressor import _serialize
 from repro.core.encodings import CustomNibbleEncoding
-from repro.core.replace import Token
+from repro.core.replace import CODEWORD, TokenColumns
 from repro.errors import CompressionError
 from repro.isa.instruction import Instruction
 
@@ -176,7 +176,7 @@ def li_compressed(small_suite):
 @pytest.mark.parametrize("encoding", ENCODINGS)
 def test_clean_stream_matches_through_the_tables(li_compressed, encoding):
     compressed = li_compressed[encoding]
-    assert compressed.encoding.matches_tokens(compressed.stream, compressed.tokens)
+    assert compressed.encoding.matches_tokens(compressed.stream, compressed.columns)
     compressed.verify_stream()
 
 
@@ -208,11 +208,10 @@ def test_truncated_stream_is_a_compression_error(li_compressed, encoding):
 @pytest.mark.parametrize("encoding", ENCODINGS)
 def test_tokens_past_the_end_of_an_empty_stream(encoding):
     # Zero bytes classify as rank-0 codewords in the nibble encoding, so
-    # a run of rank-0 tokens walks the table past any read padding.
-    tokens = [
-        Token("cw", None, None, index, 1, 0, address=index, size_units=1)
-        for index in range(40)
-    ]
+    # a run of rank-0 items walks the table past any read padding.
+    tokens = TokenColumns(
+        bytearray([CODEWORD]) * 40, [0] * 40, list(range(40)), list(range(41))
+    )
     assert not make_encoding(encoding).matches_tokens(b"", tokens)
     assert not make_encoding(encoding).matches_tokens(bytes(3), tokens)
 
@@ -251,9 +250,11 @@ def test_byte_encodings_leave_no_pad_bits(li_compressed, encoding):
 @pytest.mark.parametrize("encoding", ENCODINGS)
 def test_items_at_wrong_unit_addresses_are_rejected(li_compressed, encoding):
     compressed = li_compressed[encoding]
-    tokens = [dataclasses.replace(token) for token in compressed.tokens]
-    tokens[-1].address += 1
-    broken = dataclasses.replace(compressed, tokens=tokens)
+    columns = compressed.columns
+    addresses = list(columns.addresses)
+    addresses[-2] += 1  # the last item's address
+    tokens = TokenColumns(columns.kinds, columns.values, columns.origins, addresses)
+    broken = dataclasses.replace(compressed, columns=tokens)
     assert _verify_error(broken) == (
         "stream items match the tokens but not their unit addresses"
     )
@@ -268,6 +269,6 @@ def test_serialize_and_verify_never_encode(li_compressed, encoding, monkeypatch)
 
     monkeypatch.setattr(Instruction, "encode", refuse)
     assert _serialize(
-        compressed.tokens, compressed.encoding, len(compressed.dictionary)
+        compressed.columns, compressed.encoding, len(compressed.dictionary)
     ) == compressed.stream
     compressed.verify_stream()

@@ -8,6 +8,7 @@ from repro.core import compress
 from repro.core.dictionary import Dictionary
 from repro.core.encodings import make_encoding
 from repro.core.image import CompressedImage
+from repro.core.replace import INSTRUCTION, TokenColumns
 from repro.verify import check_compressed, check_image
 
 
@@ -47,10 +48,18 @@ def test_token_word_that_is_not_its_encoding_is_found(tiny_program, encoding_nam
     # verify_stream compares the stream with the carried words only;
     # the full pass re-encodes every instruction token.
     compressed = compress(tiny_program, make_encoding(encoding_name, None))
-    tokens = [dataclasses.replace(token) for token in compressed.tokens]
-    victim = next(token for token in tokens if token.kind == "ins")
-    victim.word ^= 1
-    report = check_compressed(dataclasses.replace(compressed, tokens=tokens))
+    columns = compressed.columns
+    values = list(columns.values)
+    position = columns.kinds.index(INSTRUCTION)
+    values[position] ^= 1
+    broken = dataclasses.replace(
+        compressed,
+        columns=TokenColumns(
+            columns.kinds, values, columns.origins, columns.addresses
+        ),
+    )
+    victim = broken.tokens[position]
+    report = check_compressed(broken)
     assert report.by_rule() == {"token-word": 1}
     assert report.findings[0].unit == victim.address
 
