@@ -8,6 +8,7 @@ architecture manual.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable, Iterator
 
 WORD_BITS = 32
@@ -99,11 +100,14 @@ def rotl32(value: int, amount: int) -> int:
 
 
 def words_to_bytes(words: Iterable[int]) -> bytes:
-    """Serialize 32-bit words big-endian (PowerPC memory order)."""
-    out = bytearray()
-    for word in words:
-        out += u32(word).to_bytes(4, "big")
-    return bytes(out)
+    """Serialize 32-bit words big-endian (PowerPC memory order), in one
+    ``struct.pack``; a word outside ``[0, 2**32)`` is wrapped as by
+    :func:`u32`."""
+    words = words if isinstance(words, (list, tuple)) else list(words)
+    try:
+        return struct.pack(f">{len(words)}I", *words)
+    except struct.error:
+        return struct.pack(f">{len(words)}I", *map(u32, words))
 
 
 def bytes_to_words(data: bytes) -> list[int]:

@@ -9,20 +9,35 @@ encoded sequence (section 3.2 restriction).
 
 from __future__ import annotations
 
+from itertools import compress, groupby
+
 from repro.linker.program import Program
+
+# Every control transfer, by the first big-endian byte of its word: the
+# primary opcode (the byte's top 6 bits) is 16 (bc/bcl), 17 (sc), 18
+# (b/bl) or 19 (bclr/bcctr/bcctrl), and no other instruction uses those
+# opcodes.  Mapping each word's first byte through the table flags the
+# branches at memchr speed, as ``candidates._ALLOWED_TABLE`` flags the
+# compressible words.
+_BRANCH_TABLE = bytes(
+    1 if (byte >> 2) in (16, 17, 18, 19) else 0 for byte in range(256)
+)
 
 
 def leader_flags(program: Program) -> list[bool]:
     """``flags[i]`` is True when instruction ``i`` starts a basic block.
 
-    Cached on the program (see ``Program._analysis_cache``): block
-    structure is a pure function of the immutable text section, and
-    experiment sweeps ask for it once per encoding configuration.
+    Read from the program's columns: branch targets, function starts
+    (runs of the functions column) and the instruction after each
+    branch (the word table above).  Cached on the program (see
+    ``Program._analysis_cache``): block structure is a pure function of
+    the immutable text section, and experiment sweeps ask for it once
+    per encoding configuration.
     """
     cached = program._analysis_cache.get("leader_flags")
     if cached is not None:
         return cached
-    n = len(program.text)
+    n = len(program)
     flags = [False] * n
     if n == 0:
         program._analysis_cache["leader_flags"] = flags
@@ -31,13 +46,13 @@ def leader_flags(program: Program) -> list[bool]:
     flags[program.entry_index] = True
     for target in program.branch_target_indices():
         flags[target] = True
-    previous_function = None
-    for index, ti in enumerate(program.text):
-        if ti.function != previous_function:
-            flags[index] = True
-            previous_function = ti.function
-        if ti.instruction.spec.is_branch and index + 1 < n:
-            flags[index + 1] = True
+    start = 0
+    for _, run in groupby(program.columns.functions):
+        flags[start] = True
+        start += len(list(run))
+    branches = program.text_bytes()[0::4].translate(_BRANCH_TABLE)
+    for after in compress(range(1, n), branches):
+        flags[after] = True
     program._analysis_cache["leader_flags"] = flags
     return flags
 
@@ -66,7 +81,7 @@ def block_id_map(program: Program) -> list[int]:
     cached = program._analysis_cache.get("block_id_map")
     if cached is not None:
         return cached
-    block_of = [0] * len(program.text)
+    block_of = [0] * len(program)
     for block_id, (start, end) in enumerate(block_ranges(program)):
         for index in range(start, end):
             block_of[index] = block_id

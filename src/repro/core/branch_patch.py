@@ -16,19 +16,20 @@ The patcher works on the item columns of :mod:`repro.core.replace`.
 :func:`layout` is one ``accumulate`` over the items' unit sizes.  Each
 round then checks every entry of the program's relative-branch table
 (:func:`relative_branches`: each branch's index, its target, and its
-offset field's shift, range and mask from ``InstrSpec.encode_plan``)
-and relaxes *every* branch whose offset does not fit.  A relaxation
-only lengthens distances, so a branch that overflows once overflows in
-every later round: relaxing all of them at once reaches the same
-fixpoint as relaxing the first one per round, in a few rounds instead
-of one round per relaxation.  At the fixpoint :func:`offset_word` ORs
+offset field's shift, range and mask from ``InstrSpec.encode_plan``,
+read from the program's targets and words columns) and relaxes *every*
+branch whose offset does not fit.  A relaxation only lengthens
+distances, so a branch that overflows once overflows in every later
+round: relaxing all of them at once reaches the same fixpoint as
+relaxing the first one per round, in a few rounds instead of one round
+per relaxation.  At the fixpoint :func:`offset_word` ORs
 each offset into the branch's carried word; no ``Instruction`` is
 built or encoded.
 
 :func:`tokens_view` builds :class:`~repro.core.replace.Token` objects
 from the columns for the readers that want them.  It derives every
-branch's instruction from the original ``TextInstruction`` and the
-laid-out addresses, never from the patched word, so the invariant
+branch's instruction from the original word and the laid-out
+addresses, never from the patched word, so the invariant
 checker's ``token-word`` rule checks the word patch independently.
 
 This module also computes the paper's Table 1: how many branches lack
@@ -48,8 +49,8 @@ from repro.core.replace import INSTRUCTION, Token, TokenColumns
 from repro.errors import BranchRangeError, CompressionError
 from repro.isa import fields
 from repro.isa.fields import OperandKind
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import InstrSpec, spec_for
+from repro.isa.instruction import Instruction, decode
+from repro.isa.opcodes import RELATIVE_OFFSET_STEPS, InstrSpec, spec_for
 from repro.linker.program import Program
 
 # The unconditional branch a relaxation inserts, before its offset is patched.
@@ -59,6 +60,7 @@ _B_WORD = _B_PLACEHOLDER.encode()
 # BO-field inversion for branch relaxation.
 _INVERT_BO = {12: 4, 4: 12, 8: 0, 0: 8, 16: 18, 18: 16}
 _BO_SHIFT = 32 - fields.BO.start - fields.BO.width
+_BO_MASK = bitutils.mask(fields.BO.width)
 
 # (shift, min, max, mask) of a branch offset field.
 OffsetField = tuple[int, int, int, int]
@@ -81,6 +83,13 @@ def _target_field_width(instruction: Instruction) -> int:
 
 _B_FIELD = _offset_field(_B_PLACEHOLDER.spec)
 
+# Each branch's offset field, by the primary opcode of its word.
+_FIELD_BY_PRIMARY: dict[int, OffsetField] = {
+    primary: (shift, low, high, mask)
+    for primary, (_, shift, _, low, high, mask) in RELATIVE_OFFSET_STEPS.items()
+}
+_BC_PRIMARY = spec_for("bc").match >> 26
+
 
 def offset_word(cleared: int, field: OffsetField, offset: int) -> int | None:
     """``cleared`` (a branch word whose offset field is zero) with
@@ -94,16 +103,17 @@ def offset_word(cleared: int, field: OffsetField, offset: int) -> int | None:
 def relative_branches(program: Program) -> list[tuple[int, int, int, OffsetField]]:
     """Every PC-relative branch of ``program``, in text order, as
     ``(index, target index, word with the offset field cleared, offset
-    field)``.  Cached on the program: its text never changes."""
+    field)``, read from the targets and words columns.  Cached on the
+    program: its text never changes."""
     table = program._analysis_cache.get("relative_branches")
     if table is None:
         words = program.words()
         table = []
-        for index, ti in enumerate(program.text):
-            if ti.target_index is not None:
-                field = _offset_field(ti.instruction.spec)
-                cleared = words[index] & ~(field[3] << field[0])
-                table.append((index, ti.target_index, cleared, field))
+        for index, target in enumerate(program.columns.targets):
+            if target is not None:
+                word = words[index]
+                field = _FIELD_BY_PRIMARY[word >> 26]
+                table.append((index, target, word & ~(field[3] << field[0]), field))
         program._analysis_cache["relative_branches"] = table
     return table
 
@@ -144,20 +154,21 @@ def _relax(
     """Split each overflowing conditional branch into bc-inverted + b.
 
     Inserts the ``b`` items and returns the branches' table entries with
-    BO inverted in the cleared word.
+    BO inverted in the cleared word.  BO is read from the word; only a
+    branch that cannot be relaxed is decoded, to name it.
     """
     addresses = columns.addresses
+    words = program.words()
     relaxed = []
     positions = []
     for index, target, cleared, field in overflow:
         position = bisect_left(addresses, index_to_unit[index])
-        instruction = program.text[index].instruction
-        if instruction.mnemonic not in ("bc", "bcl"):
+        if words[index] >> 26 != _BC_PRIMARY:
             raise BranchRangeError(
-                f"{instruction.mnemonic} at token {position} cannot be "
+                f"{decode(words[index]).mnemonic} at token {position} cannot be "
                 "relaxed and its offset does not fit"
             )
-        bo = instruction.operand("BO")
+        bo = (cleared >> _BO_SHIFT) & _BO_MASK
         if bo not in _INVERT_BO:
             raise BranchRangeError(f"cannot invert BO={bo} for relaxation")
         inverted = cleared ^ (bo ^ _INVERT_BO[bo]) << _BO_SHIFT
@@ -233,13 +244,13 @@ def tokens_view(columns: TokenColumns, program: Program) -> list[Token]:
     """``columns`` as one :class:`~repro.core.replace.Token` per item.
 
     A view built on each call; changing a token changes nothing else.
-    A branch's ``instruction`` is
-    its original ``TextInstruction``'s with the laid-out offset (target
-    unit minus branch unit); a relaxed branch is the BO-inverted skip
-    over the next item, its ``b``.  Nothing is decoded from the patched
-    words, so ``token.instruction.encode() == token.word`` checks them.
+    A branch's ``instruction`` is its original word's, decoded, with the
+    laid-out offset (target unit minus branch unit); a relaxed branch is
+    the BO-inverted skip over the next item, its ``b``.  Nothing is
+    decoded from the patched words, so ``token.instruction.encode() ==
+    token.word`` checks them.
     """
-    text = program.text
+    words, targets = program.words(), program.columns.targets
     kinds, values = columns.kinds, columns.values
     origins, addresses = columns.origins, columns.addresses
     unit_of = dict(zip(origins, addresses))
@@ -251,14 +262,14 @@ def tokens_view(columns: TokenColumns, program: Program) -> list[Token]:
         address = addresses[i]
         size = addresses[i + 1] - address
         if kinds[i]:
-            end = origins[i + 1] if i + 1 < count else len(text)
+            end = origins[i + 1] if i + 1 < count else len(words)
             append(
                 Token("cw", None, None, origin, end - origin, values[i],
                       None, None, address, size)
             )
             continue
         if origin is None:  # the b of a relaxation; its skip precedes it
-            target = text[origins[i - 1]].target_index
+            target = targets[origins[i - 1]]
             instruction = _B_PLACEHOLDER.replace_operand(
                 "target", unit_of[target] - address
             )
@@ -267,8 +278,8 @@ def tokens_view(columns: TokenColumns, program: Program) -> list[Token]:
                       target, None, address, size)
             )
             continue
-        instruction = text[origin].instruction
-        target = text[origin].target_index
+        instruction = decode(words[origin])
+        target = targets[origin]
         token_target = None
         if target is not None:
             if i + 1 < count and origins[i + 1] is None:

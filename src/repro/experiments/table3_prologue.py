@@ -27,9 +27,10 @@ class Row:
 def run(scale: float | None = None) -> list[Row]:
     rows = []
     for name, program in suite_programs(scale).items():
-        total = len(program.text)
-        prologue = sum(1 for ti in program.text if ti.role is InsnRole.PROLOGUE)
-        epilogue = sum(1 for ti in program.text if ti.role is InsnRole.EPILOGUE)
+        roles = program.columns.roles
+        total = len(roles)
+        prologue = roles.count(InsnRole.PROLOGUE)
+        epilogue = roles.count(InsnRole.EPILOGUE)
         rows.append(
             Row(
                 name=name,

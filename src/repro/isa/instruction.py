@@ -68,43 +68,51 @@ class Instruction:
     def encode(self) -> int:
         """Produce the 32-bit word for this instruction.
 
-        Walks the spec's precomputed :attr:`~repro.isa.opcodes.InstrSpec.
-        encode_plan`: one range check and one shifted OR per operand.
+        Raises :class:`~repro.errors.EncodingError` naming the
+        instruction when an operand does not fit its field.
         """
-        word = self.spec.match
         try:
-            for step, value in zip(self.spec.encode_plan, self.values):
-                kind = step[0]
-                if kind == PLAN_UNSIGNED:
-                    if value < 0 or value > step[3]:
-                        raise ValueError(
-                            f"value {value} does not fit in {step[2]} bits"
-                        )
-                    word |= value << step[1]
-                elif kind == PLAN_SPR:
-                    word |= spr_encode(value) << step[1]
-                else:
-                    if kind == PLAN_DISP:
-                        value, base = value
-                    if not step[3] <= value <= step[4]:
-                        raise ValueError(
-                            f"{value} out of range for signed {step[2]}-bit field"
-                        )
-                    word |= (value & step[5]) << step[1]
-                    if kind == PLAN_DISP:
-                        if base < 0 or base > step[8]:
-                            raise ValueError(
-                                f"value {base} does not fit in {step[7]} bits"
-                            )
-                        word |= base << step[6]
+            return encode_values(self.spec, self.values)
         except ValueError as exc:
             raise EncodingError(f"cannot encode {self!r}: {exc}") from exc
-        return word
 
     def __str__(self) -> str:
         from repro.isa.disassembler import format_instruction
 
         return format_instruction(self)
+
+
+def encode_values(spec: InstrSpec, values) -> int:
+    """The word of ``spec`` with operand ``values`` (one per operand).
+
+    Walks the spec's precomputed :attr:`~repro.isa.opcodes.InstrSpec.
+    encode_plan`: one range check and one shifted OR per operand.
+    Raises ``ValueError`` for a value that does not fit its field; the
+    linker encodes each op through here without building an
+    :class:`Instruction`.
+    """
+    word = spec.match
+    for step, value in zip(spec.encode_plan, values):
+        kind = step[0]
+        if kind == PLAN_UNSIGNED:
+            if value < 0 or value > step[3]:
+                raise ValueError(f"value {value} does not fit in {step[2]} bits")
+            word |= value << step[1]
+        elif kind == PLAN_SPR:
+            word |= spr_encode(value) << step[1]
+        else:
+            if kind == PLAN_DISP:
+                value, base = value
+            if not step[3] <= value <= step[4]:
+                raise ValueError(
+                    f"{value} out of range for signed {step[2]}-bit field"
+                )
+            word |= (value & step[5]) << step[1]
+            if kind == PLAN_DISP:
+                if base < 0 or base > step[8]:
+                    raise ValueError(f"value {base} does not fit in {step[7]} bits")
+                word |= base << step[6]
+    return word
 
 
 def make(mnemonic: str, *values) -> Instruction:

@@ -300,6 +300,16 @@ INSTRUCTION_SPECS: tuple[InstrSpec, ...] = (
 
 SPEC_BY_MNEMONIC: dict[str, InstrSpec] = {spec.mnemonic: spec for spec in INSTRUCTION_SPECS}
 
+# The encode-plan step of the PC-relative offset field, by primary
+# opcode (a word's top 6 bits): b and bl share LI, bc and bcl share BD,
+# so a linked branch word alone locates its offset.
+RELATIVE_OFFSET_STEPS: dict[int, tuple] = {
+    spec.match >> 26: step
+    for spec in INSTRUCTION_SPECS
+    for operand, step in zip(spec.operands, spec.encode_plan)
+    if operand.kind is OperandKind.REL_TARGET
+}
+
 _DECODE_INDEX: dict[int, tuple[InstrSpec, ...]] = {}
 for _spec in INSTRUCTION_SPECS:
     _primary = dict(_spec.fixed)[f.OPCD]

@@ -1,9 +1,10 @@
 """Linker substrate: object modules, layout, and the Program container.
 
 The compiler emits :class:`~repro.linker.objfile.ObjectModule` objects;
-:func:`~repro.linker.layout.link` resolves symbols and produces a
-:class:`~repro.linker.program.Program` — the unit on which the
-compression core and the machine simulator operate.
+:func:`~repro.linker.layout.link` resolves symbols, encodes each
+instruction and produces a :class:`~repro.linker.program.Program` (its
+.text held as :class:`~repro.linker.program.TextColumns`) — the unit on
+which the compression core and the machine simulator operate.
 """
 
 from repro.linker.objfile import (
@@ -14,7 +15,7 @@ from repro.linker.objfile import (
     ObjectModule,
 )
 from repro.linker.layout import link
-from repro.linker.program import Program, TextInstruction
+from repro.linker.program import Program, TextColumns, TextInstruction
 
 __all__ = [
     "AsmOp",
@@ -24,5 +25,6 @@ __all__ = [
     "ObjectModule",
     "link",
     "Program",
+    "TextColumns",
     "TextInstruction",
 ]

@@ -5,6 +5,11 @@ libraries are included in the results"): application modules and the
 runtime library are laid out into one .text section, symbols resolved,
 branch offsets encoded at word granularity, and jump tables materialized
 in .data with absolute code addresses.
+
+Each op is encoded into its 32-bit word as soon as it is resolved, and
+the word, its branch target, role, function name and library flag are
+appended to the program's :class:`~repro.linker.program.TextColumns`;
+no per-instruction record is built.
 """
 
 from __future__ import annotations
@@ -14,15 +19,21 @@ from typing import NamedTuple
 from repro import bitutils
 from repro.errors import LinkError
 from repro.isa.fields import OperandKind
-from repro.isa.instruction import Instruction
+from repro.isa.instruction import Instruction, encode_values
 from repro.isa.opcodes import SPEC_BY_MNEMONIC, InstrSpec
-from repro.linker.objfile import AsmOp, DataItem, FunctionUnit, ObjectModule
+from repro.linker.objfile import (
+    AsmOp,
+    DataItem,
+    FunctionUnit,
+    InsnRole,
+    ObjectModule,
+)
 from repro.linker.program import (
     DATA_BASE,
     TEXT_BASE,
     JumpTableSlot,
     Program,
-    TextInstruction,
+    TextColumns,
 )
 
 ENTRY_SYMBOL = "_start"
@@ -54,6 +65,7 @@ class _LinkPlan(NamedTuple):
     """
 
     spec: InstrSpec
+    arity: int
     rel_slot: int | None
     rel_width: int
     imm_slot: int | None
@@ -70,6 +82,7 @@ def _plan(spec: InstrSpec) -> _LinkPlan:
     rel_slot = first(OperandKind.REL_TARGET)
     return _LinkPlan(
         spec,
+        len(spec.operands),
         rel_slot,
         0 if rel_slot is None else spec.operands[rel_slot].field.width,
         first(OperandKind.SIMM, OperandKind.UIMM),
@@ -86,8 +99,11 @@ def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
     """Resolve symbols across ``modules`` and produce a linked Program.
 
     The function named ``_start`` becomes the entry point and is placed
-    first.  Raises :class:`~repro.errors.LinkError` on duplicate or
-    undefined symbols and on out-of-range branch offsets.
+    first.  Each op is encoded as it is resolved, straight into the
+    program's columns.  Raises :class:`~repro.errors.LinkError` on
+    duplicate or undefined symbols and on out-of-range branch offsets,
+    and :class:`~repro.errors.EncodingError` on an operand that does not
+    fit its field or a wrong operand count.
     """
     functions: list[FunctionUnit] = []
     data_items: list[DataItem] = []
@@ -129,11 +145,17 @@ def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
     }
     symbols.update(data_addr)
 
-    # Pass 2: encode instructions with resolved targets.
-    text: list[TextInstruction] = []
+    # Pass 2: encode instructions with resolved targets into the columns.
+    words: list[int] = []
+    targets: list[int | None] = []
+    roles: list[InsnRole] = []
+    functions: list[str] = []
+    libraries: list[bool] = []
     for fn in ordered:
         base = func_base[fn.name]
         labels = fn.labels
+        functions += [fn.name] * len(fn.ops)
+        libraries += [fn.is_library] * len(fn.ops)
         for local_index, op in enumerate(fn.ops):
             plan = _PLANS[op.mnemonic]
             values = op.values
@@ -160,15 +182,18 @@ def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
                 values = _apply_hi(op, plan, values, data_addr, fn.name)
             if op.lo_symbol is not None:
                 values = _apply_lo(op, plan, values, data_addr, fn.name)
-            text.append(
-                TextInstruction(
-                    instruction=Instruction(plan.spec, tuple(values)),
-                    role=op.role,
-                    function=fn.name,
-                    is_library=fn.is_library,
-                    target_index=target_index,
-                )
-            )
+            # A failing op is rebuilt as an Instruction only to raise its
+            # EncodingError (wrong operand count, or a value that does
+            # not fit its field), with the text Instruction.encode gives.
+            if len(values) != plan.arity:
+                Instruction(plan.spec, tuple(values))
+            try:
+                word = encode_values(plan.spec, values)
+            except ValueError:
+                word = Instruction(plan.spec, tuple(values)).encode()
+            words.append(word)
+            targets.append(target_index)
+            roles.append(op.role)
 
     # Jump-table slots: write absolute code addresses into .data.
     slots: list[JumpTableSlot] = []
@@ -188,11 +213,11 @@ def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
             data_image[byte_offset : byte_offset + 4] = address.to_bytes(4, "big")
             slots.append(JumpTableSlot(byte_offset, target_index))
 
-    if total_instructions != len(text):  # pragma: no cover - internal invariant
+    if total_instructions != len(words):  # pragma: no cover - internal invariant
         raise LinkError("layout size mismatch")
     program = Program(
         name=name,
-        text=text,
+        columns=TextColumns(words, targets, roles, functions, libraries),
         data_image=data_image,
         symbols=symbols,
         jump_table_slots=slots,

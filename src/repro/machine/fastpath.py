@@ -25,7 +25,7 @@ just the stream whose every item is an escaped instruction (paper
 section 3.3): the cache runs on
 :class:`~repro.machine.decompressor.StreamColumns`, and a
 :class:`~repro.linker.program.Program` enters as columns built once
-from ``.text`` — one 32-bit unit per item, never a codeword.  The
+from its words — one 32-bit unit per item, never a codeword.  The
 cache's program counter is the *flat instruction position*: the index
 into the concatenated per-item instruction lists.  For
 :class:`~repro.machine.simulator.Simulator` that is its PC index; for
@@ -93,6 +93,7 @@ import time
 
 from repro import observe
 from repro.errors import SimulationError
+from repro.isa.instruction import decode
 from repro.machine import fusion
 from repro.machine.decompressor import (
     StreamColumns,
@@ -513,10 +514,10 @@ def program_cache(program) -> TranslationCache:
     """The per-program translation cache (built on first use)."""
     cache = program._analysis_cache.get("fastpath")
     if cache is None:
-        n = len(program.text)
+        n = len(program)
         columns = StreamColumns(
             list(range(n)), [1] * n, [False] * n, [None] * n,
-            [(text_ins.instruction,) for text_ins in program.text],
+            [(decode(word),) for word in program.words()],
         )
         cache = TranslationCache(
             "program", columns, {4 * i: i for i in range(n)},
@@ -595,13 +596,11 @@ def control_fusion_report(program, counts) -> dict:
         for trace in cache.traces.values()
         if trace.fused
     }
-    text = program.text
-    sites = []
-    for i in range(len(text) - 1):
-        a = text[i].instruction.mnemonic
-        b = text[i + 1].instruction.mnemonic
-        if a in fusion.COMPARE_MNEMONICS and b in fusion.CONTROL_TAIL_MNEMONICS:
-            sites.append(i)
+    mnemonics = fusion.text_mnemonics(program)
+    sites = [
+        i for i, (a, b) in enumerate(zip(mnemonics, mnemonics[1:]))
+        if a in fusion.COMPARE_MNEMONICS and b in fusion.CONTROL_TAIL_MNEMONICS
+    ]
     dynamic_pairs = sum(min(counts[i], counts[i + 1]) for i in sites)
     dynamic_fused = sum(
         min(counts[i], counts[i + 1]) for i in sites if i in fused_sites

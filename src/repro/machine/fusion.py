@@ -70,6 +70,7 @@ from functools import lru_cache
 from repro import bitutils
 from repro.errors import SimulationError
 from repro.isa import registers
+from repro.isa.instruction import decode
 from repro.machine.executor import CONTROL_MNEMONICS
 
 _U = bitutils.WORD_MASK
@@ -196,6 +197,11 @@ def fusion_stats() -> dict:
 # ---------------------------------------------------------------------------
 # Plan mining
 # ---------------------------------------------------------------------------
+def text_mnemonics(program) -> list[str]:
+    """The mnemonic of each instruction of ``program``, from its words."""
+    return [decode(word).mnemonic for word in program.words()]
+
+
 def mine_adjacent_pairs(program, counts) -> Counter:
     """Adjacent fusable template pairs weighted by execution count.
 
@@ -205,10 +211,8 @@ def mine_adjacent_pairs(program, counts) -> Counter:
     instructions can actually have executed back to back.
     """
     pairs: Counter = Counter()
-    text = program.text
-    for i in range(len(text) - 1):
-        a = text[i].instruction.mnemonic
-        b = text[i + 1].instruction.mnemonic
+    mnemonics = text_mnemonics(program)
+    for i, (a, b) in enumerate(zip(mnemonics, mnemonics[1:])):
         if a not in FUSABLE_MNEMONICS or b not in FUSABLE_MNEMONICS:
             continue
         weight = min(counts[i], counts[i + 1])
@@ -233,10 +237,8 @@ def mine_control_pairs(program, counts) -> Counter:
     count_i+1)`` rule as :func:`mine_adjacent_pairs`.
     """
     pairs: Counter = Counter()
-    text = program.text
-    for i in range(len(text) - 1):
-        a = text[i].instruction.mnemonic
-        b = text[i + 1].instruction.mnemonic
+    mnemonics = text_mnemonics(program)
+    for i, (a, b) in enumerate(zip(mnemonics, mnemonics[1:])):
         if a not in CONTROL_LEAD_MNEMONICS or b not in CONTROL_TAIL_MNEMONICS:
             continue
         weight = min(counts[i], counts[i + 1])

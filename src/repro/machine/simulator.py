@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.linker.program import Program
+from repro.linker.program import Program, TextInstruction
 from repro.machine.executor import CONTROL_MNEMONICS, execute_data
 from repro.machine.memory import Memory
 from repro.machine.state import MachineState
@@ -128,11 +128,21 @@ class Simulator:
         # Optional callable(instruction_index), fired by the reference
         # step only: run() takes the reference loop while it is set.
         self.fetch_index_hook = None
+        # The program's records, built by records() on the reference
+        # step's first fetch (the fast engine never reads them).
+        self.text: list[TextInstruction] | None = None
 
     @property
     def fetches(self) -> int:
         """Fetch transactions: one per executed instruction."""
         return self.stats.escaped_instructions
+
+    def records(self) -> list[TextInstruction]:
+        """The program's records, built from its text view once and
+        kept in ``self.text`` for every later fetch."""
+        if self.text is None:
+            self.text = list(self.program.text)
+        return self.text
 
     # ------------------------------------------------------------------
     def _link_address(self) -> int:
@@ -154,7 +164,8 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Execute one instruction (reference interpreter)."""
-        if not 0 <= self.pc < len(self.program.text):
+        text = self.text or self.records()
+        if not 0 <= self.pc < len(text):
             raise SimulationError(
                 f"PC index {self.pc} out of .text", step=self.state.steps
             )
@@ -165,7 +176,7 @@ class Simulator:
         self.stats.units_fetched += 1
         self.stats.escaped_instructions += 1
         self.stats.instructions_issued += 1
-        ins = self.program.text[self.pc].instruction
+        ins = text[self.pc].instruction
         name = ins.mnemonic
         if name not in CONTROL_MNEMONICS:
             execute_data(ins, self.state, self.memory)
@@ -276,7 +287,7 @@ def profile_program(
     count through ``fetch_index_hook`` — neither pays the old
     address→index lookup per fetched instruction.
     """
-    counts = [0] * len(program.text)
+    counts = [0] * len(program)
     simulator = Simulator(
         program, max_steps=max_steps, implementation=implementation
     )

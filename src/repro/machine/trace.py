@@ -37,7 +37,7 @@ def trace_program(program: Program, limit: int = 1000) -> list[TraceEntry]:
     entries: list[TraceEntry] = []
     while not simulator.state.halted and len(entries) < limit:
         index = simulator.pc
-        ins = program.text[index].instruction
+        ins = simulator.records()[index].instruction
         entries.append(
             TraceEntry(
                 position=len(entries),

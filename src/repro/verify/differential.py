@@ -213,11 +213,12 @@ class _OriginalLane(_Lane):
 
     def peek(self) -> Instruction:
         sim = self.sim
-        if not 0 <= sim.pc < len(sim.program.text):
+        text = sim.text or sim.records()
+        if not 0 <= sim.pc < len(text):
             raise SimulationError(
                 f"PC index {sim.pc} out of .text", step=sim.state.steps
             )
-        return sim.program.text[sim.pc].instruction
+        return text[sim.pc].instruction
 
     def step(self) -> None:
         self._step()

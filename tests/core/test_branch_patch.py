@@ -56,7 +56,9 @@ def hand_built(items):
             kinds.append(CODEWORD)
             values.append(rank)
             text += [_FILLER] * length
-    program = Program(name="hand", text=text, data_image=bytearray(), symbols={})
+    program = Program.from_records(
+        name="hand", text=text, data_image=bytearray(), symbols={}
+    )
     return program, TokenColumns(kinds, values, origins)
 
 
@@ -263,7 +265,7 @@ class TestJumpTableRewrite:
             TextInstruction(make("addi", 3, 3, 1), InsnRole.BODY, "f", False)
             for _ in range(8)
         ]
-        return Program(
+        return Program.from_records(
             name="jt",
             text=text,
             data_image=bytearray(8),
@@ -328,7 +330,7 @@ def _branch(spec, **values):
 def _table_entry(instruction):
     """The relative-branch table's (cleared word, offset field) for a
     program holding only ``instruction``."""
-    program = Program(
+    program = Program.from_records(
         name="one",
         text=[TextInstruction(instruction, InsnRole.BODY, "f", False, 0)],
         data_image=bytearray(),

@@ -134,7 +134,9 @@ def _programs(draw):
             False,
             target_index=target,
         )
-    return Program(name="prop", text=text, data_image=bytearray(), symbols={})
+    return Program.from_records(
+        name="prop", text=text, data_image=bytearray(), symbols={}
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -39,7 +39,7 @@ def _token_streams(draw):
             kinds.append(INSTRUCTION)
             values.append(_ADDI.word)
             orig_index += 1
-    program = Program(
+    program = Program.from_records(
         name="random", text=[_ADDI] * orig_index, data_image=bytearray(), symbols={}
     )
     return encoding, TokenColumns(kinds, values, origins), program

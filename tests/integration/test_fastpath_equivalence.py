@@ -128,7 +128,9 @@ def _branchy_programs(draw):
     text.extend(
         TextInstruction(ins, InsnRole.BODY, "f", False) for ins in epilogue
     )
-    return Program(name="branchy", text=text, data_image=bytearray(), symbols={})
+    return Program.from_records(
+        name="branchy", text=text, data_image=bytearray(), symbols={}
+    )
 
 
 @settings(max_examples=50, deadline=None)

@@ -53,7 +53,9 @@ def _program(name, rows):
         else TextInstruction(ins, InsnRole.BODY, "f", False)
         for ins, target in rows
     ]
-    return Program(name=name, text=text, data_image=bytearray(), symbols={})
+    return Program.from_records(
+        name=name, text=text, data_image=bytearray(), symbols={}
+    )
 
 
 def _branchy_program(exit_code=7):

@@ -127,7 +127,9 @@ def _program(name):
         TextInstruction(ins, InsnRole.BODY, "f", False, target_index=target)
         for ins, target in rows
     ]
-    return Program(name=name, text=text, data_image=bytearray(), symbols={})
+    return Program.from_records(
+        name=name, text=text, data_image=bytearray(), symbols={}
+    )
 
 
 def _image(name, engine):

@@ -44,7 +44,9 @@ def _straightline_program():
     text = [
         TextInstruction(ins, InsnRole.BODY, "f", False) for ins in instructions
     ]
-    return Program(name="straight", text=text, data_image=bytearray(), symbols={})
+    return Program.from_records(
+        name="straight", text=text, data_image=bytearray(), symbols={}
+    )
 
 
 class TestCleanPrograms:

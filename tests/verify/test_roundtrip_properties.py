@@ -50,7 +50,7 @@ def _programs(draw):
         TextInstruction(ins, InsnRole.BODY, "f", False)
         for ins in instructions
     ]
-    return Program(
+    return Program.from_records(
         name="prop", text=text, data_image=bytearray(), symbols={}
     )
 
