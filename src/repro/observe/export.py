@@ -17,7 +17,7 @@ Two wire formats:
 * **Prometheus text exposition** — :func:`prometheus_snapshot` renders
   a :class:`~repro.service.metrics.MetricsRegistry` (or its
   :meth:`as_dict` snapshot) as ``# HELP``/``# TYPE``-annotated counter
-  / summary / histogram families, with timer percentiles as
+  and summary families, with each timer's own percentiles as
   ``quantile`` labels and per-tenant ``server.trace.count.*`` counters
   folded into one ``tenant``-labeled family.
   :func:`lint_prometheus` checks a rendered exposition for HELP/TYPE
@@ -27,7 +27,6 @@ Two wire formats:
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from pathlib import Path
@@ -283,18 +282,25 @@ def prometheus_snapshot(registry) -> str:
 
     ``registry`` is a :class:`~repro.service.metrics.MetricsRegistry`
     or the dict its :meth:`as_dict` produces.  Counters become
-    ``counter`` families, timers become ``summary`` families with
-    p50/p90/p99 ``quantile`` labels, histograms become cumulative
-    ``histogram`` families with ``le`` bucket labels.  Every family
+    ``counter`` families; timers become ``summary`` families whose
+    p50/p90/p99 ``quantile`` labels come from
+    :meth:`~repro.service.metrics.Timer.percentile`.  Every family
     carries a ``# HELP``/``# TYPE`` pair, and per-tenant
     ``server.trace.count.*`` counters fold into a single
     ``tenant``-labeled family.
     """
-    snapshot = registry.as_dict() if hasattr(registry, "as_dict") else registry
+    if isinstance(registry, dict):
+        # Imported here: the service layer imports this package.  A
+        # snapshot is folded into a registry so that only the metrics
+        # module reads its format.
+        from repro.service.metrics import MetricsRegistry
+
+        snapshot, registry = registry, MetricsRegistry()
+        registry.merge(snapshot)
     lines: list[str] = []
     plain: dict[str, int] = {}
     labeled: dict[str, list[tuple[str, str, int]]] = {}
-    for name, value in snapshot.get("counters", {}).items():
+    for name, value in registry.counters().items():
         for prefix, family, label in _LABELED_COUNTER_FAMILIES:
             if name.startswith(prefix) and len(name) > len(prefix):
                 labeled.setdefault(family, []).append(
@@ -315,46 +321,19 @@ def prometheus_snapshot(registry) -> str:
             lines.append(
                 f'{family}{{{label}="{_escape_label(key)}"}} {value}'
             )
-    for name in sorted(snapshot.get("timers", {})):
-        data = snapshot["timers"][name]
+    for name, timer in sorted(registry.timers().items()):
         metric = _prom_name(name) + "_seconds"
-        lines.append(
-            f"# HELP {metric} Timer {name!r} in seconds (reservoir "
-            f"quantiles)."
-        )
+        lines.append(f"# HELP {metric} Timer {name!r} in seconds.")
         lines.append(f"# TYPE {metric} summary")
-        for quantile, value in _timer_quantiles(data):
-            lines.append(f'{metric}{{quantile="{quantile}"}} {_fmt(value)}')
-        lines.append(f"{metric}_sum {_fmt(data['total_seconds'])}")
-        lines.append(f"{metric}_count {data['count']}")
-    for name in sorted(snapshot.get("histograms", {})):
-        data = snapshot["histograms"][name]
-        metric = _prom_name(name)
-        lines.append(f"# HELP {metric} Histogram {name!r}.")
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for bound, count in zip(data["bounds"], data["counts"]):
-            cumulative += count
-            lines.append(f'{metric}_bucket{{le="{_fmt(bound)}"}} {cumulative}')
-        cumulative += data["counts"][-1]
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
-        lines.append(f"{metric}_sum {_fmt(data['sum'])}")
-        lines.append(f"{metric}_count {data['total']}")
+        if timer.count:
+            for percent in (50, 90, 99):
+                lines.append(
+                    f'{metric}{{quantile="{percent / 100:g}"}} '
+                    f"{_fmt(timer.percentile(percent))}"
+                )
+        lines.append(f"{metric}_sum {_fmt(timer.total_seconds)}")
+        lines.append(f"{metric}_count {timer.count}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _timer_quantiles(data: dict) -> list[tuple[str, float]]:
-    """Nearest-rank (ceil) quantiles over the reservoir — always an
-    observed sample, never an extrapolation past the max."""
-    samples = sorted(data.get("samples", ()))
-    if not samples:
-        return []
-    quantiles = []
-    for quantile in (0.5, 0.9, 0.99):
-        rank = math.ceil(quantile * len(samples)) - 1
-        rank = max(0, min(len(samples) - 1, rank))
-        quantiles.append((f"{quantile:g}", samples[rank]))
-    return quantiles
 
 
 _METADATA_RE = re.compile(r"^# (HELP|TYPE) (\S+)(?: (.*))?$")

@@ -85,22 +85,6 @@ class Recorder:
             self.spans.clear()
             self.metrics.clear()
 
-    def stage_seconds(self) -> dict[str, float]:
-        """Total seconds per span name, summed across all buffered trees.
-
-        One entry per distinct span name — the hierarchical analogue of
-        the old flat ``(stage, seconds)`` capture.
-        """
-        totals: dict[str, float] = {}
-        with self._lock:
-            roots = list(self.spans)
-        for root in roots:
-            for node in root.walk():
-                totals[node.name] = (
-                    totals.get(node.name, 0.0) + node.duration_seconds
-                )
-        return totals
-
     def capture(self) -> dict:
         """JSON-ready snapshot: serialized span trees + metric totals."""
         with self._lock:

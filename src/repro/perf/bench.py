@@ -61,6 +61,7 @@ from repro.machine.decompressor import (
 )
 from repro.machine.simulator import Simulator, profile_program
 from repro.observe import Recorder, RunLedger, make_record
+from repro.observe.report import aggregate_stage_seconds
 from repro.service.metrics import MetricsRegistry
 from repro.service.pool import run_batch
 from repro.workloads import build_benchmark
@@ -278,7 +279,7 @@ def _bench_encoding(
         if repeats > 1
         else single_wall,
     )
-    result["stage_seconds"] = recorder.stage_seconds()
+    result["stage_seconds"] = aggregate_stage_seconds(recorder.spans)
     result["candidates_count"] = recorder.metrics.get("candidates.count", 0)
     if ledger is not None:
         ledger.append(make_record(

@@ -14,8 +14,8 @@ returns the ``service`` block that ``repro-bench --load`` stores in
   *open-loop* (a dispatcher submits at ``rate`` jobs/sec regardless of
   completions, waiters collect the terminal events);
 * per-job latency is submit-to-terminal-SSE wall time, recorded in a
-  :class:`~repro.service.metrics.MetricsRegistry` timer whose
-  reservoir yields the reported p50/p90/p99;
+  :class:`~repro.service.metrics.MetricsRegistry` timer whose log
+  buckets yield the reported p50/p90/p99;
 * a **hog** tenant with a deliberately tight quota bursts submissions
   at the end, so the block always demonstrates 429 + ``Retry-After``
   admission control and the rejection counters it feeds.
@@ -336,7 +336,7 @@ def _closed_loop(
                 with lock:
                     errors.append(str(exc))
                 return
-            _record(registry, outcome, latency, data, tenant, rows)
+            _record(registry, lock, outcome, latency, data, tenant, rows)
 
     threads = [
         threading.Thread(target=client, args=(worker,), daemon=True)
@@ -371,7 +371,7 @@ def _open_loop(
         # Open-loop latency includes queueing behind the arrival
         # process, measured from the intended arrival time.
         _record(
-            registry, outcome, time.perf_counter() - submitted, data,
+            registry, lock, outcome, time.perf_counter() - submitted, data,
             tenant, rows,
         )
 
@@ -398,43 +398,47 @@ def _open_loop(
 
 def _record(
     registry: MetricsRegistry,
+    lock: threading.Lock,
     outcome: str,
     latency: float,
     data: dict,
     tenant: str | None = None,
     rows: list[dict] | None = None,
 ) -> None:
-    if rows is not None:
-        # One attribution row per measured job; list.append is atomic
-        # under the GIL, so the client threads share the list lock-free.
-        rows.append({
-            "trace_id": data.get("trace_id"),
-            "outcome": outcome,
-            "latency_seconds": latency,
-            "cache_hit": bool(data.get("cache_hit")),
-            "tenant": tenant,
-            "submit_retries": data.get("submit_retries", 0),
-        })
-    retries = data.get("submit_retries", 0)
-    if retries:
-        registry.counter("load.submit_retries").inc(retries)
-    if outcome == "rejected":
-        reason = data.get("reason") or "quota"
-        registry.counter(f"load.rejected.{reason}").inc()
-        return
-    registry.counter(f"load.{outcome}").inc()
-    if outcome == "completed":
-        registry.timer("load.latency").observe(latency)
-        if data.get("cache_hit"):
-            registry.counter("load.cache_hits").inc()
-        else:
-            registry.counter("load.cache_misses").inc()
-        if data.get("meta", {}).get("verify") == "full":
-            registry.counter("load.verified_full").inc()
-    elif outcome == "failed":
-        error = data.get("error") or ""
-        if "VerificationError" in error:
-            registry.counter("load.divergences").inc()
+    """Fold one job's outcome into ``registry`` (and ``rows``) under
+    ``lock``: the client threads share both, and a counter or timer
+    update is a read-modify-write a thread switch can split."""
+    with lock:
+        if rows is not None:
+            # One attribution row per measured job.
+            rows.append({
+                "trace_id": data.get("trace_id"),
+                "outcome": outcome,
+                "latency_seconds": latency,
+                "cache_hit": bool(data.get("cache_hit")),
+                "tenant": tenant,
+                "submit_retries": data.get("submit_retries", 0),
+            })
+        retries = data.get("submit_retries", 0)
+        if retries:
+            registry.counter("load.submit_retries").inc(retries)
+        if outcome == "rejected":
+            reason = data.get("reason") or "quota"
+            registry.counter(f"load.rejected.{reason}").inc()
+            return
+        registry.counter(f"load.{outcome}").inc()
+        if outcome == "completed":
+            registry.timer("load.latency").observe(latency)
+            if data.get("cache_hit"):
+                registry.counter("load.cache_hits").inc()
+            else:
+                registry.counter("load.cache_misses").inc()
+            if data.get("meta", {}).get("verify") == "full":
+                registry.counter("load.verified_full").inc()
+        elif outcome == "failed":
+            error = data.get("error") or ""
+            if "VerificationError" in error:
+                registry.counter("load.divergences").inc()
 
 
 #: Rows kept in the ``tail_latency`` attribution table.
@@ -519,9 +523,7 @@ def run_load(config: LoadConfig) -> dict:
             hog = _hog_burst(address, config, registry)
             _, _, stats = _request(address, "GET", "/v1/stats")
 
-    latency = registry.timer("load.latency")
-    latency_quantiles = latency.percentiles()
-    counters = registry.as_dict()["counters"]
+    counters = registry.counters()
     completed = counters.get("load.completed", 0)
     hits = counters.get("load.cache_hits", 0)
     misses = counters.get("load.cache_misses", 0)
@@ -552,12 +554,7 @@ def run_load(config: LoadConfig) -> dict:
             "misses": misses,
             "measured_hit_rate": hits / lookups if lookups else 0.0,
         },
-        "latency": {
-            "count": latency.count,
-            "quantile_samples": latency_quantiles.pop("count"),
-            "mean_seconds": latency.mean_seconds,
-            **latency_quantiles,
-        },
+        "latency": registry.timer("load.latency").summary(),
         "tail_latency": _tail_latency(rows),
         "throughput_jobs_per_second": (
             completed / measured_wall if measured_wall > 0 else 0.0

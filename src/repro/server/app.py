@@ -525,7 +525,6 @@ class CompressionServer:
         self._completed += 1
         self.metrics.counter("jobs.completed").inc()
         self.metrics.timer("job.wall").observe(wall)
-        self.metrics.histogram("job.seconds").observe(wall)
         self._ledger_record(
             state.job_id, "completed", cache_hit=cache_hit, meta=meta,
             wall_seconds=wall,
@@ -757,22 +756,14 @@ class CompressionServer:
         for state in self.jobs.values():
             by_status[state.status] = by_status.get(state.status, 0) + 1
         cache_stats = self.cache.stats
-        snapshot = self.metrics.as_dict()
-        wall = self.metrics.timer("job.wall")
-        wall_quantiles = wall.percentiles()
         return {
             "uptime_seconds": time.monotonic() - self._started_monotonic,
             "draining": self.draining,
             "queue_depth": self.queue_depth,
             "jobs": by_status,
             "resumed": self.resumed_jobs,
-            "counters": snapshot["counters"],
-            "job_wall": {
-                "count": wall.count,
-                "quantile_samples": wall_quantiles.pop("count"),
-                "mean_seconds": wall.mean_seconds,
-                **wall_quantiles,
-            },
+            "counters": self.metrics.counters(),
+            "job_wall": self.metrics.timer("job.wall").summary(),
             "cache": {
                 **cache_stats.as_dict(),
                 "shards": self.cache.shards,

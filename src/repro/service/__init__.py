@@ -10,8 +10,8 @@ call chain into a *service* shape:
   memory front, size-budget eviction, corruption quarantine);
 * :mod:`repro.service.pool` — :func:`run_batch`, per-job worker
   processes with timeout, crash retry, and an in-process fallback;
-* :mod:`repro.service.metrics` — :class:`MetricsRegistry`, counters/
-  timers/histograms wired into the pipeline's
+* :mod:`repro.service.metrics` — :class:`MetricsRegistry`, counters
+  and log-bucketed latency timers wired into the pipeline's
   :mod:`repro.observe` stage marks.
 
 Typical use::
@@ -34,7 +34,7 @@ from repro.service.cache import (
     CacheStats,
 )
 from repro.service.jobs import PIPELINE_VERSION, CompressionJob
-from repro.service.metrics import Counter, Histogram, MetricsRegistry, Timer
+from repro.service.metrics import Counter, MetricsRegistry, Timer
 from repro.service.pool import JobResult, execute_job, run_batch
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "CacheStats",
     "CompressionJob",
     "Counter",
-    "Histogram",
     "JobResult",
     "MetricsRegistry",
     "PIPELINE_VERSION",

@@ -1,47 +1,52 @@
-"""Counters, timers, and histograms for the batch service.
+"""Counters and timers for the batch service.
 
 A :class:`MetricsRegistry` is a plain in-process collection of named
 instruments:
 
 * :class:`Counter` — a monotonically increasing integer (jobs
   completed, cache hits, bytes saved);
-* :class:`Timer` — accumulated wall time plus an event count and a
-  bounded sample reservoir for p50/p90/p99 percentiles, with a
-  context-manager form (per-stage compile/compress timing);
-* :class:`Histogram` — fixed-boundary bucket counts (job latency
-  distribution).
+* :class:`Timer` — the one latency instrument: accumulated wall time,
+  an event count, the exact min and max and a sparse map of log-scaled
+  buckets (HDR-style, :data:`BUCKETS_PER_OCTAVE` per power of two) from
+  which every p50/p90/p99 is read, with a context-manager form
+  (per-stage compile/compress timing).
 
 Registries serialize to plain dicts (:meth:`MetricsRegistry.as_dict`)
 so worker processes can ship their measurements back to the parent,
-which folds them in with :meth:`MetricsRegistry.merge`.  A registry can
-also :meth:`~MetricsRegistry.install` itself as a
-:class:`repro.observe.Recorder`: every span in a completed trace tree
-becomes a ``stage.<name>`` timer observation and every point metric a
-counter.  Installation is **concurrency-safe** — recorders compose
-instead of swapping a process-wide callback, so two registries
-installed at once (two service batches, a pool worker's inline
-fallback racing a foreground batch) each receive every run started in
-their own scope and never steal or drop each other's observations.
-The library default remains a no-op when nothing is installed.
+which folds them in with :meth:`MetricsRegistry.merge`.  Merging adds
+bucket counts, so merged worker snapshots equal one timer that
+observed every value.  Within :meth:`MetricsRegistry.installed` a
+registry observes :mod:`repro.observe`: every span in a completed
+trace tree becomes a ``stage.<name>`` timer observation and every
+point metric a counter.  Installation is **concurrency-safe** —
+recorders compose instead of swapping a process-wide callback, so two
+registries installed at once (two service batches, a pool worker's
+inline fallback racing a foreground batch) each receive every run
+started in their own scope and never steal or drop each other's
+observations.  The library default remains a no-op when nothing is
+installed.
+
+Instruments take no lock: code that feeds one registry from several
+threads serializes its updates (the installed recorder holds its own
+lock; the load harness records under its clients' lock).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import contextmanager
 
 from repro.observe import Recorder, Span
 
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0,
-)
-
-#: Per-timer sample-reservoir cap; beyond it the reservoir is decimated
-#: (every other sample kept, stride doubled) so memory stays bounded
-#: while the percentile estimate keeps covering the whole history.
-TIMER_SAMPLE_CAP = 2048
+#: Log-scaled timer buckets per power of two (HDR-style).  Bucket
+#: ``key`` holds the values in ``[2**(key/64), 2**((key+1)/64))``: its
+#: edges are a factor 2**(1/64) apart, so its middle lies within
+#: (2**(1/64) - 1) / 2 < 1/128 of any value in it, the bound on every
+#: reported quantile.
+BUCKETS_PER_OCTAVE = 64
 
 #: The labeled percentiles every timer summary reports.
 TIMER_PERCENTILES = (50, 90, 99)
@@ -62,61 +67,76 @@ class Counter:
 
 
 class Timer:
-    """Accumulated seconds + event count + percentile samples."""
+    """Accumulated seconds, event count, exact min/max and log buckets."""
 
-    __slots__ = ("total_seconds", "count", "samples", "_stride", "_skip")
+    __slots__ = ("total_seconds", "count", "min", "max", "buckets")
 
     def __init__(self) -> None:
         self.total_seconds = 0.0
         self.count = 0
-        #: Bounded reservoir of raw observations (deterministically
-        #: decimated past :data:`TIMER_SAMPLE_CAP`).
-        self.samples: list[float] = []
-        self._stride = 1
-        self._skip = 0
+        self.min = math.inf
+        self.max = -math.inf
+        #: Observations per bucket key (see :data:`BUCKETS_PER_OCTAVE`).
+        self.buckets: dict[int, int] = {}
 
     def observe(self, seconds: float) -> None:
         self.total_seconds += seconds
         self.count += 1
-        if self._skip:
-            self._skip -= 1
-            return
-        self._skip = self._stride - 1
-        self.samples.append(seconds)
-        if len(self.samples) > TIMER_SAMPLE_CAP:
-            self.samples = self.samples[::2]
-            self._stride *= 2
+        if seconds < self.min:
+            self.min = seconds
+        if seconds > self.max:
+            self.max = seconds
+        # Zero (a clock that did not tick) shares the lowest bucket.
+        key = math.floor(
+            math.log2(max(seconds, sys.float_info.min)) * BUCKETS_PER_OCTAVE
+        )
+        self.buckets[key] = self.buckets.get(key, 0) + 1
 
     @property
     def mean_seconds(self) -> float:
         return self.total_seconds / self.count if self.count else 0.0
 
     def percentile(self, percent: float) -> float:
-        """Nearest-rank (ceil) percentile over the sample reservoir.
+        """Nearest-rank (ceil) percentile over every observation.
 
-        Always returns an *observed* value — on small reservoirs the
-        high quantiles clamp to the max rather than extrapolating past
-        it — and 0 when the reservoir is empty.
+        The first rank reports the exact minimum and the last the exact
+        maximum.  Any other rank reports the middle of its bucket,
+        clipped to ``[min, max]``: within 1/128 of the value observed at
+        that rank, and never past the largest value observed.  0 when
+        nothing was observed.
         """
-        if not self.samples:
+        if not self.count:
             return 0.0
-        ordered = sorted(self.samples)
-        rank = math.ceil(percent / 100.0 * len(ordered)) - 1
-        return ordered[max(0, min(len(ordered) - 1, rank))]
+        rank = math.ceil(percent * self.count / 100)
+        if rank <= 1:
+            return self.min
+        if rank >= self.count:
+            return self.max
+        seen = 0
+        for key, count in sorted(self.buckets.items()):
+            seen += count
+            if seen >= rank:
+                break
+        low = 2.0 ** (key / BUCKETS_PER_OCTAVE)
+        high = 2.0 ** ((key + 1) / BUCKETS_PER_OCTAVE)
+        return (max(low, self.min) + min(high, self.max)) / 2
 
     def percentiles(self) -> dict[str, float]:
-        """The labeled summary percentiles plus the reservoir size.
-
-        The ``count`` field is the number of *retained* samples the
-        quantiles were computed from (capped at ``TIMER_SAMPLE_CAP``),
-        so downstream reports can flag low-confidence quantiles.
-        """
+        """The labeled summary percentiles plus the observation count."""
         quantiles: dict[str, float] = {
             f"p{percent}": self.percentile(percent)
             for percent in TIMER_PERCENTILES
         }
-        quantiles["count"] = len(self.samples)
+        quantiles["count"] = self.count
         return quantiles
+
+    def summary(self) -> dict[str, float]:
+        """``count``, ``mean_seconds`` and the labeled percentiles."""
+        return {
+            "count": self.count,
+            "mean_seconds": self.mean_seconds,
+            **self.percentiles(),
+        }
 
     @contextmanager
     def time(self) -> Iterator[None]:
@@ -127,58 +147,35 @@ class Timer:
             self.observe(time.perf_counter() - start)
 
 
-class Histogram:
-    """Cumulative-style histogram over fixed bucket boundaries.
+class _RegistryRecorder(Recorder):
+    """Adapter folding observed spans/metrics into a registry.
 
-    ``counts[i]`` is the number of observations ``<= bounds[i]``;
-    the final slot counts overflows.
+    Spans and metrics may arrive from several threads at once, so each
+    delivery runs under the base recorder's lock.
     """
 
-    __slots__ = ("bounds", "counts", "total", "sum")
-
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self.bounds = tuple(sorted(bounds))
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                break
-        else:
-            self.counts[-1] += 1
-        self.total += 1
-        self.sum += value
-
-
-class _RegistryRecorder(Recorder):
-    """Adapter folding observed spans/metrics into a registry."""
-
-    def __init__(self, registry: "MetricsRegistry", prefix: str) -> None:
-        super().__init__(name=f"registry:{prefix}")
+    def __init__(self, registry: "MetricsRegistry") -> None:
+        super().__init__(name="registry")
         self._registry = registry
-        self._prefix = prefix
 
     def on_span(self, root: Span) -> None:
-        for node in root.walk():
-            self._registry.timer(self._prefix + node.name).observe(
-                node.duration_seconds
-            )
+        with self._lock:
+            for node in root.walk():
+                self._registry.timer("stage." + node.name).observe(
+                    node.duration_seconds
+                )
 
     def on_metric(self, name: str, value: int) -> None:
-        self._registry.counter(name).inc(value)
+        with self._lock:
+            self._registry.counter(name).inc(value)
 
 
 class MetricsRegistry:
-    """Named counters/timers/histograms with dict round-tripping."""
+    """Named counters/timers with dict round-tripping."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._timers: dict[str, Timer] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._recorder: _RegistryRecorder | None = None
 
     # -- instrument accessors (create on first use) --------------------
     def counter(self, name: str) -> Counter:
@@ -187,73 +184,45 @@ class MetricsRegistry:
     def timer(self, name: str) -> Timer:
         return self._timers.setdefault(name, Timer())
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._histograms.setdefault(name, Histogram(bounds))
+    def counters(self) -> dict[str, int]:
+        """Counter values by name."""
+        return {
+            name: counter.value for name, counter in self._counters.items()
+        }
 
     def timers(self) -> dict[str, Timer]:
         """A snapshot view of the named timers (read-only use)."""
         return dict(self._timers)
 
     # -- pipeline span hook ---------------------------------------------
-    def install(
-        self, prefix: str = "stage.", *, process_wide: bool = False
-    ) -> None:
-        """Observe :mod:`repro.observe` spans/metrics until
-        :meth:`uninstall`: every span in a completed trace becomes a
-        ``<prefix><name>`` timer observation, point metrics
-        (``candidates.count``, ``decode_cache.hits``, ...) become
-        counters under their own names.
-
-        Context-scoped by default (only runs started in this context
-        are observed, so concurrent registries see disjoint runs);
-        pass ``process_wide=True`` to observe every run in the process.
-        Any number of registries may be installed at once.
-        """
-        if self._recorder is not None:
-            return
-        self._recorder = _RegistryRecorder(self, prefix)
-        self._recorder.install(process_wide=process_wide)
-
-    def uninstall(self) -> None:
-        if self._recorder is not None:
-            self._recorder.uninstall()
-            self._recorder = None
-
     @contextmanager
-    def installed(
-        self, prefix: str = "stage.", *, process_wide: bool = False
-    ) -> Iterator["MetricsRegistry"]:
-        self.install(prefix, process_wide=process_wide)
-        try:
+    def installed(self) -> Iterator["MetricsRegistry"]:
+        """Observe :mod:`repro.observe` spans/metrics inside the block:
+        every span in a completed trace becomes a ``stage.<name>`` timer
+        observation, point metrics (``candidates.count``,
+        ``decode_cache.hits``, ...) become counters under their own
+        names.
+
+        Context-scoped: only runs started in this context are observed,
+        so concurrent registries see disjoint runs.  Any number of
+        registries may be installed at once.
+        """
+        with _RegistryRecorder(self):
             yield self
-        finally:
-            self.uninstall()
 
     # -- serialization --------------------------------------------------
     def as_dict(self) -> dict:
         return {
-            "counters": {
-                name: counter.value for name, counter in self._counters.items()
-            },
+            "counters": self.counters(),
             "timers": {
                 name: {
                     "count": timer.count,
                     "total_seconds": timer.total_seconds,
-                    "samples": list(timer.samples),
-                    "stride": timer._stride,
+                    "min": timer.min,
+                    "max": timer.max,
+                    "buckets": dict(timer.buckets),
                 }
                 for name, timer in self._timers.items()
-            },
-            "histograms": {
-                name: {
-                    "bounds": list(histogram.bounds),
-                    "counts": list(histogram.counts),
-                    "total": histogram.total,
-                    "sum": histogram.sum,
-                }
-                for name, histogram in self._histograms.items()
             },
         }
 
@@ -265,29 +234,10 @@ class MetricsRegistry:
             timer = self.timer(name)
             timer.count += data["count"]
             timer.total_seconds += data["total_seconds"]
-            # A retained sample stands for ``stride`` observations, so
-            # the finer reservoir is decimated to the coarser stride
-            # (both are powers of two) before the two are concatenated.
-            samples = list(data.get("samples", ()))
-            stride = data.get("stride", 1)
-            while timer._stride < stride:
-                timer.samples = timer.samples[::2]
-                timer._stride *= 2
-            while stride < timer._stride:
-                samples = samples[::2]
-                stride *= 2
-            timer.samples.extend(samples)
-            while len(timer.samples) > TIMER_SAMPLE_CAP:
-                timer.samples = timer.samples[::2]
-                timer._stride *= 2
-        for name, data in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name, data["bounds"])
-            if tuple(data["bounds"]) != histogram.bounds:
-                raise ValueError(f"histogram {name!r} bucket bounds differ")
-            for index, count in enumerate(data["counts"]):
-                histogram.counts[index] += count
-            histogram.total += data["total"]
-            histogram.sum += data["sum"]
+            timer.min = min(timer.min, data["min"])
+            timer.max = max(timer.max, data["max"])
+            for key, count in data["buckets"].items():
+                timer.buckets[key] = timer.buckets.get(key, 0) + count
 
     # -- reporting -------------------------------------------------------
     def report(self) -> str:
@@ -310,17 +260,4 @@ class MetricsRegistry:
                     f"{quantiles['p90'] * 1e3:.2f}/"
                     f"{quantiles['p99'] * 1e3:.2f}ms"
                 )
-        if self._histograms:
-            lines.append("histograms:")
-            for name in sorted(self._histograms):
-                histogram = self._histograms[name]
-                buckets = "  ".join(
-                    f"<={bound:g}:{count}"
-                    for bound, count in zip(histogram.bounds, histogram.counts)
-                    if count
-                )
-                overflow = histogram.counts[-1]
-                if overflow:
-                    buckets += f"  >{histogram.bounds[-1]:g}:{overflow}"
-                lines.append(f"  {name} (n={histogram.total}): {buckets or '-'}")
         return "\n".join(lines) if lines else "(no metrics recorded)"

@@ -180,7 +180,6 @@ def run_batch(
             registry.counter("jobs.cancelled").inc()
             continue
         registry.timer("job.wall").observe(result.wall_seconds)
-        registry.histogram("job.seconds").observe(result.wall_seconds)
         if result.ok:
             registry.counter("jobs.completed").inc()
             saved = result.meta.get("original_bytes", 0) - result.meta.get(

@@ -283,8 +283,8 @@ def main(argv: list[str] | None = None) -> int:
 def _stage_summary(registry: MetricsRegistry) -> str:
     """One-line-per-stage wall-time summary (always printed).
 
-    Each line carries the labeled latency percentiles (p50/p90/p99 over
-    the timer's sample reservoir) next to the total, so tail latency is
+    Each line carries the labeled latency percentiles (p50/p90/p99 from
+    the timer's log buckets) next to the total, so tail latency is
     visible without ``--metrics``.
     """
     stages = {

@@ -16,6 +16,7 @@ from repro.isa.instruction import make
 from repro.machine import fastpath, fusion
 from repro.machine.compressed_sim import CompressedSimulator
 from repro.machine.simulator import Simulator, profile_program
+from repro.observe.report import aggregate_stage_seconds
 
 
 @pytest.fixture(autouse=True)
@@ -250,6 +251,6 @@ class TestObserveWiring:
         tiny_program._analysis_cache.pop("fastpath", None)
         with observe.Recorder() as recorder:
             Simulator(tiny_program).run()
-        assert "sim.predecode" in recorder.stage_seconds()
+        assert "sim.predecode" in aggregate_stage_seconds(recorder.spans)
         assert "sim.trace_cache.hits" in recorder.metrics
         assert "sim.trace_cache.misses" in recorder.metrics
