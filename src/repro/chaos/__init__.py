@@ -5,8 +5,8 @@ The attack side of the robustness story (docs/robustness.md):
 * :mod:`repro.chaos.schedule` — seeded, replayable fault decisions
   over three planes (disk, worker, connection);
 * :mod:`repro.chaos.filesystem` — the :class:`FaultyFilesystem` shim
-  threaded under the artifact cache, shard migration, and job ledger,
-  plus crash-point mode for kill-after-every-write property tests;
+  threaded under the artifact cache and job ledger, plus crash-point
+  mode for kill-after-every-write property tests;
 * :mod:`repro.chaos.process` — worker kills/hangs for both the
   server's executor threads and the pool's worker processes;
 * :mod:`repro.chaos.campaign` — the end-to-end campaign: host a real

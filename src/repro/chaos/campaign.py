@@ -84,7 +84,6 @@ class ChaosCampaignConfig:
     job_timeout: float = 10.0
     job_attempts: int = 3
     hang_seconds: float = 12.0  # > job_timeout, so hangs trip the timeout
-    shards: int = 4
     #: Distinct scale variants per benchmark.  Identical specs dedupe
     #: to one job on the server (by design — that *is* the idempotency
     #: mechanism), so variants keep the worker and disk planes
@@ -189,7 +188,6 @@ def run_chaos_campaign(config: ChaosCampaignConfig) -> ChaosReport:
             host="127.0.0.1",
             port=0,
             cache_dir=Path(scratch) / "cache",
-            shards=config.shards,
             concurrency=1,
             max_queue_depth=max(64, config.jobs),
             quota=QuotaSpec(10_000.0, 20_000),

@@ -1,9 +1,8 @@
 """Disk-plane fault injection: the :class:`FaultyFilesystem` shim.
 
 Drops in wherever the service accepts a
-:class:`repro.service.fsio.Filesystem` (artifact cache, shard
-migration, job ledger) and misbehaves in two independently useful
-ways:
+:class:`repro.service.fsio.Filesystem` (artifact cache, job ledger)
+and misbehaves in two independently useful ways:
 
 * **schedule mode** — a :class:`~repro.chaos.schedule.ChaosSchedule`
   decides, per operation, whether to inject a ``disk`` fault:
@@ -155,10 +154,6 @@ class FaultyFilesystem(Filesystem):
     def mkdir(self, path: str | Path) -> None:
         self._write_point(path, "mkdir")
         super().mkdir(path)
-
-    def rmdir(self, path: str | Path) -> None:
-        self._write_point(path, "rmdir")
-        super().rmdir(path)
 
 
 class FaultyAppendHandle(AppendHandle):

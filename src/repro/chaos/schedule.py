@@ -9,7 +9,7 @@ plane      instrumented sites
 ========== ==========================================================
 ``disk``   every filesystem operation the service state goes through
            (:class:`repro.chaos.filesystem.FaultyFilesystem` threaded
-           under the artifact cache, shard migration, and job ledger)
+           under the artifact cache and job ledger)
 ``worker`` job-execution attempts (the server's executor slots and the
            :mod:`repro.service.pool` worker processes)
 ``connection``  HTTP responses and individual SSE frames on the

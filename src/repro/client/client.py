@@ -50,7 +50,7 @@ from repro.server.routes import (
     TENANT_HEADER,
     TRACEPARENT_HEADER,
 )
-from repro.server.sse import TERMINAL_EVENTS
+from repro.server.sse import TERMINAL_EVENTS, read_events
 
 #: Connection-level exceptions treated as transient network faults.
 _NETWORK_ERRORS = (
@@ -292,42 +292,17 @@ class ReproClient:
                 raise ClientError(
                     f"events stream for {job_id}: HTTP {response.status}"
                 )
-            kind = None
-            event_id = None
-            data_lines: list[str] = []
-            while True:
-                line = response.readline()
-                if not line:
-                    # Clean close without a terminal event: tell the
-                    # caller to reconnect from the cursor.
+            for event_id, event in read_events(iter(response.readline, b"")):
+                events.append(event)
+                if event_id is not None:
+                    cursor = event_id
+                if event["kind"] in TERMINAL_EVENTS:
                     self.breaker.record_success()
-                    return None, cursor
-                text = line.decode("utf-8").rstrip("\r\n")
-                if not text:
-                    if kind is not None:
-                        data = json.loads("\n".join(data_lines) or "{}")
-                        event = {"kind": kind, "data": data}
-                        events.append(event)
-                        if event_id is not None:
-                            cursor = event_id
-                        if kind in TERMINAL_EVENTS:
-                            self.breaker.record_success()
-                            return event, cursor
-                    kind, event_id, data_lines = None, None, []
-                    continue
-                if text.startswith(":"):
-                    continue  # keep-alive
-                name, _, value = text.partition(":")
-                value = value.removeprefix(" ")
-                if name == "event":
-                    kind = value
-                elif name == "id":
-                    try:
-                        event_id = int(value)
-                    except ValueError:
-                        event_id = None
-                elif name == "data":
-                    data_lines.append(value)
+                    return event, cursor
+            # Clean close without a terminal event: tell the caller to
+            # reconnect from the cursor.
+            self.breaker.record_success()
+            return None, cursor
         except _NETWORK_ERRORS as exc:
             self.breaker.record_failure()
             raise TransientError(

@@ -39,7 +39,7 @@ from repro.errors import ReproError
 from repro.server.app import ServerConfig, serve
 from repro.server.quotas import QuotaSpec
 from repro.server.routes import TENANT_HEADER, TRACEPARENT_HEADER
-from repro.server.sse import TERMINAL_EVENTS
+from repro.server.sse import TERMINAL_EVENTS, read_events
 from repro.service.metrics import MetricsRegistry
 
 #: Socket timeout for client connections.  SSE streams send a
@@ -69,7 +69,6 @@ class LoadConfig:
     server_quota: QuotaSpec = field(
         default_factory=lambda: QuotaSpec(2000.0, 4000)
     )
-    shards: int = 4
     concurrency: int = 2
     max_queue_depth: int = 512
     cache_dir: str | Path | None = None  # None = fresh temp dir
@@ -183,29 +182,10 @@ def stream_events(
             raise ReproError(
                 f"events stream for {job_id}: HTTP {response.status}"
             )
-        kind = None
-        data_lines: list[str] = []
-        while True:
-            line = response.readline()
-            if not line:
-                break  # server closed the stream
-            text = line.decode("utf-8").rstrip("\r\n")
-            if not text:  # blank line = end of one event
-                if kind is not None:
-                    data = json.loads("\n".join(data_lines) or "{}")
-                    events.append({"kind": kind, "data": data})
-                    if kind in TERMINAL_EVENTS:
-                        return events
-                kind, data_lines = None, []
-                continue
-            if text.startswith(":"):
-                continue  # keep-alive comment
-            name, _, value = text.partition(":")
-            value = value.removeprefix(" ")
-            if name == "event":
-                kind = value
-            elif name == "data":
-                data_lines.append(value)
+        for _, event in read_events(iter(response.readline, b"")):
+            events.append(event)
+            if event["kind"] in TERMINAL_EVENTS:
+                break
         return events
     finally:
         conn.close()
@@ -501,7 +481,6 @@ def run_load(config: LoadConfig) -> dict:
             host="127.0.0.1",
             port=0,
             cache_dir=cache_dir,
-            shards=config.shards,
             concurrency=config.concurrency,
             max_queue_depth=config.max_queue_depth,
             quota=config.server_quota,
@@ -563,7 +542,6 @@ def run_load(config: LoadConfig) -> dict:
         "divergences": counters.get("load.divergences", 0),
         "hog": hog,
         "server": {
-            "shards": config.shards,
             "concurrency": config.concurrency,
             "queue_depth_cap": config.max_queue_depth,
             "stats": stats,

@@ -12,17 +12,17 @@ into an actual server:
   (``POST /v1/jobs``, SSE ``/v1/jobs/{id}/events``, artifact fetch,
   stats, Prometheus text);
 * :mod:`repro.server.sse` — server-sent events derived from the
-  per-job observe span trees (stage names + cache-hit attributes);
-* :mod:`repro.server.sharding` — :class:`ShardedArtifactCache`,
-  content-key-prefix sharding of the artifact store with transparent
-  layout migration;
+  per-job observe span trees (stage names + cache-hit attributes), and
+  the one event-stream reader the clients share;
 * :mod:`repro.server.quotas` — per-tenant token buckets and
   queue-depth admission control (429 + ``Retry-After``);
 * :mod:`repro.server.ledger` — the persistent job ledger
   (manifest / append-only state-store split) that lets a restarted
   server resume interrupted jobs.
 
-The ``repro-server`` CLI (:mod:`repro.tools.server_cli`) runs it; the
+Artifacts live in one :class:`repro.service.cache.ArtifactCache`, the
+store ``repro-serve`` writes, so the two share a cache directory.  The
+``repro-server`` CLI (:mod:`repro.tools.server_cli`) runs it; the
 ``repro-bench --load`` harness (:mod:`repro.perf.loadgen`) measures it.
 """
 
@@ -42,13 +42,7 @@ from repro.server.quotas import (
     parse_quota,
     parse_tenant_quota,
 )
-from repro.server.sharding import (
-    MigrationReport,
-    ShardedArtifactCache,
-    migrate_layout,
-    shard_index,
-)
-from repro.server.sse import format_event, parse_stream, span_events
+from repro.server.sse import format_event, read_events, span_events
 
 __all__ = [
     "AdmissionController",
@@ -57,19 +51,15 @@ __all__ = [
     "JobLedger",
     "JobRecord",
     "JobState",
-    "MigrationReport",
     "QuotaSpec",
     "ServerConfig",
-    "ShardedArtifactCache",
     "TokenBucket",
     "format_event",
     "make_job_id",
-    "migrate_layout",
     "parse_quota",
     "parse_spec",
-    "parse_stream",
     "parse_tenant_quota",
+    "read_events",
     "serve",
-    "shard_index",
     "span_events",
 ]

@@ -4,7 +4,8 @@
 existing service layer: it accepts compile+compress job submissions
 over HTTP (:mod:`repro.server.routes`), runs them through
 :func:`repro.service.pool.execute_job` on a bounded thread executor,
-stores artifacts in a :class:`~repro.server.sharding.ShardedArtifactCache`,
+stores artifacts in one :class:`~repro.service.cache.ArtifactCache`
+(the layout ``repro-serve`` and :func:`~repro.service.run_batch` use),
 journals every job transition in a
 :class:`~repro.server.ledger.JobLedger`, and streams per-job progress
 as server-sent events derived from the job's observe span tree.
@@ -25,7 +26,7 @@ Lifecycle
 
 Concurrency model: the event loop owns all bookkeeping (job table,
 event logs, ledger); compile+compress runs on executor threads, which
-touch only the sharded cache (internally locked) and return plain
+touch only the artifact cache (internally locked) and return plain
 data.  SSE readers are loop coroutines woken through each job's
 ``changed`` event, so no locks are needed on the event log.
 """
@@ -50,8 +51,8 @@ from repro.server.http import (
 from repro.server.ledger import JobLedger, JobRecord, make_job_id
 from repro.server.quotas import AdmissionController, Decision, QuotaSpec
 from repro.server.routes import build_router, handle_events
-from repro.server.sharding import ShardedArtifactCache
 from repro.server.sse import span_events
+from repro.service.cache import ArtifactCache
 from repro.service.fsio import Filesystem
 from repro.service.jobs import CompressionJob
 from repro.service.metrics import MetricsRegistry
@@ -74,7 +75,6 @@ class ServerConfig:
     port: int = 0  # 0 = ephemeral; read the bound port from .port
     cache_dir: str | Path = ".repro-server-cache"
     state_dir: str | Path | None = None  # default: <cache_dir>/state
-    shards: int = 4
     concurrency: int = 2
     max_queue_depth: int = 64
     quota: QuotaSpec = field(default_factory=lambda: QuotaSpec(20.0, 40))
@@ -216,15 +216,11 @@ class CompressionServer:
     ) -> None:
         self.config = config
         self.metrics = metrics or MetricsRegistry()
-        self.cache = ShardedArtifactCache(
-            config.cache_dir, config.shards,
-            max_disk_bytes=config.max_disk_bytes,
+        self.cache = ArtifactCache(
+            config.cache_dir, max_disk_bytes=config.max_disk_bytes,
             fs=config.fs,
         )
-        self.ledger = JobLedger(
-            config.resolved_state_dir(), shards=config.shards,
-            fs=config.fs,
-        )
+        self.ledger = JobLedger(config.resolved_state_dir(), fs=config.fs)
         self.admission = AdmissionController(
             default_quota=config.quota,
             tenant_quotas=dict(config.tenant_quotas),
@@ -766,11 +762,8 @@ class CompressionServer:
             "job_wall": self.metrics.timer("job.wall").summary(),
             "cache": {
                 **cache_stats.as_dict(),
-                "shards": self.cache.shards,
-                "shard_sizes": self.cache.shard_sizes(),
                 "disk_bytes": self.cache.disk_bytes(),
-                "migrated_artifacts": self.cache.migration.moved,
-                "read_only_shards": self.cache.read_only_shards(),
+                "read_only": self.cache.read_only,
             },
             "scrub": self.scrubber.report.as_dict(),
             "ledger": {

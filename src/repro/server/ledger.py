@@ -4,10 +4,10 @@ Two files under one state directory, split the way tldr-swinton splits
 ``manifest.py`` from ``state_store.py``:
 
 * ``manifest.json`` — written **once** when the directory is created:
-  the identity of the store (schema version, pipeline version, shard
-  count, creation time).  Immutable; a mismatch on open means the
-  state directory belongs to an incompatible server build and is
-  refused rather than silently reinterpreted.
+  the identity of the store (schema version, pipeline version,
+  creation time).  Immutable; a schema or pipeline-version mismatch on
+  open means the state directory belongs to an incompatible server
+  build and is refused rather than silently reinterpreted.
 * ``state.jsonl`` — the **append-only state store**: one JSON line per
   job state transition (``submitted`` → ``started`` → ``completed`` /
   ``failed`` / ``cancelled``).  Appends are flushed eagerly, so the
@@ -117,12 +117,10 @@ class JobLedger:
         self,
         directory: str | Path,
         *,
-        shards: int = 0,
         fs: Filesystem | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._shards = shards
         self._handle = None
         self.fs = fs or DEFAULT_FS
         self.recovered_bytes = 0
@@ -164,7 +162,6 @@ class JobLedger:
         manifest = {
             "schema": LEDGER_SCHEMA,
             "pipeline_version": PIPELINE_VERSION,
-            "shards": self._shards,
             "created_unix": time.time(),
         }
         self.fs.write_atomic(

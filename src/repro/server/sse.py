@@ -21,11 +21,15 @@ The span's name and attributes come through verbatim, so a cache-hit
 job streams its single ``job`` span with ``"cache_hit": true`` and a
 built job streams ``job`` → ``compile`` → ``dict_build`` → … with
 ``"cache_hit": false``, the same shape ``repro-observe`` would show.
+
+:func:`read_events` is the one reader of that wire format: the client,
+the load harness and the tests all parse streams through it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 
 from repro.observe import Span
 
@@ -44,6 +48,40 @@ def format_event(kind: str, data: dict, event_id: int | None = None) -> bytes:
     for chunk in payload.splitlines() or [""]:
         lines.append(f"data: {chunk}")
     return ("\n".join(lines) + "\n\n").encode()
+
+
+def read_events(lines: Iterable[bytes]) -> Iterator[tuple[int | None, dict]]:
+    """Parse event-stream lines into ``(id, {"kind", "data"})`` pairs.
+
+    The inverse of :func:`format_event`, fed one raw line at a time
+    (``iter(response.readline, b"")``).  An event is yielded only when
+    its closing blank line arrives, so a frame torn by a dropped
+    connection never moves a client's resume cursor.  ``:`` comment
+    lines (keep-alives) are skipped, and a non-integer ``id`` reads as
+    ``None``.
+    """
+    kind, event_id, data_lines = None, None, []
+    for line in lines:
+        text = line.decode("utf-8").rstrip("\r\n")
+        if not text:
+            if kind is not None:
+                data = json.loads("\n".join(data_lines) or "{}")
+                yield event_id, {"kind": kind, "data": data}
+            kind, event_id, data_lines = None, None, []
+            continue
+        if text.startswith(":"):
+            continue
+        name, _, value = text.partition(":")
+        value = value.removeprefix(" ")
+        if name == "event":
+            kind = value
+        elif name == "id":
+            try:
+                event_id = int(value)
+            except ValueError:
+                event_id = None
+        elif name == "data":
+            data_lines.append(value)
 
 
 def span_events(job_id: str, spans: list[Span | dict]) -> list[dict]:
@@ -73,31 +111,4 @@ def span_events(job_id: str, spans: list[Span | dict]) -> list[dict]:
 
     for root in spans:
         emit(root.to_dict() if isinstance(root, Span) else root)
-    return events
-
-
-def parse_stream(raw: bytes) -> list[dict]:
-    """Parse an event-stream body back into ``{kind, id?, data}`` dicts.
-
-    The inverse of :func:`format_event`; used by the load harness and
-    the tests (and handy for any stdlib-only client).
-    """
-    events = []
-    for frame in raw.decode().split("\n\n"):
-        kind, event_id, data_lines = None, None, []
-        for line in frame.splitlines():
-            if line.startswith("event:"):
-                kind = line[len("event:"):].strip()
-            elif line.startswith("id:"):
-                event_id = int(line[len("id:"):].strip())
-            elif line.startswith("data:"):
-                data_lines.append(line[len("data:"):].strip())
-        if kind is None:
-            continue
-        event: dict = {"kind": kind}
-        if event_id is not None:
-            event["id"] = event_id
-        if data_lines:
-            event["data"] = json.loads("\n".join(data_lines))
-        events.append(event)
     return events

@@ -26,6 +26,10 @@ Guarantees:
   hold identical artifacts).  Every path that ``stat``s, touches, or
   unlinks a file tolerates the file vanishing underneath it, because
   a concurrent process may evict or quarantine at any moment;
+* **thread safety** — one lock serializes :meth:`ArtifactCache.get`,
+  :meth:`~ArtifactCache.put`, ``in``, :meth:`~ArtifactCache.quarantine`
+  and :meth:`~ArtifactCache.clear`, so one instance is shared by the
+  server's executor threads, its event loop and its scrubber;
 * **corruption detection** — the envelope hash is verified on every
   read; a mismatch (or truncation) raises
   :class:`CacheCorruptionError`, and :meth:`ArtifactCache.get` moves
@@ -50,6 +54,7 @@ import hashlib
 import json
 import os
 import struct
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -217,13 +222,15 @@ class ArtifactCache:
         self.write_health = write_health or WriteHealth()
         self.stats = CacheStats()
         self._memory: OrderedDict[str, CacheEntry] = OrderedDict()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.rcc"
 
     def __contains__(self, key: str) -> bool:
-        return key in self._memory or self._path(key).exists()
+        with self._lock:
+            return key in self._memory or self._path(key).exists()
 
     @property
     def read_only(self) -> bool:
@@ -234,34 +241,43 @@ class ArtifactCache:
     def get(self, key: str) -> CacheEntry | None:
         """Fetch an entry, or ``None`` on miss (including quarantined
         corruption)."""
-        entry = self._memory.get(key)
-        if entry is not None:
-            self._memory.move_to_end(key)
+        with self._lock:
+            entry = self._memory.get(key)
+            if entry is not None:
+                self._memory.move_to_end(key)
+                self.stats.hits += 1
+                return entry
+            path = self._path(key)
+            try:
+                raw = self.fs.read_bytes(path)
+            except OSError:
+                self.stats.misses += 1
+                return None
+            try:
+                entry = decode_entry(key, raw)
+            except CacheCorruptionError:
+                self.stats.misses += 1
+                self._quarantine(path)
+                return None
+            try:
+                self.fs.utime(path)  # refresh recency for LRU eviction
+            except OSError:
+                pass  # concurrently evicted; the bytes in hand are still good
+            self._remember(entry)
             self.stats.hits += 1
             return entry
-        path = self._path(key)
-        try:
-            raw = self.fs.read_bytes(path)
-        except OSError:
-            self.stats.misses += 1
-            return None
-        try:
-            entry = decode_entry(key, raw)
-        except CacheCorruptionError:
-            self.stats.corruptions += 1
-            self.stats.misses += 1
+
+    def quarantine(self, path: Path) -> None:
+        """Take a corrupt entry file out of service (the scrubber's
+        path): count it, drop its key from the memory front and move the
+        file into the quarantine directory."""
+        with self._lock:
             self._quarantine(path)
-            return None
-        try:
-            self.fs.utime(path)  # refresh recency for LRU eviction
-        except OSError:
-            pass  # concurrently evicted; the bytes in hand are still good
-        self._remember(entry)
-        self.stats.hits += 1
-        return entry
 
     def _quarantine(self, path: Path) -> None:
-        """Move a corrupt file out of the store, keeping the evidence."""
+        # Caller holds the lock.
+        self.stats.corruptions += 1
+        self._memory.pop(path.stem, None)
         target = self.root / QUARANTINE_DIR / f"{path.name}.quar"
         try:
             self.fs.mkdir(target.parent)
@@ -286,35 +302,37 @@ class ArtifactCache:
         not break job completion.
         """
         entry = CacheEntry(key=key, blob=blob, meta=dict(meta or {}))
-        self._remember(entry)
-        if self.read_only:
-            self.stats.skipped_stores += 1
-            return entry
-        path = self._path(key)
         payload = encode_entry(entry.blob, entry.meta)
-        try:
-            self.fs.mkdir(path.parent)
-            # Two attempts: a concurrent process (pre-fix evictors,
-            # manual cleanup) may remove the temp file or even the
-            # bucket directory between write and replace;
-            # last-writer-wins means redoing the write is always correct.
-            for attempt in (1, 2):
-                try:
-                    self.fs.write_atomic(path, payload)
-                    break
-                except FileNotFoundError:
-                    if attempt == 2:
-                        raise
-                    self.fs.mkdir(path.parent)
-        except OSError:
-            self.stats.write_errors += 1
-            self.write_health.record_failure()
+        path = self._path(key)
+        with self._lock:
+            self._remember(entry)
+            if self.read_only:
+                self.stats.skipped_stores += 1
+                return entry
+            try:
+                self.fs.mkdir(path.parent)
+                # Two attempts: a concurrent process (pre-fix evictors,
+                # manual cleanup) may remove the temp file or even the
+                # bucket directory between write and replace;
+                # last-writer-wins means redoing the write is always
+                # correct.
+                for attempt in (1, 2):
+                    try:
+                        self.fs.write_atomic(path, payload)
+                        break
+                    except FileNotFoundError:
+                        if attempt == 2:
+                            raise
+                        self.fs.mkdir(path.parent)
+            except OSError:
+                self.stats.write_errors += 1
+                self.write_health.record_failure()
+                return entry
+            self.write_health.record_success()
+            self.stats.stores += 1
+            if self.max_disk_bytes is not None:
+                self._evict_to_budget(keep=path)
             return entry
-        self.write_health.record_success()
-        self.stats.stores += 1
-        if self.max_disk_bytes is not None:
-            self._evict_to_budget(keep=path)
-        return entry
 
     # ------------------------------------------------------------------
     def _remember(self, entry: CacheEntry) -> None:
@@ -365,9 +383,10 @@ class ArtifactCache:
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
-        for path in self._files():
-            self.fs.unlink(path, missing_ok=True)
-        self._memory.clear()
+        with self._lock:
+            for path in self._files():
+                self.fs.unlink(path, missing_ok=True)
+            self._memory.clear()
 
     def __len__(self) -> int:
         return len(self._files())

@@ -1,8 +1,7 @@
 """The filesystem seam under the durable service state.
 
 Every component that persists service state — the artifact cache
-(:mod:`repro.service.cache`), its sharded server variant
-(:mod:`repro.server.sharding`), and the job ledger
+(:mod:`repro.service.cache`) and the job ledger
 (:mod:`repro.server.ledger`) — performs its disk I/O through a
 :class:`Filesystem` object instead of calling :mod:`os`/:mod:`pathlib`
 directly.  The default (:data:`DEFAULT_FS`) is a thin, allocation-free
@@ -23,14 +22,14 @@ Write-op inventory (the crash points a
 op                   used by
 ===================  ==================================================
 ``write_atomic``     cache entry store, ledger manifest, ledger
-                     compaction, shard-layout manifest (internally:
-                     create-temp → write-temp → replace, three points)
+                     compaction (internally: create-temp → write-temp
+                     → replace, three points)
 ``open_append``      ledger state-store appends (one point per line)
 ``append_bytes``     ledger tail quarantine
-``replace``          shard migration artifact moves, quarantine moves
+``replace``          cache quarantine moves
 ``unlink``           cache eviction
 ``truncate``         ledger torn-tail recovery
-``mkdir``/``rmdir``  bucket/shard directory management
+``mkdir``            cache bucket and quarantine directories
 ===================  ==================================================
 """
 
@@ -122,9 +121,6 @@ class Filesystem:
 
     def mkdir(self, path: str | Path) -> None:
         Path(path).mkdir(parents=True, exist_ok=True)
-
-    def rmdir(self, path: str | Path) -> None:
-        os.rmdir(path)
 
 
 #: The process-wide real filesystem; every ``fs=None`` default resolves

@@ -178,11 +178,19 @@ class MetricsRegistry:
         self._timers: dict[str, Timer] = {}
 
     # -- instrument accessors (create on first use) --------------------
+    # ``get`` first: ``setdefault`` alone would build and drop a fresh
+    # instrument on every lookup of an existing name.
     def counter(self, name: str) -> Counter:
-        return self._counters.setdefault(name, Counter())
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters.setdefault(name, Counter())
+        return counter
 
     def timer(self, name: str) -> Timer:
-        return self._timers.setdefault(name, Timer())
+        timer = self._timers.get(name)
+        if timer is None:
+            timer = self._timers.setdefault(name, Timer())
+        return timer
 
     def counters(self) -> dict[str, int]:
         """Counter values by name."""

@@ -11,9 +11,10 @@ is simply re-derived on the next request.
 The server runs one scrubber as a low-duty asyncio task (see
 ``scrub_interval`` on :class:`repro.server.app.ServerConfig`); batches
 are small so a scrub step never monopolises an executor slot.  The
-scrubber holds no locks of its own — it goes through each owning
-cache's quarantine path, and tolerates files vanishing mid-scan
-(concurrent eviction).
+scrubber holds no locks of its own — it reads files directly, hands a
+failing one to :meth:`ArtifactCache.quarantine` (which takes the
+cache's lock), and tolerates files vanishing mid-scan (concurrent
+eviction).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class ScrubReport:
 
 
 class CacheScrubber:
-    """Incremental CRC scan over an artifact cache (plain or sharded).
+    """Incremental CRC scan over an :class:`ArtifactCache`.
 
     ``step(batch)`` verifies up to ``batch`` files and returns how many
     it looked at; when the cursor wraps past the end of the store, a
@@ -54,22 +55,13 @@ class CacheScrubber:
     listing.
     """
 
-    def __init__(self, cache) -> None:
-        # Accept either an ArtifactCache or anything exposing
-        # ``iter_shards()`` (the sharded server cache).
-        if hasattr(cache, "iter_shards"):
-            self._caches = list(cache.iter_shards())
-        else:
-            self._caches = [cache]
+    def __init__(self, cache: ArtifactCache) -> None:
+        self.cache = cache
         self.report = ScrubReport()
-        self._pending: list[tuple[ArtifactCache, Path]] = []
+        self._pending: list[Path] = []
 
     def _refill(self) -> None:
-        self._pending = [
-            (cache, path)
-            for cache in self._caches
-            for path in sorted(cache._files())
-        ]
+        self._pending = sorted(self.cache._files())
         self.report.passes += 1
 
     def step(self, batch: int = 16) -> int:
@@ -78,11 +70,11 @@ class CacheScrubber:
             self._refill()
         scanned = 0
         while self._pending and scanned < batch:
-            cache, path = self._pending.pop(0)
+            path = self._pending.pop(0)
             scanned += 1
             self.report.scanned += 1
             try:
-                raw = cache.fs.read_bytes(path)
+                raw = self.cache.fs.read_bytes(path)
             except OSError:
                 # Vanished (concurrent eviction) or transiently
                 # unreadable — neither is corruption.
@@ -91,9 +83,7 @@ class CacheScrubber:
             try:
                 decode_entry(path.stem, raw)
             except CacheCorruptionError:
-                cache.stats.corruptions += 1
-                cache._quarantine(path)
-                cache._memory.pop(path.stem, None)
+                self.cache.quarantine(path)
                 self.report.quarantined += 1
                 self.report.quarantined_keys.append(path.stem)
                 continue

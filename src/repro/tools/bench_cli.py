@@ -190,12 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'full' adds the lockstep differential divergence gate)",
     )
     load.add_argument(
-        "--load-shards",
-        type=int,
-        default=4,
-        help="cache shards for the self-hosted server (default %(default)s)",
-    )
-    load.add_argument(
         "--load-concurrency",
         type=int,
         default=2,
@@ -480,7 +474,6 @@ def main(argv: list[str] | None = None) -> int:
                 rate=args.load_rate,
                 tenants=tenants,
                 hog_burst=args.load_hog_burst,
-                shards=args.load_shards,
                 concurrency=args.load_concurrency,
             ))
         key = run_key(programs, args.scale, encodings)

@@ -1,9 +1,10 @@
 """``repro-server``: the asyncio compression service front end.
 
 Binds an HTTP/1.1 listener, accepts compile+compress job submissions,
-executes them on a bounded worker executor against the sharded
-artifact cache, journals every transition in the persistent job
-ledger, and streams per-job progress as server-sent events.
+executes them on a bounded worker executor against the artifact cache
+(the same ``<root>/<key[:2]>/<key>.rcc`` store ``repro-serve``
+writes), journals every transition in the persistent job ledger, and
+streams per-job progress as server-sent events.
 
 Endpoints (see ``docs/service.md`` for schemas)::
 
@@ -17,10 +18,10 @@ Endpoints (see ``docs/service.md`` for schemas)::
 
 Examples::
 
-    repro-server --port 8137 --shards 8 --concurrency 4
+    repro-server --port 8137 --concurrency 4
     repro-server --port 0                       # ephemeral; port is printed
     repro-server --quota 10:20 --tenant-quota hog=1:2
-    repro-server --cache-dir .repro-cache       # migrates the unsharded store
+    repro-server --cache-dir .repro-cache       # serves repro-serve's artifacts
 
 Shutdown: SIGTERM or SIGINT triggers a graceful drain — no new
 submissions (503), every accepted job finishes, the ledger is
@@ -43,19 +44,17 @@ from repro.service.jobs import VERIFY_LEVELS
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-server",
-        description="Serve compile+compress jobs over HTTP with a sharded "
+        description="Serve compile+compress jobs over HTTP with an "
         "artifact cache, per-tenant quotas, and SSE progress streams.",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8137,
                         help="listen port (0 = ephemeral, printed on start)")
     parser.add_argument("--cache-dir", default=".repro-server-cache",
-                        help="artifact cache root (an unsharded repro-serve "
-                        "cache here is migrated in place)")
+                        help="artifact cache root (shareable with "
+                        "repro-serve --cache-dir)")
     parser.add_argument("--state-dir", default=None,
                         help="job-ledger directory (default: CACHE_DIR/state)")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="cache shard count (default %(default)s)")
     parser.add_argument("--concurrency", type=int, default=2,
                         help="concurrent job executions (default %(default)s)")
     parser.add_argument("--max-queue-depth", type=int, default=64,
@@ -100,7 +99,6 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
         port=args.port,
         cache_dir=args.cache_dir,
         state_dir=args.state_dir,
-        shards=args.shards,
         concurrency=args.concurrency,
         max_queue_depth=args.max_queue_depth,
         quota=quota,
@@ -118,20 +116,11 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
 
 
 def _announce(server) -> None:
-    migration = server.cache.migration
-    if migration.moved:
-        origin = (
-            "unsharded layout" if migration.from_shards is None
-            else f"{migration.from_shards}-shard layout"
-        )
-        print(f"migrated {migration.moved} cached artifacts from {origin} "
-              f"into {migration.to_shards} shards", flush=True)
     if server.resumed_jobs:
         print(f"resumed {server.resumed_jobs} interrupted jobs from the "
               f"ledger", flush=True)
     print(f"repro-server listening on {server.url} "
-          f"({server.config.shards} cache shards, "
-          f"concurrency {server.config.concurrency})", flush=True)
+          f"(concurrency {server.config.concurrency})", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,7 +33,6 @@ def small_config(**overrides) -> ChaosCampaignConfig:
         job_timeout=5.0,
         job_attempts=4,
         hang_seconds=1.0,
-        shards=2,
         variants=4,
     )
     defaults.update(overrides)

@@ -9,8 +9,9 @@ by recovery on a fresh, healthy filesystem.  The property:
   acknowledged) is still visible after replay, recovery quarantines any
   torn tail instead of corrupting the log, and post-recovery appends
   land cleanly;
-* **shard migration** — every artifact is readable after re-running
-  the migration, no matter where the first attempt died.
+* **artifact store** — every ``put()`` that returned reads back
+  byte-identical from a cache reopened on a healthy disk, and no read
+  ever returns other bytes than the ones stored.
 """
 
 import hashlib
@@ -19,7 +20,6 @@ import pytest
 
 from repro.chaos.filesystem import FaultyFilesystem, SimulatedCrash
 from repro.server.ledger import JobLedger
-from repro.server.sharding import ShardedArtifactCache, migrate_layout
 from repro.service.cache import ArtifactCache
 
 
@@ -33,7 +33,7 @@ def drive_ledger(directory, fs) -> list[tuple[str, str]]:
     the append was flushed — exactly the writes a crash may not lose.
     """
     acked: list[tuple[str, str]] = []
-    ledger = JobLedger(directory, shards=2, fs=fs)
+    ledger = JobLedger(directory, fs=fs)
     try:
         for index in range(3):
             job_id = f"job-{index}"
@@ -147,7 +147,7 @@ def test_torn_tail_is_quarantined_not_replayed(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Shard-migration scenario
+# Artifact-store scenario
 # ----------------------------------------------------------------------
 BLOBS = {
     hashlib.sha256(f"blob-{i}".encode()).hexdigest(): f"blob-{i}".encode() * 3
@@ -155,35 +155,37 @@ BLOBS = {
 }
 
 
-def build_unsharded(root) -> None:
-    cache = ArtifactCache(root)
+def drive_puts(root, fs, stored: list[str]) -> None:
+    """Store every blob; a key enters ``stored`` once its put returned."""
+    cache = ArtifactCache(root, fs=fs)
     for key, blob in BLOBS.items():
         cache.put(key, blob, {"n": len(blob)})
+        stored.append(key)
 
 
-def count_migration_write_points(tmp_path) -> int:
-    root = tmp_path / "clean"
-    build_unsharded(root)
+def count_put_write_points(tmp_path) -> int:
     fs = FaultyFilesystem()
-    migrate_layout(root, 3, fs)
+    drive_puts(tmp_path / "clean", fs, [])
     return fs.write_ops
 
 
-def test_migration_survives_a_crash_after_every_write_point(tmp_path):
-    total = count_migration_write_points(tmp_path)
-    assert total >= len(BLOBS)  # at least one point per artifact moved
-    crashes = 0
+def test_put_survives_a_crash_after_every_write_point(tmp_path):
+    total = count_put_write_points(tmp_path)
+    # Per put: the bucket mkdir, then write_atomic's create-temp,
+    # write-temp and replace.
+    assert total == 4 * len(BLOBS)
     for crash_after in range(total):
         root = tmp_path / f"crash-{crash_after}"
-        build_unsharded(root)
+        stored: list[str] = []
         with pytest.raises(SimulatedCrash):
-            migrate_layout(root, 3, FaultyFilesystem(crash_after=crash_after))
-        crashes += 1
-        # Recovery: simply open the sharded cache — it re-runs the
-        # migration on a healthy filesystem.
-        cache = ShardedArtifactCache(root, shards=3)
+            drive_puts(root, FaultyFilesystem(crash_after=crash_after), stored)
+        assert len(stored) == crash_after // 4
+        # Recovery: a fresh process opens the store on a healthy disk.
+        cache = ArtifactCache(root)
         for key, blob in BLOBS.items():
             entry = cache.get(key)
-            assert entry is not None, (crash_after, key)
-            assert entry.blob == blob
-    assert crashes == total
+            if key in stored:
+                assert entry is not None, (crash_after, key)
+            if entry is not None:
+                assert entry.blob == blob, (crash_after, key)
+        assert cache.stats.corruptions == 0

@@ -140,7 +140,7 @@ class TestAgainstARealServer:
         config = ServerConfig(
             host="127.0.0.1", port=0,
             cache_dir=tmp_path_factory.mktemp("client-cache"),
-            shards=2, concurrency=2,
+            concurrency=2,
             quota=QuotaSpec(rate=500.0, burst=1000),
         )
         with HostedServer(config) as server:

@@ -53,7 +53,8 @@ class TestClosedLoop:
         assert closed_loop_block["divergences"] == 0
         stats = closed_loop_block["server"]["stats"]
         assert stats["counters"]["quota.rejected"] >= 3
-        assert stats["cache"]["shards"] == 4
+        assert stats["cache"]["read_only"] is False
+        assert "shards" not in closed_loop_block["server"]
 
 
 def test_open_loop_measures_the_arrival_process():
@@ -150,7 +151,7 @@ class TestRetryAfterHonored:
 
         return HostedServer(ServerConfig(
             host="127.0.0.1", port=0, cache_dir=tmp_path / "cache",
-            shards=2, concurrency=1, quota=quota,
+            concurrency=1, quota=quota,
         ))
 
     def test_throttle_budget_spent_reports_rejected_with_retry_count(

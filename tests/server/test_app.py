@@ -3,12 +3,16 @@
 Drives a :class:`CompressionServer` hosted on its own thread (the same
 :class:`~repro.perf.loadgen.HostedServer` the load harness uses) with
 stdlib clients: SSE stage events must arrive in span order, over-quota
-tenants must get 429 + ``Retry-After``, artifacts must round-trip, and
-a restart must resume interrupted ledger jobs.
+tenants must get 429 + ``Retry-After``, artifacts must round-trip, a
+restart must resume interrupted ledger jobs, and a cache directory
+filled by ``run_batch`` must serve the server's jobs.
 """
+
+import http.client
 
 import pytest
 
+from repro.client import ReproClient
 from repro.core.image import CompressedImage
 from repro.perf.loadgen import (
     HostedServer,
@@ -19,6 +23,10 @@ from repro.perf.loadgen import (
 from repro.server.app import ServerConfig
 from repro.server.ledger import JobLedger
 from repro.server.quotas import QuotaSpec
+from repro.server.sse import read_events
+from repro.service.cache import ArtifactCache
+from repro.service.jobs import CompressionJob
+from repro.service.pool import run_batch
 
 SCALE = 0.2
 SPEC = {"benchmark": "compress", "encoding": "nibble", "scale": SCALE,
@@ -36,7 +44,6 @@ def hosted(tmp_path_factory):
         host="127.0.0.1",
         port=0,
         cache_dir=root / "cache",
-        shards=2,
         concurrency=2,
         quota=QuotaSpec(rate=500.0, burst=1000),
         tenant_quotas={"hog": QuotaSpec(rate=1.0, burst=2)},
@@ -135,9 +142,6 @@ class TestSubmitAndStream:
 
 def stream_events_after(address, job_id, after):
     """SSE reconnect with ?after= (the Last-Event-ID query twin)."""
-    import http.client
-    import json as json_module
-
     conn = http.client.HTTPConnection(*address, timeout=30)
     try:
         conn.request(
@@ -147,25 +151,10 @@ def stream_events_after(address, job_id, after):
         response = conn.getresponse()
         assert response.status == 200
         events = []
-        kind, data_lines = None, []
-        while True:
-            line = response.readline()
-            if not line:
+        for _, event in read_events(iter(response.readline, b"")):
+            events.append(event)
+            if event["kind"] in ("completed", "failed", "cancelled"):
                 break
-            text = line.decode().rstrip("\r\n")
-            if not text:
-                if kind is not None:
-                    events.append({
-                        "kind": kind,
-                        "data": json_module.loads("\n".join(data_lines)),
-                    })
-                    if kind in ("completed", "failed", "cancelled"):
-                        return events
-                kind, data_lines = None, []
-            elif text.startswith("event:"):
-                kind = text[6:].strip()
-            elif text.startswith("data:"):
-                data_lines.append(text[5:].strip())
         return events
     finally:
         conn.close()
@@ -203,8 +192,6 @@ class TestArtifact:
         _, _, jobs = _request(address, "GET", "/v1/jobs?tenant=alpha")
         done = [j for j in jobs["jobs"] if j["status"] == "completed"]
         job = done[-1]
-
-        import http.client
 
         conn = http.client.HTTPConnection(*address, timeout=30)
         try:
@@ -250,13 +237,11 @@ class TestIntrospection:
         assert status == 200
         assert stats["jobs"].get("completed", 0) >= 1
         assert "p99" in stats["job_wall"]
-        assert stats["cache"]["shards"] == 2
-        assert len(stats["cache"]["shard_sizes"]) == 2
+        assert stats["cache"]["read_only"] is False
+        assert stats["cache"]["disk_bytes"] > 0
         assert stats["counters"]["quota.rejected"] >= 3
 
     def test_prometheus_exposition(self, address):
-        import http.client
-
         conn = http.client.HTTPConnection(*address, timeout=30)
         try:
             conn.request("GET", "/metrics")
@@ -274,7 +259,7 @@ class TestResumeAfterRestart:
         state_dir = tmp_path / "state"
         # A previous server accepted this job but never finished it
         # (SIGKILL before "completed" landed in the state store).
-        ledger = JobLedger(state_dir, shards=2)
+        ledger = JobLedger(state_dir)
         ledger.record(
             "job-interrupted", "submitted",
             tenant="alpha", key="", spec=dict(SPEC),
@@ -285,7 +270,7 @@ class TestResumeAfterRestart:
         config = ServerConfig(
             host="127.0.0.1", port=0,
             cache_dir=tmp_path / "cache", state_dir=state_dir,
-            shards=2, concurrency=1,
+            concurrency=1,
         )
         with HostedServer(config) as hosted:
             assert hosted.server.resumed_jobs == 1
@@ -301,3 +286,26 @@ class TestResumeAfterRestart:
         record = reopened.replay()["job-interrupted"]
         assert record.status == "completed"
         reopened.close()
+
+
+class TestSharedStore:
+    def test_server_serves_what_run_batch_stored(self, tmp_path):
+        """``repro-serve`` and the server keep one layout: an artifact
+        ``run_batch`` stored is a cache hit for the server, byte for
+        byte."""
+        cache_dir = tmp_path / "cache"
+        job = CompressionJob(benchmark="compress", encoding="nibble",
+                             scale=SCALE)
+        [result] = run_batch([job], cache=ArtifactCache(cache_dir))
+        assert result.error is None and not result.cache_hit
+        stored = ArtifactCache(cache_dir).get(job.content_key())
+        assert stored is not None and stored.blob == result.blob
+
+        config = ServerConfig(host="127.0.0.1", port=0,
+                              cache_dir=cache_dir, concurrency=1)
+        with HostedServer(config) as hosted:
+            outcome = ReproClient(hosted.address, "alpha").run_job(SPEC)
+        assert outcome.outcome == "completed", outcome.error
+        assert outcome.key == job.content_key()
+        assert outcome.events[-1]["data"]["cache_hit"] is True
+        assert outcome.data == stored.blob

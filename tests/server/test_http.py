@@ -1,9 +1,11 @@
 """HTTP layer tests: strict parser, responses, SSE framing, router."""
 
 import asyncio
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.server.http import (
     HttpError,
@@ -14,7 +16,7 @@ from repro.server.http import (
     sse_head,
 )
 from repro.server.routes import Router, build_router, handle_events
-from repro.server.sse import format_event, parse_stream, span_events
+from repro.server.sse import format_event, read_events, span_events
 
 
 def parse(raw: bytes, **kwargs):
@@ -145,10 +147,52 @@ class TestSse:
             format_event("queued", {"job_id": "j", "position": 0}, 0)
             + format_event("completed", {"job_id": "j"}, 1)
         )
-        events = parse_stream(frames)
-        assert [e["kind"] for e in events] == ["queued", "completed"]
-        assert [e["id"] for e in events] == [0, 1]
-        assert events[0]["data"]["position"] == 0
+        events = list(read_events(frames.splitlines(keepends=True)))
+        assert [event["kind"] for _, event in events] == ["queued", "completed"]
+        assert [event_id for event_id, _ in events] == [0, 1]
+        assert events[0][1]["data"]["position"] == 0
+
+    def test_non_integer_id_is_ignored(self):
+        frame = b"id: seven\nevent: started\ndata: {}\n\n"
+        assert list(read_events(frame.splitlines(keepends=True))) == [
+            (None, {"kind": "started", "data": {}})
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.sampled_from(["queued", "started", "stage", "completed"]),
+                st.dictionaries(
+                    st.text(max_size=6),
+                    st.one_of(st.integers(), st.text(max_size=12),
+                              st.booleans(), st.none()),
+                    max_size=3,
+                ),
+                st.one_of(st.none(), st.integers(0, 10**6)),
+                st.booleans(),  # a keep-alive comment after the frame
+            ),
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    def test_torn_stream_yields_exactly_the_complete_frames(self, frames, data):
+        raw = b""
+        ends = []
+        for kind, payload, event_id, keep_alive in frames:
+            raw += format_event(kind, payload, event_id)
+            ends.append(len(raw))
+            if keep_alive:
+                raw += b": keep-alive\n\n"
+        cut = data.draw(st.integers(0, len(raw)), label="cut")
+        # Read the way the clients do: one ``readline`` at a time.
+        lines = iter(io.BytesIO(raw[:cut]).readline, b"")
+        expected = [
+            (event_id, {"kind": kind, "data": payload})
+            for (kind, payload, event_id, _), end in zip(frames, ends)
+            if end <= cut
+        ]
+        assert list(read_events(lines)) == expected
 
     def test_span_events_are_depth_first_preorder(self):
         tree = {

@@ -12,7 +12,7 @@ from repro.service.jobs import PIPELINE_VERSION
 
 @pytest.fixture()
 def ledger(tmp_path):
-    ledger = JobLedger(tmp_path / "state", shards=4)
+    ledger = JobLedger(tmp_path / "state")
     yield ledger
     ledger.close()
 
@@ -22,13 +22,27 @@ class TestManifest:
         manifest = json.loads(ledger.manifest_path.read_text())
         assert manifest["schema"] == 1
         assert manifest["pipeline_version"] == PIPELINE_VERSION
-        assert manifest["shards"] == 4
+        assert set(manifest) == {"schema", "pipeline_version", "created_unix"}
 
     def test_reopen_accepts_matching_manifest(self, ledger, tmp_path):
         ledger.record("job-1", "submitted", tenant="t", key="k", spec={})
         ledger.close()
         reopened = JobLedger(tmp_path / "state")
-        assert reopened.manifest["shards"] == 4  # original value kept
+        # The original manifest is kept, not rewritten.
+        assert reopened.manifest == ledger.manifest
+        reopened.close()
+
+    def test_manifest_with_extra_keys_still_opens(self, tmp_path):
+        # Older servers also recorded their cache shard count; only
+        # ``schema`` and ``pipeline_version`` are checked on open.
+        directory = tmp_path / "state"
+        directory.mkdir()
+        (directory / "manifest.json").write_text(json.dumps({
+            "schema": 1, "pipeline_version": PIPELINE_VERSION,
+            "shards": 4, "created_unix": 0.0,
+        }))
+        reopened = JobLedger(directory)
+        assert reopened.manifest["shards"] == 4
         reopened.close()
 
     def test_wrong_schema_refused(self, tmp_path):

@@ -41,7 +41,7 @@ class WorkerFaultStub:
 def hosted_config(tmp_path, **overrides) -> ServerConfig:
     defaults = dict(
         host="127.0.0.1", port=0, cache_dir=tmp_path / "cache",
-        shards=2, concurrency=1, quota=QuotaSpec(rate=500.0, burst=1000),
+        concurrency=1, quota=QuotaSpec(rate=500.0, burst=1000),
     )
     defaults.update(overrides)
     return ServerConfig(**defaults)

@@ -33,7 +33,6 @@ def hosted(tmp_path_factory, observe_dir):
         host="127.0.0.1",
         port=0,
         cache_dir=root / "cache",
-        shards=2,
         concurrency=2,
         quota=QuotaSpec(rate=500.0, burst=1000),
         observe_dir=observe_dir,

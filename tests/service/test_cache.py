@@ -1,12 +1,16 @@
-"""Artifact cache tests: envelope integrity, LRU, eviction."""
+"""Artifact cache tests: envelope integrity, LRU, eviction, threads."""
 
+import hashlib
 import os
+import sys
+import threading
 
 import pytest
 
 from repro.service import ArtifactCache, CacheCorruptionError
 from repro.service.cache import WriteHealth, decode_entry, encode_entry
 from repro.service.fsio import Filesystem
+from repro.service.scrub import CacheScrubber
 
 
 def entry_blob(tag: bytes, size: int = 64) -> bytes:
@@ -171,6 +175,77 @@ class TestConcurrentWriters:
         survivor = ArtifactCache(tmp_path).get("aa" * 32)
         if survivor is not None:
             assert len(survivor.blob) == 512
+
+
+class TestThreadSafety:
+    """One cache shared by threads, the way the server shares it: its
+    executor threads and event loop call ``get``/``put`` while the
+    scrubber quarantines a corrupt entry."""
+
+    THREADS = 8
+    GETS = 10_000
+    PUT_EVERY = 100
+
+    def test_threads_and_scrubber_share_one_cache(self, tmp_path):
+        cache = ArtifactCache(tmp_path, memory_entries=2)
+        keys = [hashlib.sha256(bytes([i])).hexdigest() for i in range(8)]
+        blobs = {key: entry_blob(key[:2].encode(), 16) for key in keys}
+        for key in keys:
+            cache.put(key, blobs[key], {})
+        victim = tmp_path / keys[0][:2] / f"{keys[0]}.rcc"
+        scrubber = CacheScrubber(cache)
+        puts = [0] * self.THREADS
+        errors: list[BaseException] = []
+        getters_done = threading.Event()
+
+        def getter(index: int) -> None:
+            try:
+                for i in range(self.GETS):
+                    key = keys[(index + i) % len(keys)]
+                    entry = cache.get(key)
+                    if entry is not None and entry.blob != blobs[key]:
+                        raise AssertionError(f"wrong bytes for {key}")
+                    if i % self.PUT_EVERY == 0:
+                        cache.put(key, blobs[key], {})
+                        puts[index] += 1
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        def scrub() -> None:
+            # Keep corrupting one entry and scrubbing it out until the
+            # getters finish and at least one scrub quarantined it.
+            try:
+                while not (getters_done.is_set()
+                           and scrubber.report.quarantined):
+                    victim.write_bytes(b"RCC1" + bytes(40))
+                    scrubber.full_pass(batch=4)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=getter, args=(index,))
+            for index in range(self.THREADS)
+        ]
+        scrubber_thread = threading.Thread(target=scrub)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scrubber_thread.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            getters_done.set()
+            scrubber_thread.join(timeout=120)
+        finally:
+            getters_done.set()
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in [*threads, scrubber_thread])
+        assert errors == []
+        assert cache.stats.lookups == self.THREADS * self.GETS
+        assert cache.stats.stores == len(keys) + sum(puts)
+        assert len(cache._memory) <= 2
+        assert scrubber.report.quarantined > 0
 
 
 class TestDegradedReadOnly:

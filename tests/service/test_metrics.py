@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from repro import observe
 from repro.service import MetricsRegistry
-from repro.service.metrics import BUCKETS_PER_OCTAVE, _RegistryRecorder
+from repro.service.metrics import (
+    BUCKETS_PER_OCTAVE,
+    Counter,
+    Timer,
+    _RegistryRecorder,
+)
 
 #: The declared bound on a reported quantile's relative error (1/128).
 QUANTILE_BOUND = 1 / (2 * BUCKETS_PER_OCTAVE)
@@ -117,6 +122,24 @@ class TestInstruments:
             assert timer.percentile(95) == pytest.approx(
                 0.001, rel=QUANTILE_BOUND
             )
+
+    def test_lookup_of_an_existing_name_builds_nothing(self, monkeypatch):
+        registry = MetricsRegistry()
+        timer, counter = registry.timer("t"), registry.counter("c")
+        built: list[str] = []
+        for cls in (Timer, Counter):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        for _ in range(3):
+            assert registry.timer("t") is timer
+            assert registry.counter("c") is counter
+        assert built == []
+        registry.timer("t2")
+        registry.counter("c2")
+        assert built == ["Timer", "Counter"]
 
 
 class TestSerialization:

@@ -1,8 +1,8 @@
 """Cache-scrubber tests: incremental CRC scan, quarantine, resilience."""
 
 import hashlib
+import threading
 
-from repro.server.sharding import ShardedArtifactCache
 from repro.service.cache import ArtifactCache, QUARANTINE_DIR
 from repro.service.scrub import CacheScrubber
 
@@ -72,28 +72,28 @@ class TestScrubPlainCache:
         scrubber = CacheScrubber(cache)
         scrubber._refill()
         # Concurrent eviction between listing and read.
-        gone_cache, gone_path = scrubber._pending[0]
+        gone_path = scrubber._pending[0]
         gone_path.unlink()
         scrubber.step(batch=2)
         assert scrubber.report.errors == 1
         assert scrubber.report.quarantined == 0
         assert scrubber.report.ok == 1
 
-
-class TestScrubShardedCache:
-    def test_scrubs_every_shard(self, tmp_path):
-        cache = ShardedArtifactCache(tmp_path, shards=3)
-        blobs = fill(cache, count=6)
-        victim = next(
-            path
-            for shard in cache.iter_shards()
-            for path in shard._files()
-        )
-        corrupt(victim)
-        report = CacheScrubber(cache).full_pass()
-        assert report.scanned == 6
-        assert report.quarantined == 1
-        assert report.ok == 5
+    def test_quarantine_waits_for_the_cache_lock(self, tmp_path):
+        # The server's executor threads hold the cache lock inside
+        # ``get``; the scrubber must take it too before it touches the
+        # memory front or the stats.
+        cache = ArtifactCache(tmp_path)
+        fill(cache, count=2)
+        corrupt(sorted(cache._files())[0])
+        scrubber = CacheScrubber(cache)
+        scrub = threading.Thread(target=scrubber.full_pass)
+        with cache._lock:
+            scrub.start()
+            scrub.join(timeout=0.5)
+            assert scrub.is_alive()  # blocked in quarantine()
+            assert cache.stats.quarantined == 0
+        scrub.join(timeout=30)
+        assert not scrub.is_alive()
+        assert scrubber.report.quarantined == 1
         assert cache.stats.quarantined == 1
-        survivors = set(blobs) - {victim.stem}
-        assert all(cache.get(key).blob == blobs[key] for key in survivors)
