@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Type:
     """``int``, ``char`` (arrays only), or an array-of-element type."""
 
@@ -35,47 +35,47 @@ CHAR_ARRAY = Type("char", is_array=True)
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class Expr:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Num(Expr):
     value: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Var(Expr):
     name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrayRef(Expr):
     name: str = ""
     index: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     name: str = ""
     args: list[Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str = "+"
     left: Expr | None = None
     right: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str = "-"
     operand: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Logical(Expr):
     """Short-circuit ``&&`` / ``||``."""
 
@@ -84,7 +84,7 @@ class Logical(Expr):
     right: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Expr):
     """``target = value`` or compound ``target op= value``."""
 
@@ -93,7 +93,7 @@ class Assign(Expr):
     op: str | None = None  # None for plain '='
 
 
-@dataclass
+@dataclass(slots=True)
 class Conditional(Expr):
     """Ternary ``cond ? a : b``."""
 
@@ -105,47 +105,47 @@ class Conditional(Expr):
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Stmt):
     body: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalDecl(Stmt):
     name: str = ""
     init: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr | None = None
     then: Stmt | None = None
     otherwise: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr | None = None
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DoWhile(Stmt):
     body: Stmt | None = None
     cond: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class For(Stmt):
     init: Stmt | None = None  # ExprStmt or LocalDecl
     cond: Expr | None = None
@@ -153,30 +153,30 @@ class For(Stmt):
     body: Stmt | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SwitchCase:
     value: int = 0
     body: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Switch(Stmt):
     selector: Expr | None = None
     cases: list[SwitchCase] = field(default_factory=list)
     default: list[Stmt] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     value: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Break(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Continue(Stmt):
     pass
 
@@ -184,14 +184,14 @@ class Continue(Stmt):
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class Param:
     name: str
     type: Type
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class GlobalVar:
     name: str
     type: Type
@@ -206,7 +206,7 @@ class GlobalVar:
         return self.array_size * self.type.element_size
 
 
-@dataclass
+@dataclass(slots=True)
 class Function:
     name: str
     return_type: Type
@@ -215,7 +215,7 @@ class Function:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslationUnit:
     globals: list[GlobalVar] = field(default_factory=list)
     functions: list[Function] = field(default_factory=list)

@@ -23,6 +23,7 @@ section 3.2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro import bitutils
 from repro.compiler import ir
@@ -191,26 +192,8 @@ class FunctionCodegen:
         for instr in self.fn.instrs:
             self._gen_instr(instr)
         self._emit_epilogue()
-        self._peephole_jumps()
+        _peephole_jumps(self.unit)
         return self.unit
-
-    def _peephole_jumps(self) -> None:
-        """Remove unconditional branches to the very next instruction
-        (typically the ``b .Lepilogue`` of a fall-through return)."""
-        changed = True
-        while changed:
-            changed = False
-            for index, op in enumerate(self.unit.ops):
-                if op.mnemonic != "b" or op.target is None:
-                    continue
-                target_index = self.unit.labels.get(op.target)
-                if target_index == index + 1:
-                    del self.unit.ops[index]
-                    for label, pos in self.unit.labels.items():
-                        if pos > index:
-                            self.unit.labels[label] = pos - 1
-                    changed = True
-                    break
 
     def _emit_prologue(self) -> None:
         frame = self._frame
@@ -684,3 +667,30 @@ def generate_function(
     data_out = data_out if data_out is not None else []
     allocation = allocate(fn)
     return FunctionCodegen(fn, allocation, config, data_out).generate()
+
+
+def _peephole_jumps(unit: FunctionUnit) -> None:
+    """Remove unconditional branches to the very next instruction
+    (typically the ``b .Lepilogue`` of a fall-through return).
+
+    A ``b L`` goes when every op between it and ``L`` goes, so removals
+    cascade backward only and one backward pass finds them all; each
+    label then moves down by the removed ops before it.
+    """
+    ops, labels = unit.ops, unit.labels
+    removed = [False] * len(ops)
+    next_kept = len(ops)  # first op after ``index`` that stays
+    for index in range(len(ops) - 1, -1, -1):
+        op = ops[index]
+        if op.mnemonic == "b" and op.target is not None:
+            target = labels.get(op.target)
+            if target is not None and index < target <= next_kept:
+                removed[index] = True
+                continue
+        next_kept = index
+    if not any(removed):
+        return
+    ops[:] = [op for op, gone in zip(ops, removed) if not gone]
+    removed_before = list(accumulate(removed, initial=0))
+    for label, position in labels.items():
+        labels[label] = position - removed_before[position]

@@ -16,7 +16,7 @@ literals may only initialize ``char`` arrays.
 from __future__ import annotations
 
 from repro.compiler import ast_nodes as ast
-from repro.compiler.lexer import Token, tokenize
+from repro.compiler.lexer import Tokens, tokenize
 from repro.errors import CompileError
 
 # Binary operator precedence, loosest first (ternary handled apart).
@@ -46,46 +46,45 @@ _LOGICAL_POWER = _BINDING_POWER["&&"]
 MAX_NESTING = 100
 
 _COMPOUND_OPS = {"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
+_PREFIX_OPS = {"-", "~", "!", "+", "++", "--"}
 
 
 class Parser:
-    """One-token-lookahead recursive-descent parser."""
+    """One-token-lookahead recursive-descent parser over token columns.
 
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
+    The parser compares ``tags[pos]`` directly: a keyword or operator is
+    tagged by its own text, any other token by ``ident``, ``num``,
+    ``string`` or ``eof`` (see :class:`~repro.compiler.lexer.Tokens`).
+    Helpers that consume a token return its index into the columns.
+    """
+
+    def __init__(self, tokens: Tokens) -> None:
+        self._tags = tokens.tags
+        self._texts = tokens.texts
+        self._values = tokens.values
+        self._lines = tokens.lines
         self._pos = 0
         self._depth = 0
 
     # ------------------------------------------------------------------
     # Token helpers
     # ------------------------------------------------------------------
-    @property
-    def _cur(self) -> Token:
-        return self._tokens[self._pos]
+    def _accept(self, tag: str) -> bool:
+        if self._tags[self._pos] == tag:
+            self._pos += 1
+            return True
+        return False
 
-    def _advance(self) -> Token:
-        token = self._cur
-        self._pos += 1
-        return token
-
-    def _check(self, kind: str, text: str | None = None) -> bool:
-        token = self._cur
-        return token.kind == kind and (text is None or token.text == text)
-
-    def _accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self._check(kind, text):
-            return self._advance()
-        return None
-
-    def _expect(self, kind: str, text: str | None = None) -> Token:
-        if not self._check(kind, text):
-            want = text or kind
+    def _expect(self, tag: str) -> int:
+        pos = self._pos
+        if self._tags[pos] != tag:
             raise CompileError(
-                f"expected {want!r}, found {self._cur.text!r}", self._cur.line
+                f"expected {tag!r}, found {self._texts[pos]!r}", self._lines[pos]
             )
-        return self._advance()
+        self._pos = pos + 1
+        return pos
 
-    def _descend(self, token: Token) -> None:
+    def _descend(self, line: int) -> None:
         """Enter one nesting level; the caller leaves it with ``_depth -= 1``.
 
         A CompileError abandons the whole parse, so no level is left on
@@ -93,67 +92,70 @@ class Parser:
         """
         self._depth += 1
         if self._depth > MAX_NESTING:
-            raise CompileError(f"nesting deeper than {MAX_NESTING} levels", token.line)
+            raise CompileError(f"nesting deeper than {MAX_NESTING} levels", line)
 
     # ------------------------------------------------------------------
     # Declarations
     # ------------------------------------------------------------------
     def parse_unit(self) -> ast.TranslationUnit:
         unit = ast.TranslationUnit()
-        while not self._check("eof"):
+        tags = self._tags
+        while tags[self._pos] != "eof":
             base = self._parse_type_name()
             name = self._expect("ident")
-            if self._check("op", "("):
+            if tags[self._pos] == "(":
                 unit.functions.append(self._parse_function(base, name))
             else:
                 unit.globals.append(self._parse_global(base, name))
         return unit
 
     def _parse_type_name(self) -> str:
-        token = self._cur
-        if token.kind == "kw" and token.text in ("int", "char", "void"):
-            self._advance()
-            return token.text
-        raise CompileError(f"expected type, found {token.text!r}", token.line)
+        pos = self._pos
+        tag = self._tags[pos]
+        if tag in ("int", "char", "void"):
+            self._pos = pos + 1
+            return tag
+        raise CompileError(f"expected type, found {self._texts[pos]!r}", self._lines[pos])
 
-    def _parse_global(self, base: str, name: Token) -> ast.GlobalVar:
+    def _parse_global(self, base: str, name: int) -> ast.GlobalVar:
+        line = self._lines[name]
         if base == "void":
-            raise CompileError("void variable", name.line)
+            raise CompileError("void variable", line)
         array_size: int | None = None
-        if self._accept("op", "["):
-            size_tok = self._expect("num")
-            assert size_tok.value is not None
-            array_size = size_tok.value
+        if self._accept("["):
+            size = self._expect("num")
+            array_size = self._values[size]
             if array_size <= 0:
-                raise CompileError("array size must be positive", size_tok.line)
-            self._expect("op", "]")
+                raise CompileError("array size must be positive", self._lines[size])
+            self._expect("]")
         elif base == "char":
-            raise CompileError("char variables must be arrays", name.line)
+            raise CompileError("char variables must be arrays", line)
         init: list[int] | None = None
-        if self._accept("op", "="):
-            init = self._parse_initializer(base, array_size, name.line)
-        self._expect("op", ";")
+        if self._accept("="):
+            init = self._parse_initializer(base, array_size, line)
+        self._expect(";")
         var_type = ast.Type(base, is_array=array_size is not None)
-        return ast.GlobalVar(name.text, var_type, array_size, init, name.line)
+        return ast.GlobalVar(self._texts[name], var_type, array_size, init, line)
 
     def _parse_initializer(
         self, base: str, array_size: int | None, line: int
     ) -> list[int]:
-        if self._check("string"):
-            token = self._advance()
+        pos = self._pos
+        if self._tags[pos] == "string":
+            self._pos = pos + 1
             if base != "char" or array_size is None:
                 raise CompileError("string initializer needs a char array", line)
-            values = [ord(c) & 0xFF for c in token.text] + [0]
+            values = [ord(c) & 0xFF for c in self._texts[pos]] + [0]
             if len(values) > array_size:
                 raise CompileError("string longer than array", line)
             return values
-        if self._accept("op", "{"):
+        if self._accept("{"):
             values = []
-            while not self._check("op", "}"):
+            while self._tags[self._pos] != "}":
                 values.append(self._parse_const_expr())
-                if not self._accept("op", ","):
+                if not self._accept(","):
                     break
-            self._expect("op", "}")
+            self._expect("}")
             if array_size is None:
                 raise CompileError("brace initializer needs an array", line)
             if len(values) > array_size:
@@ -164,226 +166,238 @@ class Parser:
         return [self._parse_const_expr()]
 
     def _parse_const_expr(self) -> int:
-        negative = bool(self._accept("op", "-"))
-        token = self._expect("num")
-        assert token.value is not None
-        return -token.value if negative else token.value
+        negative = self._accept("-")
+        value = self._values[self._expect("num")]
+        return -value if negative else value
 
-    def _parse_function(self, base: str, name: Token) -> ast.Function:
-        self._expect("op", "(")
+    def _parse_function(self, base: str, name: int) -> ast.Function:
+        texts, lines = self._texts, self._lines
+        self._expect("(")
         params: list[ast.Param] = []
-        if self._accept("kw", "void"):
-            self._expect("op", ")")
-        elif self._accept("op", ")"):
+        if self._accept("void"):
+            self._expect(")")
+        elif self._accept(")"):
             pass
         else:
             while True:
                 p_base = self._parse_type_name()
                 if p_base == "void":
-                    raise CompileError("void parameter", self._cur.line)
+                    raise CompileError("void parameter", lines[self._pos])
                 p_name = self._expect("ident")
                 is_array = False
-                if self._accept("op", "["):
-                    self._expect("op", "]")
+                if self._accept("["):
+                    self._expect("]")
                     is_array = True
                 if p_base == "char" and not is_array:
-                    raise CompileError("char parameters must be arrays", p_name.line)
+                    raise CompileError("char parameters must be arrays", lines[p_name])
                 params.append(
-                    ast.Param(p_name.text, ast.Type(p_base, is_array), p_name.line)
+                    ast.Param(texts[p_name], ast.Type(p_base, is_array), lines[p_name])
                 )
-                if not self._accept("op", ","):
+                if not self._accept(","):
                     break
-            self._expect("op", ")")
+            self._expect(")")
         if len(params) > 8:
-            raise CompileError("more than 8 parameters", name.line)
+            raise CompileError("more than 8 parameters", lines[name])
         body = self._parse_block()
-        return ast.Function(name.text, ast.Type(base), params, body, name.line)
+        return ast.Function(texts[name], ast.Type(base), params, body, lines[name])
 
     # ------------------------------------------------------------------
     # Statements
     # ------------------------------------------------------------------
     def _parse_block(self) -> ast.Block:
-        open_tok = self._expect("op", "{")
+        line = self._lines[self._expect("{")]
         body: list[ast.Stmt] = []
-        while not self._check("op", "}"):
-            if self._check("eof"):
-                raise CompileError("unterminated block", open_tok.line)
+        tags = self._tags
+        while (tag := tags[self._pos]) != "}":
+            if tag == "eof":
+                raise CompileError("unterminated block", line)
             body.append(self._parse_block_item())
-        self._expect("op", "}")
-        return ast.Block(open_tok.line, body)
+        self._pos += 1
+        return ast.Block(line, body)
 
     def _parse_block_item(self) -> ast.Stmt:
-        if self._check("kw", "int"):
+        if self._tags[self._pos] == "int":
             return self._parse_local_decl()
         return self._parse_statement()
 
     def _parse_local_decl(self) -> ast.Stmt:
-        kw = self._expect("kw", "int")
+        texts, lines = self._texts, self._lines
+        kw = self._expect("int")
         name = self._expect("ident")
         init = None
-        if self._accept("op", "="):
+        if self._accept("="):
             init = self._parse_expression()
-        decl = ast.LocalDecl(kw.line, name.text, init)
+        decl = ast.LocalDecl(lines[kw], texts[name], init)
         # `int a = 1, b = 2;` — desugar into a block of declarations.
         extra: list[ast.Stmt] = [decl]
-        while self._accept("op", ","):
+        while self._accept(","):
             name = self._expect("ident")
             init = None
-            if self._accept("op", "="):
+            if self._accept("="):
                 init = self._parse_expression()
-            extra.append(ast.LocalDecl(name.line, name.text, init))
-        self._expect("op", ";")
+            extra.append(ast.LocalDecl(lines[name], texts[name], init))
+        self._expect(";")
         if len(extra) == 1:
             return decl
-        return ast.Block(kw.line, extra)
+        return ast.Block(lines[kw], extra)
 
     def _parse_statement(self) -> ast.Stmt:
-        token = self._cur
-        self._descend(token)
-        handler = _KEYWORD_STATEMENTS.get(token.text) if token.kind == "kw" else None
+        pos = self._pos
+        tag = self._tags[pos]
+        line = self._lines[pos]
+        self._descend(line)
+        handler = _KEYWORD_STATEMENTS.get(tag)
         if handler is not None:
             stmt = handler(self)
-        elif token.kind == "op" and token.text == "{":
+        elif tag == "{":
             stmt = self._parse_block()
-        elif token.kind == "op" and token.text == ";":
-            self._advance()
-            stmt = ast.Block(token.line, [])
+        elif tag == ";":
+            self._pos = pos + 1
+            stmt = ast.Block(line, [])
         else:
-            stmt = ast.ExprStmt(token.line, self._parse_expression())
-            self._expect("op", ";")
+            stmt = ast.ExprStmt(line, self._parse_expression())
+            self._expect(";")
         self._depth -= 1
         return stmt
 
     def _parse_if(self) -> ast.Stmt:
-        kw = self._expect("kw", "if")
-        self._expect("op", "(")
+        kw = self._expect("if")
+        self._expect("(")
         cond = self._parse_expression()
-        self._expect("op", ")")
+        self._expect(")")
         then = self._parse_statement()
         otherwise = None
-        if self._accept("kw", "else"):
+        if self._accept("else"):
             otherwise = self._parse_statement()
-        return ast.If(kw.line, cond, then, otherwise)
+        return ast.If(self._lines[kw], cond, then, otherwise)
 
     def _parse_while(self) -> ast.Stmt:
-        kw = self._expect("kw", "while")
-        self._expect("op", "(")
+        kw = self._expect("while")
+        self._expect("(")
         cond = self._parse_expression()
-        self._expect("op", ")")
+        self._expect(")")
         body = self._parse_statement()
-        return ast.While(kw.line, cond, body)
+        return ast.While(self._lines[kw], cond, body)
 
     def _parse_do_while(self) -> ast.Stmt:
-        kw = self._expect("kw", "do")
+        kw = self._expect("do")
         body = self._parse_statement()
-        self._expect("kw", "while")
-        self._expect("op", "(")
+        self._expect("while")
+        self._expect("(")
         cond = self._parse_expression()
-        self._expect("op", ")")
-        self._expect("op", ";")
-        return ast.DoWhile(kw.line, body, cond)
+        self._expect(")")
+        self._expect(";")
+        return ast.DoWhile(self._lines[kw], body, cond)
 
     def _parse_for(self) -> ast.Stmt:
-        kw = self._expect("kw", "for")
-        self._expect("op", "(")
+        tags = self._tags
+        kw = self._expect("for")
+        self._expect("(")
         init: ast.Stmt | None = None
-        if not self._check("op", ";"):
-            if self._check("kw", "int"):
+        if tags[self._pos] != ";":
+            if tags[self._pos] == "int":
                 init = self._parse_local_decl()
                 # _parse_local_decl consumed the ';'
             else:
-                init = ast.ExprStmt(self._cur.line, self._parse_expression())
-                self._expect("op", ";")
+                init = ast.ExprStmt(self._lines[self._pos], self._parse_expression())
+                self._expect(";")
         else:
-            self._expect("op", ";")
+            self._pos += 1
         cond = None
-        if not self._check("op", ";"):
+        if tags[self._pos] != ";":
             cond = self._parse_expression()
-        self._expect("op", ";")
+        self._expect(";")
         step = None
-        if not self._check("op", ")"):
+        if tags[self._pos] != ")":
             step = self._parse_expression()
-        self._expect("op", ")")
+        self._expect(")")
         body = self._parse_statement()
-        return ast.For(kw.line, init, cond, step, body)
+        return ast.For(self._lines[kw], init, cond, step, body)
 
     def _parse_switch(self) -> ast.Stmt:
-        kw = self._expect("kw", "switch")
-        self._expect("op", "(")
+        tags = self._tags
+        line = self._lines[self._expect("switch")]
+        self._expect("(")
         selector = self._parse_expression()
-        self._expect("op", ")")
-        self._expect("op", "{")
+        self._expect(")")
+        self._expect("{")
         cases: list[ast.SwitchCase] = []
+        values: set[int] = set()
         default: list[ast.Stmt] | None = None
         current: list[ast.Stmt] | None = None
-        while not self._check("op", "}"):
-            if self._accept("kw", "case"):
+        while tags[self._pos] != "}":
+            if self._accept("case"):
                 value = self._parse_const_expr()
-                self._expect("op", ":")
-                if any(c.value == value for c in cases):
-                    raise CompileError(f"duplicate case {value}", kw.line)
+                self._expect(":")
+                if value in values:
+                    raise CompileError(f"duplicate case {value}", line)
+                values.add(value)
                 case = ast.SwitchCase(value, [])
                 cases.append(case)
                 current = case.body
-            elif self._accept("kw", "default"):
-                self._expect("op", ":")
+            elif self._accept("default"):
+                self._expect(":")
                 if default is not None:
-                    raise CompileError("duplicate default", kw.line)
+                    raise CompileError("duplicate default", line)
                 default = []
                 current = default
             else:
                 if current is None:
-                    raise CompileError("statement before first case", self._cur.line)
+                    raise CompileError("statement before first case", self._lines[self._pos])
                 current.append(self._parse_block_item())
-        self._expect("op", "}")
-        return ast.Switch(kw.line, selector, cases, default)
+        self._pos += 1
+        return ast.Switch(line, selector, cases, default)
 
     def _parse_return(self) -> ast.Stmt:
-        kw = self._expect("kw", "return")
+        kw = self._expect("return")
         value = None
-        if not self._check("op", ";"):
+        if self._tags[self._pos] != ";":
             value = self._parse_expression()
-        self._expect("op", ";")
-        return ast.Return(kw.line, value)
+        self._expect(";")
+        return ast.Return(self._lines[kw], value)
 
     def _parse_break(self) -> ast.Stmt:
-        kw = self._expect("kw", "break")
-        self._expect("op", ";")
-        return ast.Break(kw.line)
+        kw = self._expect("break")
+        self._expect(";")
+        return ast.Break(self._lines[kw])
 
     def _parse_continue(self) -> ast.Stmt:
-        kw = self._expect("kw", "continue")
-        self._expect("op", ";")
-        return ast.Continue(kw.line)
+        kw = self._expect("continue")
+        self._expect(";")
+        return ast.Continue(self._lines[kw])
 
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
     def _parse_expression(self) -> ast.Expr:
         """expression := conditional (('=' | op'=') expression)?"""
-        self._descend(self._cur)
+        self._descend(self._lines[self._pos])
         left = self._parse_conditional()
-        token = self._cur
-        if token.kind == "op" and (token.text == "=" or token.text in _COMPOUND_OPS):
-            self._advance()
+        pos = self._pos
+        tag = self._tags[pos]
+        if tag == "=" or tag in _COMPOUND_OPS:
+            self._pos = pos + 1
+            line = self._lines[pos]
             if not isinstance(left, (ast.Var, ast.ArrayRef)):
-                raise CompileError("assignment target must be a variable", token.line)
+                raise CompileError("assignment target must be a variable", line)
             value = self._parse_expression()
-            op = None if token.text == "=" else token.text[:-1]
-            left = ast.Assign(token.line, left, value, op)
+            op = None if tag == "=" else tag[:-1]
+            left = ast.Assign(line, left, value, op)
         self._depth -= 1
         return left
 
     def _parse_conditional(self) -> ast.Expr:
         cond = self._parse_infix(1)
-        if self._check("op", "?"):
-            token = self._advance()
+        pos = self._pos
+        if self._tags[pos] == "?":
+            self._pos = pos + 1
+            line = self._lines[pos]
             then = self._parse_expression()
-            self._expect("op", ":")
-            self._descend(token)
+            self._expect(":")
+            self._descend(line)
             otherwise = self._parse_conditional()
             self._depth -= 1
-            return ast.Conditional(token.line, cond, then, otherwise)
+            return ast.Conditional(line, cond, then, otherwise)
         return cond
 
     def _parse_infix(self, min_power: int) -> ast.Expr:
@@ -394,85 +408,90 @@ class Parser:
         every level left-associative.
         """
         left = self._parse_unary()
-        tokens = self._tokens
+        tags = self._tags
         while True:
-            token = tokens[self._pos]
-            if token.kind != "op":
-                return left
-            power = _BINDING_POWER.get(token.text)
+            pos = self._pos
+            op = tags[pos]
+            power = _BINDING_POWER.get(op)
             if power is None or power < min_power:
                 return left
-            self._pos += 1
+            self._pos = pos + 1
             right = self._parse_infix(power + 1)
             node = ast.Logical if power <= _LOGICAL_POWER else ast.Binary
-            left = node(token.line, token.text, left, right)
+            left = node(self._lines[pos], op, left, right)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._cur
-        if token.kind != "op" or token.text not in ("-", "~", "!", "+", "++", "--"):
+        pos = self._pos
+        tag = self._tags[pos]
+        if tag not in _PREFIX_OPS:
             return self._parse_postfix()
-        self._advance()
-        self._descend(token)
+        self._pos = pos + 1
+        line = self._lines[pos]
+        self._descend(line)
         operand = self._parse_unary()
         self._depth -= 1
-        if token.text == "+":
+        if tag == "+":
             return operand
-        if token.text in ("++", "--"):
+        if tag == "++" or tag == "--":
             if not isinstance(operand, (ast.Var, ast.ArrayRef)):
-                raise CompileError("++/-- target must be a variable", token.line)
-            op = "+" if token.text == "++" else "-"
-            return ast.Assign(token.line, operand, ast.Num(token.line, 1), op)
-        return ast.Unary(token.line, token.text, operand)
+                raise CompileError("++/-- target must be a variable", line)
+            op = "+" if tag == "++" else "-"
+            return ast.Assign(line, operand, ast.Num(line, 1), op)
+        return ast.Unary(line, tag, operand)
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tags = self._tags
         while True:
-            token = self._cur
-            if token.kind == "op" and token.text == "[":
+            pos = self._pos
+            tag = tags[pos]
+            if tag == "[":
+                line = self._lines[pos]
                 if not isinstance(expr, ast.Var):
-                    raise CompileError("only named arrays can be indexed", token.line)
-                self._advance()
+                    raise CompileError("only named arrays can be indexed", line)
+                self._pos = pos + 1
                 index = self._parse_expression()
-                self._expect("op", "]")
-                expr = ast.ArrayRef(token.line, expr.name, index)
-            elif token.kind == "op" and token.text in ("++", "--"):
+                self._expect("]")
+                expr = ast.ArrayRef(line, expr.name, index)
+            elif tag == "++" or tag == "--":
                 # Postfix inc/dec: allowed only where the value is unused
                 # (statement context); lowering enforces this.
-                self._advance()
+                self._pos = pos + 1
+                line = self._lines[pos]
                 if not isinstance(expr, (ast.Var, ast.ArrayRef)):
-                    raise CompileError("++/-- target must be a variable", token.line)
-                op = "+" if token.text == "++" else "-"
-                expr = ast.Assign(token.line, expr, ast.Num(token.line, 1), op)
+                    raise CompileError("++/-- target must be a variable", line)
+                op = "+" if tag == "++" else "-"
+                expr = ast.Assign(line, expr, ast.Num(line, 1), op)
             else:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._cur
-        if token.kind == "num":
-            self._advance()
-            assert token.value is not None
-            return ast.Num(token.line, token.value)
-        if token.kind == "ident":
-            self._advance()
-            if self._check("op", "("):
-                self._advance()
-                args: list[ast.Expr] = []
-                if not self._check("op", ")"):
-                    while True:
-                        args.append(self._parse_expression())
-                        if not self._accept("op", ","):
-                            break
-                self._expect("op", ")")
-                if len(args) > 8:
-                    raise CompileError("more than 8 call arguments", token.line)
-                return ast.Call(token.line, token.text, args)
-            return ast.Var(token.line, token.text)
-        if token.kind == "op" and token.text == "(":
-            self._advance()
+        pos = self._pos
+        tag = self._tags[pos]
+        if tag == "num":
+            self._pos = pos + 1
+            return ast.Num(self._lines[pos], self._values[pos])
+        if tag == "ident":
+            if self._tags[pos + 1] != "(":
+                self._pos = pos + 1
+                return ast.Var(self._lines[pos], self._texts[pos])
+            self._pos = pos + 2
+            args: list[ast.Expr] = []
+            if self._tags[pos + 2] != ")":
+                while True:
+                    args.append(self._parse_expression())
+                    if not self._accept(","):
+                        break
+            self._expect(")")
+            if len(args) > 8:
+                raise CompileError("more than 8 call arguments", self._lines[pos])
+            return ast.Call(self._lines[pos], self._texts[pos], args)
+        if tag == "(":
+            self._pos = pos + 1
             expr = self._parse_expression()
-            self._expect("op", ")")
+            self._expect(")")
             return expr
-        raise CompileError(f"unexpected token {token.text!r}", token.line)
+        raise CompileError(f"unexpected token {self._texts[pos]!r}", self._lines[pos])
 
 
 _KEYWORD_STATEMENTS = {

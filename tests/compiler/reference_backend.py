@@ -1,14 +1,16 @@
 """Reference implementations of the compiler's rewritten back-half passes.
 
 These are the straightforward versions the linear-sweep passes in
-``optimizer`` and ``regalloc`` must agree with: dead-code elimination
-and branch simplification that rescan and copy lists, and a register
-allocator that splits blocks into records, builds intervals with
-``min``/``max`` updates, tests every interval against every clobber and
-keeps its free lists sorted.  The dataflow queries are free functions
-that read instruction fields by reflection, with their own table of use
-fields, so a mistake in the ``Instr`` methods or class attributes cannot
-hide in the reference too.
+``optimizer``, ``regalloc`` and ``codegen`` must agree with: dead-code
+elimination and branch simplification that rescan and copy lists, a
+register allocator that splits blocks into records, builds intervals
+with ``min``/``max`` updates, tests every interval against every
+clobber and keeps its free lists sorted, and a jump peephole that
+restarts its scan and renumbers every label after each branch it
+removes.  The dataflow queries are free functions that read instruction
+fields by reflection, with their own table of use fields, so a mistake
+in the ``Instr`` methods or class attributes cannot hide in the
+reference too.
 
 Differential tests only: nothing in ``src`` imports this module.
 """
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.compiler import ir
 from repro.compiler.optimizer import _CMP, _fold_constants
 from repro.compiler.regalloc import NONVOLATILE_POOL, VOLATILE_POOL, Allocation, Loc, reg, slot
+from repro.linker.objfile import FunctionUnit
 
 # ---------------------------------------------------------------------------
 # Dataflow queries
@@ -404,3 +407,24 @@ def _take_register(
     if free_nonvolatile:
         return reg(free_nonvolatile.pop(0))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Code generation
+# ---------------------------------------------------------------------------
+def peephole_jumps(unit: FunctionUnit) -> None:
+    """Remove unconditional branches to the very next instruction."""
+    changed = True
+    while changed:
+        changed = False
+        for index, op in enumerate(unit.ops):
+            if op.mnemonic != "b" or op.target is None:
+                continue
+            target_index = unit.labels.get(op.target)
+            if target_index == index + 1:
+                del unit.ops[index]
+                for label, pos in unit.labels.items():
+                    if pos > index:
+                        unit.labels[label] = pos - 1
+                changed = True
+                break

@@ -10,18 +10,21 @@ function spills, so they never reach the spill path of the scan.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import ast_nodes as ast
-from repro.compiler import ir, optimizer
+from repro.compiler import codegen, ir, optimizer
+from repro.compiler.codegen import CodegenConfig, FunctionCodegen
 from repro.compiler.lowering import FunctionLowerer
 from repro.compiler.parser import parse
 from repro.compiler.regalloc import NONVOLATILE_POOL, VOLATILE_POOL, allocate
 from repro.compiler.runtime import RUNTIME_SOURCE
 from repro.compiler.semantics import check
+from repro.linker.objfile import AsmOp, FunctionUnit
 from repro.workloads import BENCHMARK_NAMES, benchmark_source
 
 from . import reference_backend as ref
@@ -340,3 +343,78 @@ def test_suite_functions_match_reference():
             assert_same_allocation(ours, theirs)
             functions += 1
     assert functions > 100
+
+
+# ---------------------------------------------------------------------------
+# Jump peephole
+# ---------------------------------------------------------------------------
+def assert_same_peephole(unit: FunctionUnit) -> None:
+    ours, theirs = copy.deepcopy(unit), copy.deepcopy(unit)
+    codegen._peephole_jumps(ours)
+    ref.peephole_jumps(theirs)
+    assert ours.ops == theirs.ops, unit.name
+    assert ours.labels == theirs.labels, unit.name
+
+
+@st.composite
+def jump_units(draw) -> FunctionUnit:
+    """Short functions of filler ops and ``b``s among a few labels."""
+    names = [f"L{k}" for k in range(draw(st.integers(1, 4)))]
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["b", "b", "b-untargeted", "filler"]))
+        if kind == "b":
+            # "far" names no local label (a branch to another function).
+            ops.append(AsmOp("b", (0,), target=draw(st.sampled_from(names + ["far"]))))
+        elif kind == "b-untargeted":
+            ops.append(AsmOp("b", (8,)))
+        else:
+            ops.append(AsmOp("addi", (3, 3, 1)))
+    labels = {name: draw(st.integers(0, len(ops))) for name in names}
+    return FunctionUnit("t", ops, labels)
+
+
+@settings(max_examples=500, deadline=None)
+@given(jump_units())
+@example(  # a chain of removals that cascades backward from the end
+    FunctionUnit(
+        "chain",
+        [AsmOp("b", (0,), target="L0"), AsmOp("b", (0,), target="L0"),
+         AsmOp("b", (0,), target="L1"), AsmOp("addi", (3, 3, 1))],
+        {"L0": 3, "L1": 3},
+    )
+)
+def test_jump_peephole_matches_reference(unit):
+    assert_same_peephole(unit)
+
+
+def test_jump_peephole_matches_reference_on_real_code(monkeypatch):
+    # Every function as codegen emits it before the peephole: the
+    # runtime, the suite and both hostile shapes of test_linear_time.
+    monkeypatch.setattr(codegen, "_peephole_jumps", lambda unit: None)
+    runtime = parse(RUNTIME_SOURCE)
+    sources = [(RUNTIME_SOURCE, None)]
+    sources += [(benchmark_source(name, 0.1), runtime) for name in BENCHMARK_NAMES]
+    sources += [
+        (
+            "int g;\nint main() {\nint a = g;\nint i = g;\n"
+            + "if (a) { a = a + i; } else { }\n" * 200
+            + "return a;\n}\n",
+            runtime,
+        ),
+        (
+            "int g;\nint main() {\nint a = g;\nswitch (a) {\n"
+            + "".join(f"case {i}: return {i % 7};\n" for i in range(200))
+            + "}\nreturn a;\n}\n",
+            runtime,
+        ),
+    ]
+    units = []
+    for source, unit in sources:
+        for fn in _lowered(source, unit):
+            optimizer.optimize_function(fn)
+            units.append(FunctionCodegen(fn, allocate(fn), CodegenConfig(), []).generate())
+    monkeypatch.undo()
+    assert sum(op.mnemonic == "b" for unit in units for op in unit.ops) > 500
+    for unit in units:
+        assert_same_peephole(unit)

@@ -8,9 +8,9 @@ length lets a few such submissions hold every executor for minutes.
 Each test compiles one source in a subprocess under a 30-second
 timeout, so a regression fails fast and leaves no thread behind.  The
 sizes are chosen so that the quadratic passes these tests guard
-against need more than three times the timeout on a 2-vCPU x86 host
-(144 s and 111 s), so a faster machine still fails them, while the
-linear passes take 5 s and 3 s there.
+against need at least 2.7 times the timeout on a 2-vCPU x86 host
+(144 s, 111 s, 82 s and 137 s), so a faster machine still fails them,
+while the linear passes take 5 s, 3 s, 2.2 s and 3.4 s there.
 """
 
 from __future__ import annotations
@@ -22,19 +22,33 @@ from pathlib import Path
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 _COMPILE = "import sys\nfrom repro.compiler.driver import compile_source\ncompile_source(sys.stdin.read())\n"
+_TOKENIZE = (
+    "import sys\n"
+    "from repro.compiler.lexer import tokenize\n"
+    "from repro.errors import CompileError\n"
+    "try:\n"
+    "    tokenize(sys.stdin.read())\n"
+    "except CompileError as exc:\n"
+    "    print(exc)\n"
+)
 
 
-def _compile_in_subprocess(source: str) -> None:
+def _run_in_subprocess(script: str, source: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", _COMPILE],
+    return subprocess.run(
+        [sys.executable, "-c", script],
         input=source,
+        capture_output=True,
         text=True,
         env=env,
         check=True,
         timeout=30,
-    )
+    ).stdout
+
+
+def _compile_in_subprocess(source: str) -> None:
+    _run_in_subprocess(_COMPILE, source)
 
 
 def test_constant_folding_chain_of_ifs():
@@ -51,3 +65,30 @@ def test_one_value_live_across_many_calls():
     # every call is quadratic.
     calls = "".join(f"__out(a + {i});\n" for i in range(40_000))
     _compile_in_subprocess("int g;\nint main() {\nint a;\na = g;\n" + calls + "return 0;\n}\n")
+
+
+def test_switch_with_many_cases():
+    # Each case value is checked against the earlier ones; rescanning
+    # them all for every label is quadratic.
+    cases = "".join(f"case {i}: return {i % 7};\n" for i in range(60_000))
+    _compile_in_subprocess(
+        "int g;\nint main() {\nint a = g;\nswitch (a) {\n" + cases + "}\nreturn a;\n}\n"
+    )
+
+
+def test_many_empty_else_arms():
+    # Each statement ends in a ``b`` over its empty ``else`` arm to the
+    # very next op; a jump peephole that restarts its scan and
+    # renumbers every label after each removal is quadratic.
+    statements = "if (a) { a = a + i; } else { }\n" * 24_000
+    _compile_in_subprocess(
+        "int g;\nint main() {\nint a = g;\nint i = g;\n" + statements + "return a;\n}\n"
+    )
+
+
+def test_many_unterminated_comment_openers():
+    # The lexer matches every lexeme before it reads the first error, so
+    # a ``/*`` that never closes must take the rest of the source with
+    # it; matched alone, it left each later ``/*`` to scan to the end.
+    output = _run_in_subprocess(_TOKENIZE, "int main() {\n" + "/* " * 200_000)
+    assert output == "line 2: unterminated block comment\n"
