@@ -17,19 +17,21 @@ Prologue and epilogue instructions are tagged with their
 :class:`~repro.linker.objfile.InsnRole` so the paper's Table 3 can
 measure them.  Dense ``switch`` statements compile to jump tables placed
 in .data (so the table can be re-patched after compression, paper
-section 3.2.1).
+section 3.2.1).  Each op is appended straight to the columns of the
+:class:`~repro.linker.objfile.FunctionUnit` that ``link`` reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import compress
 
 from repro import bitutils
 from repro.compiler import ir
 from repro.compiler.regalloc import Allocation, Loc, allocate
 from repro.errors import CompileError
-from repro.linker.objfile import AsmOp, DataItem, FunctionUnit, InsnRole
+from repro.linker.objfile import DataItem, FunctionUnit, InsnRole
 
 _SCRATCH_ADDR = 11
 _SCRATCH_2 = 12
@@ -135,17 +137,12 @@ class FunctionCodegen:
         lo_symbol: str | None = None,
         lo_addend: int = 0,
     ) -> None:
-        self.unit.add(
-            AsmOp(
-                mnemonic,
-                tuple(values),
-                target=target,
-                role=role,
-                hi_symbol=hi_symbol,
-                lo_symbol=lo_symbol,
-                lo_addend=lo_addend,
-            )
-        )
+        unit = self.unit
+        if target is not None or hi_symbol is not None or lo_symbol is not None:
+            unit.relocs[len(unit.mnemonics)] = (target, hi_symbol, lo_symbol, lo_addend)
+        unit.mnemonics.append(mnemonic)
+        unit.values.append(values)
+        unit.roles.append(role)
 
     def _label(self, name: str) -> None:
         self.unit.place_label(name)
@@ -239,10 +236,10 @@ class FunctionCodegen:
     # Instruction dispatch
     # ==================================================================
     def _gen_instr(self, instr: ir.Instr) -> None:
-        method = getattr(self, f"_gen_{type(instr).__name__.lower()}", None)
-        if method is None:  # pragma: no cover - IR set is closed
+        template = _TEMPLATES.get(type(instr))
+        if template is None:  # pragma: no cover - IR set is closed
             raise CompileError(f"no template for {type(instr).__name__}")
-        method(instr)
+        template(self, instr)
 
     def _gen_label(self, instr: ir.Label) -> None:
         self._label(instr.name)
@@ -657,6 +654,17 @@ class FunctionCodegen:
         return f".Lcg{self._local_labels}"
 
 
+# The template of each IR class, keyed by exact type and built once.
+_TEMPLATES = {
+    cls: getattr(FunctionCodegen, f"_gen_{cls.__name__.lower()}")
+    for cls in (
+        ir.Label, ir.Copy, ir.Bin, ir.Un, ir.CmpSet, ir.AddrOf, ir.LoadSym,
+        ir.StoreSym, ir.LoadIdx, ir.StoreIdx, ir.Call, ir.Ret, ir.Br, ir.CBr,
+        ir.Switch, ir.Out, ir.OutC, ir.Halt,
+    )
+}
+
+
 def generate_function(
     fn: ir.IRFunction,
     config: CodegenConfig | None = None,
@@ -674,23 +682,37 @@ def _peephole_jumps(unit: FunctionUnit) -> None:
     (typically the ``b .Lepilogue`` of a fall-through return).
 
     A ``b L`` goes when every op between it and ``L`` goes, so removals
-    cascade backward only and one backward pass finds them all; each
-    label then moves down by the removed ops before it.
+    cascade backward only and one backward pass over the relocated ops
+    finds them all.  The columns are then compacted, and each label and
+    each later relocation moves down by the removed ops before it.
     """
-    ops, labels = unit.ops, unit.labels
-    removed = [False] * len(ops)
-    next_kept = len(ops)  # first op after ``index`` that stays
-    for index in range(len(ops) - 1, -1, -1):
-        op = ops[index]
-        if op.mnemonic == "b" and op.target is not None:
-            target = labels.get(op.target)
-            if target is not None and index < target <= next_kept:
-                removed[index] = True
-                continue
-        next_kept = index
-    if not any(removed):
+    mnemonics, relocs, labels = unit.mnemonics, unit.relocs, unit.labels
+    count = len(mnemonics)
+    removed: list[int] = []  # descending
+    next_kept = count  # first op after ``index`` that stays
+    for index in sorted(relocs, reverse=True):
+        if mnemonics[index] != "b":
+            continue
+        if index + 1 < count and not (removed and removed[-1] == index + 1):
+            next_kept = index + 1
+        target = labels.get(relocs[index][0])
+        if target is not None and index < target <= next_kept:
+            removed.append(index)
+    if not removed:
         return
-    ops[:] = [op for op, gone in zip(ops, removed) if not gone]
-    removed_before = list(accumulate(removed, initial=0))
+    removed.reverse()
+    keep = [True] * count
+    for index in removed:
+        keep[index] = False
+    unit.mnemonics[:] = compress(mnemonics, keep)
+    unit.values[:] = compress(unit.values, keep)
+    unit.roles[:] = compress(unit.roles, keep)
+    moved = {
+        index - bisect_left(removed, index): reloc
+        for index, reloc in relocs.items()
+        if keep[index]
+    }
+    relocs.clear()
+    relocs.update(moved)
     for label, position in labels.items():
-        labels[label] = position - removed_before[position]
+        labels[label] = position - bisect_left(removed, position)

@@ -21,7 +21,7 @@ from repro.compiler.runtime import RUNTIME_SOURCE, make_start
 from repro.compiler.semantics import UnitInfo, check
 from repro.errors import CompileError
 from repro.linker.layout import link
-from repro.linker.objfile import AsmOp, DataItem, FunctionUnit, ObjectModule
+from repro.linker.objfile import DataItem, FunctionUnit, ObjectModule
 from repro.linker.program import Program
 
 
@@ -117,14 +117,15 @@ def _compile_functions(
 
 
 def _copy_function(unit: FunctionUnit) -> FunctionUnit:
-    ops = [
-        AsmOp(
-            op.mnemonic, op.values, op.target, op.role,
-            op.hi_symbol, op.lo_symbol, op.lo_addend,
-        )
-        for op in unit.ops
-    ]
-    return FunctionUnit(unit.name, ops, dict(unit.labels), unit.is_library)
+    return FunctionUnit(
+        unit.name,
+        labels=dict(unit.labels),
+        is_library=unit.is_library,
+        mnemonics=list(unit.mnemonics),
+        values=list(unit.values),
+        roles=list(unit.roles),
+        relocs=dict(unit.relocs),
+    )
 
 
 def _copy_data(item: DataItem) -> DataItem:

@@ -35,14 +35,22 @@ CMP_NEGATE = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "gt": "le", "le": 
 CMP_SWAP = {"eq": "eq", "ne": "ne", "lt": "gt", "gt": "lt", "le": "ge", "ge": "le"}
 
 
-@dataclass(frozen=True)
-class VReg:
-    """A virtual register."""
+class VReg(int):
+    """A virtual register: an ``int`` (its id) that prints as ``vN``.
 
-    id: int
+    Being an ``int``, a vreg hashes and compares in C, so the dict and
+    set operations every pass makes on vregs never call into Python,
+    and the allocator uses it directly as a bit position.
+    """
+
+    __slots__ = ()
+
+    @property
+    def id(self) -> int:
+        return int(self)
 
     def __repr__(self) -> str:
-        return f"v{self.id}"
+        return f"v{int(self)}"
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ fixpoint.  One forward sweep finds the basic blocks, each block's
 upward-exposed uses and defs, every vreg's first and last position and
 the clobber positions (calls and the ``Out``/``OutC`` system calls); the
 backward liveness fixpoint then widens intervals to block boundaries.
-Whether an interval crosses a clobber is one ``bisect`` on the sorted
+Live sets are ``int`` bitsets over the vregs that cross a block
+boundary, so the fixpoint costs a few C operations per block, not a
+Python step per live vreg (see :func:`_widen_to_liveness`).  Whether
+an interval crosses a clobber is one ``bisect`` on the sorted
 clobber positions, and the scan keeps active intervals and both free
 pools in heaps, so it never rescans or re-sorts a list.
 """
@@ -149,49 +152,135 @@ def allocate(fn: ir.IRFunction) -> Allocation:
             out.append(b + 1)
         succs.append(out)
 
-    # Liveness: backward dataflow to a fixpoint.
-    live_in: list[set] = [set() for _ in range(count)]
-    live_out: list[set] = [set() for _ in range(count)]
-    changed = True
-    while changed:
-        changed = False
-        for b in range(count - 1, -1, -1):
-            out_set: set = set()
-            for succ in succs[b]:
-                out_set |= live_in[succ]
-            in_set = block_uses[b] | (out_set - block_defs[b])
-            if in_set != live_in[b] or out_set != live_out[b]:
-                live_in[b] = in_set
-                live_out[b] = out_set
-                changed = True
-
-    # A vreg live into a block extends to its start, one live out of it
-    # to its last instruction.
-    for b in range(count):
-        start = starts[b]
-        for vreg in live_in[b]:
-            if start < first[vreg]:
-                first[vreg] = start
-            if start > last[vreg]:
-                last[vreg] = start
-        end = ends[b] - 1
-        for vreg in live_out[b]:
-            if end < first[vreg]:
-                first[vreg] = end
-            if end > last[vreg]:
-                last[vreg] = end
-
-    intervals = sorted((first[vreg], last[vreg], vreg.id, vreg) for vreg in first)
+    _widen_to_liveness(starts, ends, succs, block_uses, block_defs, first, last)
+    intervals = sorted((first[vreg], last[vreg], vreg) for vreg in first)
     allocation = _linear_scan(intervals, clobbers)
     allocation.has_calls = has_calls
     return allocation
 
 
 # ---------------------------------------------------------------------------
+# Liveness on bitsets
+# ---------------------------------------------------------------------------
+def _widen_to_liveness(
+    starts: list[int],
+    ends: list[int],
+    succs: list[list[int]],
+    block_uses: list[set],
+    block_defs: list[set],
+    first: dict[ir.VReg, int],
+    last: dict[ir.VReg, int],
+) -> None:
+    """Widen each vreg's interval over the block boundaries it is live at.
+
+    A vreg live into a block extends to the block's start, one live out
+    of it to its last instruction.  Only a vreg that some block reads
+    before writing can be live at a boundary; bit ``k`` of a live set
+    stands for the ``k``-th such vreg, so a set is one ``int`` and
+    union, difference and comparison run in C.
+
+    The backward dataflow runs as whole passes from the last block down.
+    A block's live-out is the union of its successors' live-ins: a later
+    block's comes from the same pass and is dropped once its lowest
+    predecessor has read it; a loop head's (an earlier block, or the
+    block itself) comes from the previous pass, starting empty.  Only
+    loop heads and blocks still awaiting a predecessor hold a set
+    between blocks, so a long function with many short-lived sets keeps
+    few of them.  Passes repeat until no loop head's live-in changes.
+
+    One more pass then walks the boundaries from the last down: a bit
+    that enters the live set marks its vreg's highest live boundary the
+    first time, and one that leaves it marks the lowest so far, so the
+    widening visits each vreg once per live range, not once per block.
+    """
+    bit: dict[ir.VReg, int] = {}
+    for uses in block_uses:
+        for vreg in uses:
+            bit.setdefault(vreg, len(bit))
+    if not bit:
+        return
+    gens = [tuple(bit[vreg] for vreg in uses) for uses in block_uses]
+    kills = [tuple(bit[vreg] for vreg in defs if vreg in bit) for defs in block_defs]
+    count = len(starts)
+    # releases[b]: the later blocks whose live-in block b reads last.
+    releases: list[list[int]] = [[] for _ in range(count)]
+    lowest_reader: dict[int, int] = {}
+    for b in range(count - 1, -1, -1):
+        for succ in succs[b]:
+            if succ > b:
+                lowest_reader[succ] = b
+    for succ, b in lowest_reader.items():
+        releases[b].append(succ)
+    heads = {succ: 0 for b in range(count) for succ in succs[b] if succ <= b}
+
+    def backward():
+        """One pass: (block, live-out, live-in) from the last block down."""
+        later: dict[int, int] = {}
+        for b in range(count - 1, -1, -1):
+            live_out = 0
+            for succ in succs[b]:
+                live_out |= later[succ] if succ > b else heads[succ]
+            for succ in releases[b]:
+                del later[succ]
+            live_in = live_out
+            if kills[b] and live_in:
+                killed = 0
+                for k in kills[b]:
+                    killed |= 1 << k
+                live_in ^= live_in & killed
+            for k in gens[b]:
+                live_in |= 1 << k
+            if b in lowest_reader:
+                later[b] = live_in
+            yield b, live_out, live_in
+
+    # A pass reads a loop head's live-in before it reaches the head, so
+    # each head's new set can replace its old one in place.
+    changed = bool(heads)
+    while changed:
+        changed = False
+        for b, _, live_in in backward():
+            if b in heads and heads[b] != live_in:
+                heads[b] = live_in
+                changed = True
+
+    high: list[int | None] = [None] * len(bit)
+    low = [0] * len(bit)
+    previous, previous_at = 0, 0
+    for b, live_out, live_in in backward():
+        for position, live in ((ends[b] - 1, live_out), (starts[b], live_in)):
+            if live != previous:
+                for k in _set_bits(live ^ (live & previous)):
+                    if high[k] is None:
+                        high[k] = position
+                for k in _set_bits(previous ^ (previous & live)):
+                    low[k] = previous_at
+                previous = live
+            previous_at = position
+    for k in _set_bits(previous):
+        low[k] = previous_at
+    for vreg, k in bit.items():
+        if low[k] < first[vreg]:
+            first[vreg] = low[k]
+        if high[k] > last[vreg]:
+            last[vreg] = high[k]
+
+
+def _set_bits(bits: int):
+    """Positions of the set bits of ``bits``, highest first; each step
+    costs one operation on ``bits``, so a sparse set is cheap however
+    high its bits."""
+    while bits:
+        top = bits.bit_length() - 1
+        yield top
+        bits ^= 1 << top
+
+
+# ---------------------------------------------------------------------------
 # Linear scan
 # ---------------------------------------------------------------------------
 def _linear_scan(intervals: list[tuple], clobbers: list[int]) -> Allocation:
-    """Assign each (start, end, id, vreg) interval, in order, a register
+    """Assign each (start, end, vreg) interval, in order, a register
     or a spill slot.
 
     Active intervals sit in a heap keyed by (end, order), so expiring
@@ -207,7 +296,7 @@ def _linear_scan(intervals: list[tuple], clobbers: list[int]) -> Allocation:
     active: list[tuple[int, int, int]] = []  # (end, order, register)
     used_nonvolatile: set[int] = set()
     next_slot = 0
-    for order, (start, end, _, vreg) in enumerate(intervals):
+    for order, (start, end, vreg) in enumerate(intervals):
         while active and active[0][0] < start:
             register = heapq.heappop(active)[2]
             if register in _VOLATILE:

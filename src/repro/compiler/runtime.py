@@ -19,7 +19,7 @@ r0    name        effect
 
 from __future__ import annotations
 
-from repro.linker.objfile import AsmOp, FunctionUnit, InsnRole
+from repro.linker.objfile import FunctionUnit, InsnRole
 
 RUNTIME_SOURCE = """
 // --- repro runtime library (MiniC) ---------------------------------
@@ -202,8 +202,11 @@ RUNTIME_FUNCTIONS = frozenset(
 
 def make_start() -> FunctionUnit:
     """Hand-written ``_start``: call main, then exit(r3)."""
-    unit = FunctionUnit("_start", is_library=True)
-    unit.add(AsmOp("bl", (0,), target="main", role=InsnRole.BODY))
-    unit.add(AsmOp("addi", (0, 0, 0), role=InsnRole.BODY))  # li r0,0: exit
-    unit.add(AsmOp("sc", (), role=InsnRole.BODY))
-    return unit
+    return FunctionUnit(
+        "_start",
+        is_library=True,
+        mnemonics=["bl", "addi", "sc"],
+        values=[(0,), (0, 0, 0), ()],  # addi: li r0,0 (exit)
+        roles=[InsnRole.BODY] * 3,
+        relocs={0: ("main", None, None, 0)},
+    )

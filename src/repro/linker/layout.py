@@ -6,10 +6,11 @@ runtime library are laid out into one .text section, symbols resolved,
 branch offsets encoded at word granularity, and jump tables materialized
 in .data with absolute code addresses.
 
-Each op is encoded into its 32-bit word as soon as it is resolved, and
-the word, its branch target, role, function name and library flag are
-appended to the program's :class:`~repro.linker.program.TextColumns`;
-no per-instruction record is built.
+Each function's op columns are read directly: an op is encoded into
+its 32-bit word as soon as it is resolved, and the word, its branch
+target, role, function name and library flag are appended to the
+program's :class:`~repro.linker.program.TextColumns`; no per-instruction
+record is built.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from repro.errors import LinkError
 from repro.isa.fields import OperandKind
 from repro.isa.instruction import Instruction, encode_values
 from repro.isa.opcodes import SPEC_BY_MNEMONIC, InstrSpec
-from repro.linker.objfile import (
-    AsmOp,
-    DataItem,
-    FunctionUnit,
-    InsnRole,
-    ObjectModule,
-)
+from repro.linker.objfile import DataItem, FunctionUnit, InsnRole, ObjectModule
 from repro.linker.program import (
     DATA_BASE,
     TEXT_BASE,
@@ -125,7 +120,7 @@ def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
     cursor = 0
     for fn in ordered:
         func_base[fn.name] = cursor
-        cursor += len(fn.ops)
+        cursor += len(fn.mnemonics)
     total_instructions = cursor
 
     # Data layout.
@@ -154,34 +149,43 @@ def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
     for fn in ordered:
         base = func_base[fn.name]
         labels = fn.labels
-        functions += [fn.name] * len(fn.ops)
-        libraries += [fn.is_library] * len(fn.ops)
-        for local_index, op in enumerate(fn.ops):
-            plan = _PLANS[op.mnemonic]
-            values = op.values
+        relocs = fn.relocs
+        count = len(fn.mnemonics)
+        functions += [fn.name] * count
+        libraries += [fn.is_library] * count
+        roles += fn.roles
+        for local_index, (mnemonic, values) in enumerate(zip(fn.mnemonics, fn.values)):
+            plan = _PLANS[mnemonic]
             target_index = None
-            if op.target is not None:
-                local = labels.get(op.target)
-                if local is not None:
-                    target_index = base + local
-                elif op.target in by_name:
-                    target_index = func_base[op.target]
-                else:
-                    raise LinkError(f"{fn.name}: undefined branch target {op.target!r}")
-                if plan.rel_slot is None:
-                    raise LinkError(f"{op.mnemonic} has no relative target operand")
-                offset = target_index - base - local_index
-                if not bitutils.fits_signed(offset, plan.rel_width):
-                    raise LinkError(
-                        f"{fn.name}: {op.mnemonic} offset {offset} exceeds "
-                        f"{plan.rel_width}-bit field"
+            reloc = relocs.get(local_index)
+            if reloc is not None:
+                target, hi_symbol, lo_symbol, lo_addend = reloc
+                if target is not None:
+                    local = labels.get(target)
+                    if local is not None:
+                        target_index = base + local
+                    elif target in by_name:
+                        target_index = func_base[target]
+                    else:
+                        raise LinkError(f"{fn.name}: undefined branch target {target!r}")
+                    if plan.rel_slot is None:
+                        raise LinkError(f"{mnemonic} has no relative target operand")
+                    offset = target_index - base - local_index
+                    if not bitutils.fits_signed(offset, plan.rel_width):
+                        raise LinkError(
+                            f"{fn.name}: {mnemonic} offset {offset} exceeds "
+                            f"{plan.rel_width}-bit field"
+                        )
+                    values = list(values)
+                    values[plan.rel_slot] = offset
+                if hi_symbol is not None:
+                    values = _apply_hi(
+                        mnemonic, plan, values, hi_symbol, lo_addend, data_addr, fn.name
                     )
-                values = list(values)
-                values[plan.rel_slot] = offset
-            if op.hi_symbol is not None:
-                values = _apply_hi(op, plan, values, data_addr, fn.name)
-            if op.lo_symbol is not None:
-                values = _apply_lo(op, plan, values, data_addr, fn.name)
+                if lo_symbol is not None:
+                    values = _apply_lo(
+                        mnemonic, plan, values, lo_symbol, lo_addend, data_addr, fn.name
+                    )
             # A failing op is rebuilt as an Instruction only to raise its
             # EncodingError (wrong operand count, or a value that does
             # not fit its field), with the text Instruction.encode gives.
@@ -193,7 +197,6 @@ def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
                 word = Instruction(plan.spec, tuple(values)).encode()
             words.append(word)
             targets.append(target_index)
-            roles.append(op.role)
 
     # Jump-table slots: write absolute code addresses into .data.
     slots: list[JumpTableSlot] = []
@@ -228,39 +231,41 @@ def link(modules: list[ObjectModule], name: str = "a.out") -> Program:
 
 
 def _apply_hi(
-    op: AsmOp,
+    mnemonic: str,
     plan: _LinkPlan,
     values: tuple | list,
+    symbol: str,
+    addend: int,
     data_addr: dict[str, int],
     function: str,
 ) -> list:
-    symbol = op.hi_symbol
     if symbol not in data_addr:
         raise LinkError(f"{function}: undefined data symbol {symbol!r}")
     # @ha always pairs with a signed low half that includes the addend.
-    full = data_addr[symbol] + op.lo_addend
+    full = data_addr[symbol] + addend
     values = list(values)
-    values[_immediate_slot(op.mnemonic, plan)] = bitutils.sign_extend(_ha(full), 16)
+    values[_immediate_slot(mnemonic, plan)] = bitutils.sign_extend(_ha(full), 16)
     return values
 
 
 def _apply_lo(
-    op: AsmOp,
+    mnemonic: str,
     plan: _LinkPlan,
     values: tuple | list,
+    symbol: str,
+    addend: int,
     data_addr: dict[str, int],
     function: str,
 ) -> list:
-    symbol = op.lo_symbol
     if symbol not in data_addr:
         raise LinkError(f"{function}: undefined data symbol {symbol!r}")
-    low = _lo(data_addr[symbol] + op.lo_addend)
+    low = _lo(data_addr[symbol] + addend)
     values = list(values)
     if plan.disp_slot is not None:
         _, base = values[plan.disp_slot]
         values[plan.disp_slot] = (low, base)
     else:
-        values[_immediate_slot(op.mnemonic, plan)] = low
+        values[_immediate_slot(mnemonic, plan)] = low
     return values
 
 

@@ -412,19 +412,25 @@ def _take_register(
 # ---------------------------------------------------------------------------
 # Code generation
 # ---------------------------------------------------------------------------
-def peephole_jumps(unit: FunctionUnit) -> None:
-    """Remove unconditional branches to the very next instruction."""
+def peephole_jumps(unit: FunctionUnit) -> FunctionUnit:
+    """Remove unconditional branches to the very next instruction.
+
+    Works on the unit's op records and returns a unit rebuilt from the
+    ops that remain.
+    """
+    ops, labels = unit.ops, dict(unit.labels)
     changed = True
     while changed:
         changed = False
-        for index, op in enumerate(unit.ops):
+        for index, op in enumerate(ops):
             if op.mnemonic != "b" or op.target is None:
                 continue
-            target_index = unit.labels.get(op.target)
+            target_index = labels.get(op.target)
             if target_index == index + 1:
-                del unit.ops[index]
-                for label, pos in unit.labels.items():
+                del ops[index]
+                for label, pos in labels.items():
                     if pos > index:
-                        unit.labels[label] = pos - 1
+                        labels[label] = pos - 1
                 changed = True
                 break
+    return FunctionUnit.from_ops(unit.name, ops, labels, unit.is_library)

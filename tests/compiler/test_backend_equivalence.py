@@ -3,8 +3,10 @@
 ``reference_backend`` holds the straightforward dead-code, branch and
 register-allocation passes.  The compiler's own passes must produce the
 same instruction lists, the same ``changed`` flags and the same
-allocations on generated IR and on every function of the suite.  The
-golden digests alone cannot show this for the allocator: no suite
+allocations on generated IR, on every function of the suite and on
+programs of the ``build`` benchmark's decks, and the columnar jump
+peephole must leave the same ops and labels as the record-list one.
+The golden digests alone cannot show this for the allocator: no suite
 function spills, so they never reach the spill path of the scan.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,7 @@ from repro.linker.objfile import AsmOp, FunctionUnit
 from repro.workloads import BENCHMARK_NAMES, benchmark_source
 
 from . import reference_backend as ref
+from .test_frontend_differential import deck_sources
 
 # (compiler pass, reference pass), in the optimizer's order.
 PASSES = [
@@ -329,29 +333,48 @@ def _lowered(source: str, runtime: ast.TranslationUnit | None) -> list[ir.IRFunc
     return [FunctionLowerer(fn, info, is_library).lower() for fn in unit.functions]
 
 
+def assert_same_back_end(source: str, runtime: ast.TranslationUnit | None) -> int:
+    """For each function of ``source`` (checked against ``runtime``, or
+    as the runtime itself when ``None``): the allocations before and
+    after optimizing, the optimized IR, and the jump peephole on its
+    generated code equal the reference's.  Returns the function count."""
+    functions = 0
+    for ours, theirs in zip(_lowered(source, runtime), _lowered(source, runtime)):
+        assert_same_allocation(ours, theirs)
+        optimizer.optimize_function(ours)
+        ref.optimize_function(theirs)
+        assert repr(ours.instrs) == repr(theirs.instrs), ours.name
+        assert_same_allocation(ours, theirs)
+        with mock.patch.object(codegen, "_peephole_jumps", lambda unit: None):
+            unit = FunctionCodegen(ours, allocate(ours), CodegenConfig(), []).generate()
+        assert_same_peephole(unit)
+        functions += 1
+    return functions
+
+
 def test_suite_functions_match_reference():
     runtime = parse(RUNTIME_SOURCE)
-    sources = [(RUNTIME_SOURCE, None)]
-    sources += [(benchmark_source(name, 0.1), runtime) for name in BENCHMARK_NAMES]
-    functions = 0
-    for source, unit in sources:
-        for ours, theirs in zip(_lowered(source, unit), _lowered(source, unit)):
-            assert_same_allocation(ours, theirs)
-            optimizer.optimize_function(ours)
-            ref.optimize_function(theirs)
-            assert repr(ours.instrs) == repr(theirs.instrs), ours.name
-            assert_same_allocation(ours, theirs)
-            functions += 1
+    functions = assert_same_back_end(RUNTIME_SOURCE, None)
+    for name in BENCHMARK_NAMES:
+        functions += assert_same_back_end(benchmark_source(name, 0.1), runtime)
     assert functions > 100
+
+
+def test_build_deck_matches_reference():
+    # The first eight programs of deck 0 of ``build`` seed 1; CI's
+    # verify-smoke job runs all 512 programs of decks 0-3 of seeds 1-2.
+    runtime = parse(RUNTIME_SOURCE)
+    for _, source in deck_sources(1, 0)[:8]:
+        assert assert_same_back_end(source, runtime)
 
 
 # ---------------------------------------------------------------------------
 # Jump peephole
 # ---------------------------------------------------------------------------
 def assert_same_peephole(unit: FunctionUnit) -> None:
-    ours, theirs = copy.deepcopy(unit), copy.deepcopy(unit)
+    ours = copy.deepcopy(unit)
     codegen._peephole_jumps(ours)
-    ref.peephole_jumps(theirs)
+    theirs = ref.peephole_jumps(unit)
     assert ours.ops == theirs.ops, unit.name
     assert ours.labels == theirs.labels, unit.name
 
@@ -371,13 +394,13 @@ def jump_units(draw) -> FunctionUnit:
         else:
             ops.append(AsmOp("addi", (3, 3, 1)))
     labels = {name: draw(st.integers(0, len(ops))) for name in names}
-    return FunctionUnit("t", ops, labels)
+    return FunctionUnit.from_ops("t", ops, labels)
 
 
 @settings(max_examples=500, deadline=None)
 @given(jump_units())
 @example(  # a chain of removals that cascades backward from the end
-    FunctionUnit(
+    FunctionUnit.from_ops(
         "chain",
         [AsmOp("b", (0,), target="L0"), AsmOp("b", (0,), target="L0"),
          AsmOp("b", (0,), target="L1"), AsmOp("addi", (3, 3, 1))],

@@ -8,9 +8,10 @@ length lets a few such submissions hold every executor for minutes.
 Each test compiles one source in a subprocess under a 30-second
 timeout, so a regression fails fast and leaves no thread behind.  The
 sizes are chosen so that the quadratic passes these tests guard
-against need at least 2.7 times the timeout on a 2-vCPU x86 host
-(144 s, 111 s, 82 s and 137 s), so a faster machine still fails them,
-while the linear passes take 5 s, 3 s, 2.2 s and 3.4 s there.
+against need at least 2.3 times the timeout on a 2-vCPU x86 host
+(144 s, 111 s, 82 s, 137 s and, extrapolated from 14 s at 2,000
+locals, about 70 s), so a faster machine still fails them, while the
+linear passes take 5 s, 3 s, 2.2 s, 3.4 s and 1.1 s there.
 """
 
 from __future__ import annotations
@@ -22,6 +23,15 @@ from pathlib import Path
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 _COMPILE = "import sys\nfrom repro.compiler.driver import compile_source\ncompile_source(sys.stdin.read())\n"
+_DIAGNOSE = (
+    "import sys\n"
+    "from repro.compiler.driver import compile_source\n"
+    "from repro.errors import CompileError\n"
+    "try:\n"
+    "    compile_source(sys.stdin.read())\n"
+    "except CompileError as exc:\n"
+    "    print(exc)\n"
+)
 _TOKENIZE = (
     "import sys\n"
     "from repro.compiler.lexer import tokenize\n"
@@ -83,6 +93,22 @@ def test_many_empty_else_arms():
     statements = "if (a) { a = a + i; } else { }\n" * 24_000
     _compile_in_subprocess(
         "int g;\nint main() {\nint a = g;\nint i = g;\n" + statements + "return a;\n}\n"
+    )
+
+
+def test_many_locals_live_across_many_loops():
+    # All 4,500 locals are live across all 4,500 loops, so 4,500 vregs
+    # are live at every block boundary: a liveness pass that visits each
+    # live vreg at each block is quadratic.  The spilled locals then
+    # overflow the frame, which codegen reports only after allocation.
+    count = 4_500
+    declarations = "".join(f"int a{i} = g + {i};\n" for i in range(count))
+    loops = "".join(f"while (g < {i}) {{ g = g + 1; }}\n" for i in range(count))
+    total = " + ".join(f"a{i}" for i in range(count))
+    source = f"int g;\nint main() {{\n{declarations}{loops}return {total};\n}}\n"
+    assert _run_in_subprocess(_DIAGNOSE, source) == (
+        "function 'main': stack frame of 107776 bytes does not fit a 16-bit "
+        "displacement\n"
     )
 
 

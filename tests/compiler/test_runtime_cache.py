@@ -18,6 +18,7 @@ import pytest
 from repro.compiler import compile_and_link, compile_source, driver
 from repro.compiler.driver import CompileOptions
 from repro.errors import CompileError
+from repro.linker.objfile import InsnRole
 from repro.workloads import benchmark_source
 
 from .test_golden import program_digest
@@ -33,14 +34,21 @@ void main() {
 """
 
 
+# What a function unit holds that a module could mutate in place.
+_COLUMNS = ("mnemonics", "values", "roles", "relocs", "labels")
+
+
 def test_mutating_one_module_leaves_the_next_compile_unchanged():
     expected = copy.deepcopy(compile_source(SOURCE))
     first = compile_source(SOURCE)
     library = [fn for fn in first.functions if fn.is_library]
     assert library
-    library[0].ops.clear()
-    library[1].ops[0].values = (31, 31, 31)
-    library[1].ops[0].mnemonic = "nop"
+    for column in _COLUMNS:
+        getattr(library[0], column).clear()
+    library[1].values[0] = (31, 31, 31)
+    library[1].mnemonics[0] = "nop"
+    library[1].roles[0] = InsnRole.EPILOGUE
+    library[1].relocs[0] = ("bogus", None, None, 0)
     library[2].labels["bogus"] = 0
     library[3].is_library = False
     first.data[0].initial = b"\xff"
@@ -52,8 +60,9 @@ def test_mutating_one_module_leaves_the_next_compile_unchanged():
 def test_runtime_copies_are_distinct_objects():
     one, two = compile_source(SOURCE), compile_source(SOURCE)
     for fn_one, fn_two in zip(one.functions, two.functions):
-        assert fn_one is not fn_two and fn_one.ops is not fn_two.ops
-        assert all(a is not b for a, b in zip(fn_one.ops, fn_two.ops))
+        assert fn_one is not fn_two
+        for column in _COLUMNS:
+            assert getattr(fn_one, column) is not getattr(fn_two, column), column
     assert all(a is not b for a, b in zip(one.data, two.data))
 
 

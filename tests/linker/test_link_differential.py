@@ -85,7 +85,7 @@ _FILLER = AsmOp("addi", (3, 3, 1))
 
 
 def _start(*ops, labels=None, data=()):
-    unit = FunctionUnit("_start", list(ops), dict(labels or {}))
+    unit = FunctionUnit.from_ops("_start", list(ops), labels)
     return [ObjectModule("m", functions=[unit], data=list(data))]
 
 
