@@ -40,8 +40,7 @@ from repro.chaos.process import install_schedule, uninstall_schedule
 from repro.chaos.schedule import ChaosRule, ChaosSchedule
 from repro.client import CircuitBreaker, ReproClient, RetryPolicy
 from repro.errors import ServiceError
-from repro.perf.loadgen import HostedServer
-from repro.server.app import ServerConfig, parse_spec
+from repro.server.app import HostedServer, ServerConfig, parse_spec
 from repro.server.quotas import QuotaSpec
 from repro.service.pool import execute_job
 from repro.verify.outcomes import (

@@ -93,7 +93,7 @@ _STATS = {
     "decodes": 0,
     "fallbacks": 0,
     # reason -> count: which anomaly triggered each BulkFallback, so a
-    # silent fallback-to-reference shows up in bench output instead of
+    # silent fallback-to-reference shows up in the counters instead of
     # masquerading as bulk throughput.
     "fallback_reasons": {},
 }
@@ -106,7 +106,7 @@ def backend() -> str:
 
 
 def bulk_stats() -> dict:
-    """Process-wide bulk decode counters (tests and `repro-bench`).
+    """Process-wide bulk decode counters (tests and e2ebench ``run``).
 
     ``fallback_reasons`` maps each anomaly message that raised
     :class:`BulkFallback` to how many times it fired (a copy — safe to

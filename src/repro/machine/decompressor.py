@@ -275,7 +275,7 @@ _decode_cache = DecodeCache()
 
 
 def decode_cache_stats() -> dict[str, int]:
-    """Process-wide decode-cache counters (for tests and `repro-bench`)."""
+    """Process-wide decode-cache counters."""
     return {
         "hits": _decode_cache.hits,
         "misses": _decode_cache.misses,

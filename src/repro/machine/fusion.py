@@ -44,9 +44,9 @@ Which pairs fuse is a *plan*: :data:`DEFAULT_PAIRS` carries the hottest
 adjacent data-instruction pairs mined from ``profile_program`` fetch
 counts over the benchmark suite, and :func:`plan_from_profile` re-mines
 a plan for any program, so callers (``repro-verify fastpath --fusion
-profile``, ``repro-bench``) can use workload-specific pairs.  The
-active configuration is process-wide; translation caches key their
-traces on :func:`config_key` and rebuild when it changes.
+profile``) can use workload-specific pairs.  The active configuration
+is process-wide; translation caches key their traces on
+:func:`config_key` and rebuild when it changes.
 
 **Control fusion** is the second, independent axis: ~46% of adjacent
 executed pairs suite-wide are a compare followed by a conditional

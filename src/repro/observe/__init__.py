@@ -6,10 +6,10 @@ service) wrap their phases in :func:`span`/:func:`stage` blocks.  By
 default both are no-ops — no clock is read, no state is kept — so the
 plain library path pays nothing and depends on nothing.  A consumer
 that wants structure installs a :class:`Recorder` (the batch service's
-:class:`repro.service.metrics.MetricsRegistry` does this, as do the
-``repro-observe`` / ``repro-bench`` CLIs) and receives complete span
-trees and point-metric totals; exporters turn those into Chrome
-``trace_event`` JSON, Prometheus text, or JSONL run-ledger records.
+:class:`repro.service.metrics.MetricsRegistry` does this, as does the
+``repro-observe`` CLI) and receives complete span trees and
+point-metric totals; exporters turn those into Chrome ``trace_event``
+JSON, Prometheus text, or JSONL run-ledger records.
 
 :func:`stage` opens a leaf span under one of the historical stage names
 below.

@@ -1,7 +1,7 @@
 """The JSONL run ledger: one record per pipeline run.
 
-Every traced run — a compress, a simulate, a verify campaign, a bench
-measurement — appends **one JSON line** to ``ledger.jsonl`` under a
+Every traced run — a compress, a simulate, a verify campaign, a server
+job — appends **one JSON line** to ``ledger.jsonl`` under a
 configurable directory (``REPRO_OBSERVE_DIR`` or ``.repro-observe``).
 A record carries the run identity and outcome plus the full span tree
 and point-metric totals, so later tooling (``repro-observe report`` /
@@ -13,7 +13,7 @@ Record schema (version 2)::
     {
       "schema": 2,
       "run_id": "4f6a0c2d9b1e",          # unique per record
-      "kind": "compress",                 # compress|simulate|verify|bench.*
+      "kind": "compress",                 # compress|simulate|verify|server.job
       "program": "gcc",                   # or null
       "encoding": "nibble",               # or null
       "outcome": "ok",                    # "ok" | "error"

@@ -2,11 +2,7 @@
 
 Backs ``repro-observe report`` (self/total time trees, top-N metrics)
 and ``repro-observe diff`` (stage-time regressions between two
-ledgers).  ``diff`` also understands the committed
-``BENCH_compression.json`` trajectory: :func:`records_from_bench`
-converts each (program, encoding) stage breakdown into synthetic
-``bench.compress`` records so a fresh bench ledger can be compared
-against the committed baseline with the same code path.
+ledgers).
 """
 
 from __future__ import annotations
@@ -161,53 +157,3 @@ def diff_ledgers(
                 )
     return lines, regressions
 
-
-def records_from_bench(document: dict) -> list[dict]:
-    """Synthesize ``bench.compress`` records from a bench trajectory.
-
-    Accepts a full ``BENCH_compression.json`` document ({"runs": ...})
-    or a single run document ({"programs": ...}).  Each (program,
-    encoding) ``stage_seconds`` map becomes one record whose spans are
-    flat leaves, which is exactly what :func:`diff_ledgers` aggregates.
-    """
-    run_docs = (
-        list(document.get("runs", {}).values())
-        if "runs" in document
-        else [document]
-    )
-    records = []
-    for run_doc in run_docs:
-        for program, doc in run_doc.get("programs", {}).items():
-            for encoding, enc_doc in doc.get("encodings", {}).items():
-                stages = enc_doc.get("stage_seconds")
-                if not stages:
-                    continue
-                cursor = 0
-                spans = []
-                for name, seconds in stages.items():
-                    duration = int(seconds * 1e6)
-                    spans.append({
-                        "name": name,
-                        "start_us": cursor,
-                        "duration_us": duration,
-                    })
-                    cursor += duration
-                records.append({
-                    "schema": 1,
-                    "run_id": f"bench:{program}:{encoding}",
-                    "kind": "bench.compress",
-                    "program": program,
-                    "encoding": encoding,
-                    "outcome": "ok",
-                    "error": None,
-                    "wall_seconds": enc_doc.get(
-                        "compress_seconds", cursor / 1e6
-                    ),
-                    "unix_time": 0.0,
-                    "spans": spans,
-                    "metrics": {
-                        "candidates.count": enc_doc.get("candidates_count", 0)
-                    },
-                    "meta": {},
-                })
-    return records

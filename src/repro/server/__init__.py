@@ -22,12 +22,14 @@ into an actual server:
 
 Artifacts live in one :class:`repro.service.cache.ArtifactCache`, the
 store ``repro-serve`` writes, so the two share a cache directory.  The
-``repro-server`` CLI (:mod:`repro.tools.server_cli`) runs it; the
-``repro-bench --load`` harness (:mod:`repro.perf.loadgen`) measures it.
+``repro-server`` CLI (:mod:`repro.tools.server_cli`) runs it;
+:class:`~repro.server.app.HostedServer` runs it on a background thread
+for the chaos campaign and the tests.
 """
 
 from repro.server.app import (
     CompressionServer,
+    HostedServer,
     JobState,
     ServerConfig,
     parse_spec,
@@ -48,6 +50,7 @@ __all__ = [
     "AdmissionController",
     "CompressionServer",
     "Decision",
+    "HostedServer",
     "JobLedger",
     "JobRecord",
     "JobState",

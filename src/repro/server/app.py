@@ -34,6 +34,7 @@ data.  SSE readers are loop coroutines woken through each job's
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -781,8 +782,8 @@ async def serve(
     """Start a server, optionally publish readiness, run to shutdown.
 
     ``ready`` is called with the started :class:`CompressionServer`
-    once the socket is bound (the load harness and tests use it to
-    learn the ephemeral port).  With ``install_signal_handlers`` the
+    once the socket is bound (:class:`HostedServer` uses it to learn
+    the ephemeral port).  With ``install_signal_handlers`` the
     loop's SIGTERM/SIGINT trigger the graceful drain path.
     """
     server = CompressionServer(config)
@@ -800,3 +801,43 @@ async def serve(
         ready(server)
     await server.run_until_shutdown()
     return server
+
+
+class HostedServer:
+    """A :class:`CompressionServer` on its own thread + event loop."""
+
+    def __init__(self, config: ServerConfig) -> None:
+        self.config = config
+        self.server = None
+        self._ready = threading.Event()
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self) -> None:
+        def on_ready(server):
+            self.server = server
+            self._ready.set()
+
+        try:
+            asyncio.run(serve(self.config, ready=on_ready))
+        except BaseException as exc:  # surfaced to the waiting client
+            self._error = exc
+            self._ready.set()
+
+    def __enter__(self) -> "HostedServer":
+        self._thread.start()
+        self._ready.wait(timeout=30)
+        if self._error is not None:
+            raise ReproError(f"hosted server failed: {self._error}")
+        if self.server is None:
+            raise ReproError("hosted server did not start within 30s")
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.server is not None:
+            self.server.request_shutdown()
+        self._thread.join(timeout=60)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.config.host, self.server.port

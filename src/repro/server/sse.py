@@ -22,8 +22,8 @@ job streams its single ``job`` span with ``"cache_hit": true`` and a
 built job streams ``job`` → ``compile`` → ``dict_build`` → … with
 ``"cache_hit": false``, the same shape ``repro-observe`` would show.
 
-:func:`read_events` is the one reader of that wire format: the client,
-the load harness and the tests all parse streams through it.
+:func:`read_events` is the one reader of that wire format: the client
+and the tests parse streams through it.
 """
 
 from __future__ import annotations

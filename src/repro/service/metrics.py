@@ -28,7 +28,7 @@ installed.
 
 Instruments take no lock: code that feeds one registry from several
 threads serializes its updates (the installed recorder holds its own
-lock; the load harness records under its clients' lock).
+lock).
 """
 
 from __future__ import annotations

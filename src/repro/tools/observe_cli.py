@@ -14,10 +14,9 @@ Six subcommands over the :mod:`repro.observe` subsystem:
     times plus the top-N point metrics across the selected records.
 
 ``diff``
-    Compare two ledgers (or a ledger against a committed
-    ``BENCH_compression.json``) run-by-run and flag stage-time
-    regressions; exits 3 when any stage exceeds ``--factor`` times its
-    baseline.
+    Compare two ledgers run-by-run and flag stage-time regressions;
+    exits 3 when any stage exceeds ``--factor`` times its baseline, and
+    2 when either ledger is missing or unreadable.
 
 ``flame``
     Run a pipeline step with the sampling profiler attached and write
@@ -39,8 +38,8 @@ Examples::
     repro-observe trace --step compress -b gcc --scale 0.5
     repro-observe trace --step simulate -b li --encoding baseline
     repro-observe report --last 2
-    repro-observe report --kind bench.compress --program gcc
-    repro-observe diff .repro-observe/ledger.jsonl BENCH_compression.json
+    repro-observe report --kind compress --program gcc
+    repro-observe diff baseline-ledger/ .repro-observe/ledger.jsonl
     repro-observe flame --step simulate -b gcc -o flame.speedscope.json
     repro-observe blackbox --json
     repro-observe stitch --trace-id <32-hex> -o stitched.json
@@ -71,12 +70,7 @@ from repro.observe import (
     write_chrome_trace,
     write_speedscope,
 )
-from repro.observe.report import (
-    diff_ledgers,
-    records_from_bench,
-    render_report,
-    render_tree,
-)
+from repro.observe.report import diff_ledgers, render_report, render_tree
 from repro.workloads import BENCHMARK_NAMES, build_benchmark
 
 TRACE_STEPS = ("compress", "simulate", "verify")
@@ -146,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff = commands.add_parser(
         "diff", help="compare two ledgers and flag stage-time regressions"
     )
-    diff.add_argument("baseline", help="ledger file/dir or bench JSON")
-    diff.add_argument("current", help="ledger file/dir or bench JSON")
+    diff.add_argument("baseline", help="ledger file or directory")
+    diff.add_argument("current", help="ledger file or directory")
     diff.add_argument(
         "--factor", type=float, default=1.5,
         help="flag stages slower than FACTOR x baseline (default 1.5)",
@@ -448,16 +442,10 @@ def _cmd_report(args) -> int:
 
 
 def _load_side(argument: str) -> list[dict]:
-    """A diff side: ledger JSONL, ledger dir, or bench trajectory JSON."""
-    path = Path(argument)
-    if path.is_dir():
-        return read_ledger(path / "ledger.jsonl")
-    if path.suffix == ".json":
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(f"cannot read {path}: {exc}") from exc
-        return records_from_bench(document)
+    """A diff side: a ledger JSONL file or a ledger directory."""
+    path = _resolve_ledger_path(argument)
+    if not path.is_file():
+        raise ReproError(f"no ledger at {path}")
     return read_ledger(path)
 
 

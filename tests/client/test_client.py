@@ -11,8 +11,7 @@ from repro.client import (
     RetryPolicy,
 )
 from repro.errors import TransientError
-from repro.perf.loadgen import HostedServer
-from repro.server.app import ServerConfig
+from repro.server.app import HostedServer, ServerConfig
 from repro.server.quotas import QuotaSpec
 
 
@@ -191,3 +190,59 @@ class TestAgainstARealServer:
         assert client.breaker.state == "open"
         with pytest.raises(CircuitOpenError):
             client._request("GET", "/healthz")
+
+
+class TestThrottleOnTheWire:
+    """429 + ``Retry-After`` from a real server's token bucket."""
+
+    SPEC = {"benchmark": "compress", "encoding": "nibble", "scale": 0.2,
+            "verify": "none"}
+    # Resubmitting SPEC would be deduplicated to its completed job and
+    # never reach the quota, so the throttled job asks for another spec.
+    OTHER = dict(SPEC, encoding="onebyte")
+
+    @staticmethod
+    def hosted(tmp_path, quota: QuotaSpec) -> HostedServer:
+        return HostedServer(ServerConfig(
+            host="127.0.0.1", port=0, cache_dir=tmp_path / "cache",
+            concurrency=1, quota=quota,
+        ))
+
+    @staticmethod
+    def client(server, **kwargs) -> ReproClient:
+        return ReproClient(
+            server.address, "alpha", policy=RetryPolicy(max_attempts=1),
+            sse_attempts=1, poll_attempts=0, **kwargs,
+        )
+
+    def test_spent_throttle_budget_ends_rejected(self, tmp_path):
+        sleeps: list[float] = []
+        # rate must be > 0; a glacial refill lets no token accrue while
+        # the test runs.
+        with self.hosted(tmp_path, QuotaSpec(rate=0.001, burst=1)) as server:
+            client = self.client(
+                server, sleep=sleeps.append, max_throttle_retries=3
+            )
+            assert client.run_job(self.SPEC).outcome == "completed"
+            outcome = client.run_job(self.OTHER)
+        assert outcome.outcome == "rejected"
+        assert "quota" in outcome.error
+        assert outcome.throttles == 4  # three honored waits, then refused
+        # Every honored wait obeyed the header but stayed capped.
+        assert len(sleeps) == 3
+        cap = client.policy.retry_after_cap
+        assert all(0.0 <= delay <= cap for delay in sleeps)
+
+    def test_throttled_submission_lands_once_the_bucket_refills(
+        self, tmp_path
+    ):
+        # The first job drains the burst; a 429 on the second is retried
+        # (fake sleeps) while real time refills the bucket.
+        with self.hosted(tmp_path, QuotaSpec(rate=200.0, burst=1)) as server:
+            client = self.client(
+                server, sleep=lambda _: None, max_throttle_retries=200
+            )
+            first = client.run_job(self.SPEC)
+            second = client.run_job(self.OTHER)
+        assert first.outcome == "completed", first.error
+        assert second.outcome == "completed", second.error

@@ -64,17 +64,19 @@ class TestSuiteEquivalence:
         )
         assert_same_greedy(fast, reference)
 
-    def test_identical_serialized_image(self, tiny_program):
-        for name in ENCODING_NAMES:
-            encoding = make_encoding(name)
-            fast = Compressor(encoding=encoding).compress(tiny_program)
-            reference = Compressor(
-                encoding=encoding, greedy_implementation="reference"
-            ).compress(tiny_program)
-            assert fast.stream == reference.stream
-            assert fast.dictionary.entries == reference.dictionary.entries
-            assert bytes(fast.data_image) == bytes(reference.data_image)
-            assert fast.index_to_unit == reference.index_to_unit
+    def test_identical_serialized_image(self, tiny_program, small_suite):
+        programs = [tiny_program, small_suite["compress"], small_suite["li"]]
+        for program in programs:
+            for name in ENCODING_NAMES:
+                encoding = make_encoding(name)
+                fast = Compressor(encoding=encoding).compress(program)
+                reference = Compressor(
+                    encoding=encoding, greedy_implementation="reference"
+                ).compress(program)
+                assert fast.stream == reference.stream
+                assert fast.dictionary.entries == reference.dictionary.entries
+                assert bytes(fast.data_image) == bytes(reference.data_image)
+                assert fast.index_to_unit == reference.index_to_unit
 
     def test_unknown_implementation_rejected(self, tiny_program):
         import pytest

@@ -184,6 +184,17 @@ class TestFusedControlSemantics:
         assert report["dynamic_pairs"] == 1
         assert report["coverage"] == 1.0
 
+    @pytest.mark.parametrize("name", ["compress", "li"])
+    def test_control_fusion_covers_suite_programs(self, small_suite, name):
+        # Floor: 60% of the executed cmp+branch pairs run fused (both
+        # programs measure 100%); a trace builder that stopped fusing
+        # reads 0%.  Coverage is a count, so this is deterministic.
+        program = small_suite[name]
+        counts = profile_program(program, max_steps=2_000_000)
+        report = fastpath.control_fusion_report(program, counts)
+        assert report["dynamic_pairs"] > 0
+        assert report["coverage"] >= 0.6, report
+
 
 class TestPlantedBugs:
     """Each sabotage of the fused closure must be caught by the harness."""

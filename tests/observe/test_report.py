@@ -5,7 +5,6 @@ from repro.observe.report import (
     aggregate_stage_seconds,
     diff_ledgers,
     latest_by_key,
-    records_from_bench,
     render_report,
     render_tree,
     top_metrics,
@@ -110,43 +109,3 @@ class TestDiff:
         assert regressions == []
         assert any("only on current" in line for line in lines)
         assert any("only on baseline" in line for line in lines)
-
-
-class TestBenchConversion:
-    BENCH = {
-        "schema": 1,
-        "runs": {
-            "key": {
-                "programs": {
-                    "gcc": {
-                        "encodings": {
-                            "nibble": {
-                                "stage_seconds": {"dict_build": 0.05,
-                                                  "tokenize": 0.01},
-                                "compress_seconds": 0.07,
-                                "candidates_count": 1234,
-                            }
-                        }
-                    }
-                }
-            }
-        },
-    }
-
-    def test_records_from_bench_document(self):
-        records = records_from_bench(self.BENCH)
-        assert len(records) == 1
-        record = records[0]
-        assert record["kind"] == "bench.compress"
-        assert record["program"] == "gcc"
-        assert record["encoding"] == "nibble"
-        assert record["metrics"]["candidates.count"] == 1234
-        totals = aggregate_stage_seconds(record["spans"])
-        assert abs(totals["dict_build"] - 0.05) < 1e-6
-
-    def test_diffable_against_ledger_records(self):
-        baseline = records_from_bench(self.BENCH)
-        current = [_record(kind="bench.compress", program="gcc",
-                           stages={"dict_build": 0.2, "tokenize": 0.01})]
-        _, regressions = diff_ledgers(baseline, current, factor=1.5)
-        assert any("dict_build" in regression for regression in regressions)

@@ -1,11 +1,12 @@
 """End-to-end server tests over real HTTP.
 
-Drives a :class:`CompressionServer` hosted on its own thread (the same
-:class:`~repro.perf.loadgen.HostedServer` the load harness uses) with
-stdlib clients: SSE stage events must arrive in span order, over-quota
-tenants must get 429 + ``Retry-After``, artifacts must round-trip, a
-restart must resume interrupted ledger jobs, and a cache directory
-filled by ``run_batch`` must serve the server's jobs.
+Drives a :class:`CompressionServer` hosted on its own thread
+(:class:`~repro.server.app.HostedServer`) through
+:class:`~repro.client.ReproClient` with retries off, so the client
+cannot absorb a server fault: SSE stage events must arrive in span
+order, over-quota tenants must get 429 + ``Retry-After``, artifacts
+must round-trip, a restart must resume interrupted ledger jobs, and a
+cache directory filled by ``run_batch`` must serve the server's jobs.
 """
 
 import http.client
@@ -14,19 +15,15 @@ import pytest
 
 from repro.client import ReproClient
 from repro.core.image import CompressedImage
-from repro.perf.loadgen import (
-    HostedServer,
-    _request,
-    stream_events,
-    submit_and_wait,
-)
-from repro.server.app import ServerConfig
+from repro.server.app import HostedServer, ServerConfig
 from repro.server.ledger import JobLedger
 from repro.server.quotas import QuotaSpec
 from repro.server.sse import read_events
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import CompressionJob
 from repro.service.pool import run_batch
+
+from .wire import post_and_wait, wire_client
 
 SCALE = 0.2
 SPEC = {"benchmark": "compress", "encoding": "nibble", "scale": SCALE,
@@ -57,20 +54,21 @@ def address(hosted):
     return hosted.address
 
 
+@pytest.fixture(scope="module")
+def alpha(address):
+    return wire_client(address)
+
+
 class TestSubmitAndStream:
-    def test_built_job_streams_stages_in_span_order(self, address):
-        outcome, _, data = submit_and_wait(address, SPEC, "alpha")
-        assert outcome == "completed"
-        assert data["cache_hit"] is False
+    def test_built_job_streams_stages_in_span_order(self, alpha):
+        first = post_and_wait(alpha, SPEC)
+        assert first[-1]["kind"] == "completed"
+        assert first[-1]["data"]["cache_hit"] is False
 
         # Replay the full stream from the start: queued → started →
         # stage* → completed, with stage events in depth-first span
         # (= start) order and strictly increasing seq.
-        status, _, submitted = _request(
-            address, "POST", "/v1/jobs", body=SPEC, tenant="alpha"
-        )
-        assert status == 202
-        events = stream_events(address, submitted["job_id"], "alpha")
+        events = post_and_wait(alpha, SPEC)
         kinds = [e["kind"] for e in events]
         assert kinds[0] == "queued"
         assert kinds[1] == "started"
@@ -80,29 +78,19 @@ class TestSubmitAndStream:
         seqs = [stage["seq"] for stage in stages]
         assert seqs == sorted(seqs) == list(range(len(stages)))
 
-    def test_cache_hit_streams_single_job_span(self, address):
-        submit_and_wait(address, SPEC, "alpha")  # ensure built
-        outcome, _, data = submit_and_wait(address, SPEC, "alpha")
-        assert outcome == "completed"
-        assert data["cache_hit"] is True
-
-        status, _, submitted = _request(
-            address, "POST", "/v1/jobs", body=SPEC, tenant="alpha"
-        )
-        assert status == 202
-        events = stream_events(address, submitted["job_id"], "alpha")
+    def test_cache_hit_streams_single_job_span(self, alpha):
+        post_and_wait(alpha, SPEC)  # ensure built
+        events = post_and_wait(alpha, SPEC)
+        assert events[-1]["kind"] == "completed"
+        assert events[-1]["data"]["cache_hit"] is True
         stages = [e["data"] for e in events if e["kind"] == "stage"]
         assert [s["name"] for s in stages] == ["job"]
         assert stages[0]["attrs"]["cache_hit"] is True
 
-    def test_stage_order_matches_span_tree(self, address):
+    def test_stage_order_matches_span_tree(self, alpha):
         """A built job streams its pipeline stages in start order."""
         spec = dict(SPEC, max_codewords=77)  # distinct key: never cached
-        status, _, submitted = _request(
-            address, "POST", "/v1/jobs", body=spec, tenant="alpha"
-        )
-        assert status == 202
-        events = stream_events(address, submitted["job_id"], "alpha")
+        events = post_and_wait(alpha, spec)
         names = [
             e["data"]["name"] for e in events if e["kind"] == "stage"
         ]
@@ -111,30 +99,27 @@ class TestSubmitAndStream:
         for earlier, later in zip(EXPECTED_ORDER, EXPECTED_ORDER[1:]):
             assert names.index(earlier) < names.index(later), names
 
-    def test_sse_reconnect_resumes_after_cursor(self, address):
-        _, _, submitted = _request(
-            address, "POST", "/v1/jobs", body=SPEC, tenant="alpha"
-        )
+    def test_sse_reconnect_resumes_after_cursor(self, address, alpha):
+        _, _, submitted = alpha._request("POST", "/v1/jobs", body=SPEC)
         job_id = submitted["job_id"]
-        full = stream_events(address, job_id, "alpha")
+        _, full = alpha.wait(job_id)
         # A reconnect pointing past the final event id would block, so
         # resume from one before the end and expect exactly the tail.
-        _, _, document = _request(address, "GET", f"/v1/jobs/{job_id}")
+        _, _, document = alpha._request("GET", f"/v1/jobs/{job_id}")
         total = document["events"]
         tail = stream_events_after(address, job_id, total - 2)
         assert [e["kind"] for e in tail] == [full[-1]["kind"]]
 
-    def test_failed_job_streams_failed_event(self, address):
+    def test_failed_job_streams_failed_event(self, alpha):
         bad = {"source": "void main() { undefined_fn(); }",
                "encoding": "nibble", "name": "broken"}
-        outcome, _, data = submit_and_wait(address, bad, "alpha")
-        assert outcome == "failed"
-        assert data["error"]
+        terminal = post_and_wait(alpha, bad)[-1]
+        assert terminal["kind"] == "failed"
+        assert terminal["data"]["error"]
 
-    def test_unknown_spec_field_is_400(self, address):
-        status, _, document = _request(
-            address, "POST", "/v1/jobs",
-            body={"benchmark": "go", "zip": True}, tenant="alpha",
+    def test_unknown_spec_field_is_400(self, alpha):
+        status, _, document = alpha._request(
+            "POST", "/v1/jobs", body={"benchmark": "go", "zip": True}
         )
         assert status == 400
         assert "unknown job fields" in document["error"]
@@ -162,12 +147,13 @@ def stream_events_after(address, job_id, after):
 
 class TestQuota:
     def test_over_quota_tenant_gets_429_with_retry_after(self, address):
+        hog = wire_client(address, "hog")
         codes = []
         retry_after = None
         reason = None
         for _ in range(5):
-            status, headers, document = _request(
-                address, "POST", "/v1/jobs", body=SPEC, tenant="hog"
+            status, headers, document = hog._request(
+                "POST", "/v1/jobs", body=SPEC
             )
             codes.append(status)
             if status == 429:
@@ -179,17 +165,15 @@ class TestQuota:
         assert retry_after is not None and int(retry_after) >= 1
 
     def test_other_tenants_unaffected_by_the_hog(self, address):
-        status, _, _ = _request(
-            address, "POST", "/v1/jobs", body=SPEC, tenant="beta"
-        )
+        beta = wire_client(address, "beta")
+        status, _, _ = beta._request("POST", "/v1/jobs", body=SPEC)
         assert status == 202
 
 
 class TestArtifact:
-    def test_artifact_roundtrips_as_a_loadable_image(self, address):
-        outcome, _, _ = submit_and_wait(address, SPEC, "alpha")
-        assert outcome == "completed"
-        _, _, jobs = _request(address, "GET", "/v1/jobs?tenant=alpha")
+    def test_artifact_roundtrips_as_a_loadable_image(self, address, alpha):
+        assert post_and_wait(alpha, SPEC)[-1]["kind"] == "completed"
+        _, _, jobs = alpha._request("GET", "/v1/jobs?tenant=alpha")
         done = [j for j in jobs["jobs"] if j["status"] == "completed"]
         job = done[-1]
 
@@ -208,32 +192,31 @@ class TestArtifact:
         image = CompressedImage.from_bytes(blob)
         assert image.to_bytes() == blob
 
-    def test_artifact_of_failed_job_is_409(self, address):
+    def test_artifact_of_failed_job_is_409(self, alpha):
         bad = {"source": "void main() { undefined_fn(); }",
                "encoding": "nibble", "name": "broken409"}
-        _, _, submitted = _request(
-            address, "POST", "/v1/jobs", body=bad, tenant="alpha"
-        )
-        stream_events(address, submitted["job_id"], "alpha")  # wait: failed
-        status, _, document = _request(
-            address, "GET", f"/v1/jobs/{submitted['job_id']}/artifact"
+        events = post_and_wait(alpha, bad)
+        assert events[-1]["kind"] == "failed"
+        job_id = events[-1]["data"]["job_id"]
+        status, _, document = alpha._request(
+            "GET", f"/v1/jobs/{job_id}/artifact"
         )
         assert status == 409
         assert "artifact not ready" in document["error"]
 
-    def test_unknown_job_is_404(self, address):
-        status, _, _ = _request(address, "GET", "/v1/jobs/job-nope")
+    def test_unknown_job_is_404(self, alpha):
+        status, _, _ = alpha._request("GET", "/v1/jobs/job-nope")
         assert status == 404
 
 
 class TestIntrospection:
-    def test_healthz(self, address):
-        status, _, document = _request(address, "GET", "/healthz")
+    def test_healthz(self, alpha):
+        status, _, document = alpha._request("GET", "/healthz")
         assert status == 200
         assert document["status"] == "ok"
 
-    def test_stats_document_shape(self, address):
-        status, _, stats = _request(address, "GET", "/v1/stats")
+    def test_stats_document_shape(self, alpha):
+        status, _, stats = alpha._request("GET", "/v1/stats")
         assert status == 200
         assert stats["jobs"].get("completed", 0) >= 1
         assert "p99" in stats["job_wall"]
@@ -274,9 +257,7 @@ class TestResumeAfterRestart:
         )
         with HostedServer(config) as hosted:
             assert hosted.server.resumed_jobs == 1
-            events = stream_events(
-                hosted.address, "job-interrupted", "alpha"
-            )
+            _, events = wire_client(hosted.address).wait("job-interrupted")
         kinds = [e["kind"] for e in events]
         assert kinds[0] == "queued"
         assert events[0]["data"]["resumed"] is True

@@ -12,9 +12,10 @@ import socket
 
 import pytest
 
-from repro.perf.loadgen import HostedServer, _request, submit_and_wait
-from repro.server.app import ServerConfig
+from repro.server.app import HostedServer, ServerConfig
 from repro.server.quotas import QuotaSpec
+
+from .wire import post_and_wait, wire_client
 
 SPEC = {"benchmark": "compress", "encoding": "nibble", "scale": 0.2,
         "verify": "stream"}
@@ -56,13 +57,16 @@ class TestReadDeadline:
                 sock.settimeout(10)
                 data = sock.recv(4096)
             assert data.startswith(b"HTTP/1.1 408")
-            status, _, _ = _request(hosted.address, "GET", "/v1/stats")
+            client = wire_client(hosted.address)
+            status, _, _ = client._request("GET", "/v1/stats")
             assert status == 200  # the server itself is unharmed
 
     def test_prompt_requests_are_unaffected(self, tmp_path):
         config = hosted_config(tmp_path, read_timeout=0.3)
         with HostedServer(config) as hosted:
-            status, _, document = _request(hosted.address, "GET", "/healthz")
+            status, _, document = wire_client(hosted.address)._request(
+                "GET", "/healthz"
+            )
             assert status == 200
             assert document["status"] == "ok"
 
@@ -73,29 +77,21 @@ class TestWorkerRetry:
             tmp_path, chaos=WorkerFaultStub(kills=1), job_attempts=3,
         )
         with HostedServer(config) as hosted:
-            outcome, _, data = submit_and_wait(hosted.address, SPEC, "alpha")
-            assert outcome == "completed"
-            status, _, submitted = _request(
-                hosted.address, "POST", "/v1/jobs", body=SPEC, tenant="alpha"
+            client = wire_client(hosted.address)
+            assert post_and_wait(client, SPEC)[-1]["kind"] == "completed"
+            status, _, submitted = client._request(
+                "POST", "/v1/jobs", body=SPEC
             )
             assert status == 202
-            stats = _request(hosted.address, "GET", "/v1/stats")[2]
+            stats = client._request("GET", "/v1/stats")[2]
             assert stats["counters"]["jobs.retried"] == 1
 
     def test_retrying_event_is_streamed(self, tmp_path):
-        from repro.perf.loadgen import stream_events
-
         config = hosted_config(
             tmp_path, chaos=WorkerFaultStub(kills=1), job_attempts=3,
         )
         with HostedServer(config) as hosted:
-            status, _, submitted = _request(
-                hosted.address, "POST", "/v1/jobs", body=SPEC, tenant="alpha"
-            )
-            assert status == 202
-            events = stream_events(
-                hosted.address, submitted["job_id"], "alpha"
-            )
+            events = post_and_wait(wire_client(hosted.address), SPEC)
             kinds = [e["kind"] for e in events]
             assert "retrying" in kinds
             assert kinds[-1] == "completed"
@@ -106,44 +102,32 @@ class TestWorkerRetry:
             tmp_path, chaos=WorkerFaultStub(kills=99), job_attempts=2,
         )
         with HostedServer(config) as hosted:
-            outcome, _, data = submit_and_wait(hosted.address, SPEC, "alpha")
-            assert outcome == "failed"
-            assert "chaos" in data["error"]
-            stats = _request(hosted.address, "GET", "/v1/stats")[2]
+            client = wire_client(hosted.address)
+            terminal = post_and_wait(client, SPEC)[-1]
+            assert terminal["kind"] == "failed"
+            assert "chaos" in terminal["data"]["error"]
+            stats = client._request("GET", "/v1/stats")[2]
             assert stats["jobs"]["failed"] == 1
-
-
-def fetch_artifact(address, job_id: str) -> tuple[int, bytes]:
-    import http.client
-
-    conn = http.client.HTTPConnection(*address, timeout=30)
-    try:
-        conn.request("GET", f"/v1/jobs/{job_id}/artifact")
-        response = conn.getresponse()
-        return response.status, response.read()
-    finally:
-        conn.close()
 
 
 class TestArtifactRederivation:
     def test_evicted_artifact_is_recomputed_not_404(self, tmp_path):
-        from repro.perf.loadgen import stream_events
-
         config = hosted_config(tmp_path)
         with HostedServer(config) as hosted:
-            status, _, submitted = _request(
-                hosted.address, "POST", "/v1/jobs", body=SPEC, tenant="alpha"
+            client = wire_client(hosted.address)
+            job_id = post_and_wait(client, SPEC)[-1]["data"]["job_id"]
+            artifact = f"/v1/jobs/{job_id}/artifact"
+            first_status, _, first_blob = client._request(
+                "GET", artifact, raw=True
             )
-            assert status == 202
-            job_id = submitted["job_id"]
-            stream_events(hosted.address, job_id, "alpha")
-            first_status, first_blob = fetch_artifact(hosted.address, job_id)
             assert first_status == 200
             # Vaporise the artifact behind the server's back: memory
             # fronts and disk files both.
             hosted.server.cache.clear()
-            second_status, second_blob = fetch_artifact(hosted.address, job_id)
+            second_status, _, second_blob = client._request(
+                "GET", artifact, raw=True
+            )
             assert second_status == 200
             assert second_blob == first_blob  # byte-identical recomputation
-            stats = _request(hosted.address, "GET", "/v1/stats")[2]
+            stats = client._request("GET", "/v1/stats")[2]
             assert stats["counters"]["cache.rederived"] == 1

@@ -12,10 +12,11 @@ import json
 import pytest
 
 from repro import observe
-from repro.perf.loadgen import HostedServer, _request, submit_and_wait
-from repro.server.app import ServerConfig
+from repro.server.app import HostedServer, ServerConfig
 from repro.server.quotas import QuotaSpec
 from repro.server.routes import TRACEPARENT_HEADER
+
+from .wire import wire_client
 
 SPEC = {"benchmark": "compress", "encoding": "nibble", "scale": 0.2,
         "verify": "stream"}
@@ -44,6 +45,11 @@ def hosted(tmp_path_factory, observe_dir):
 @pytest.fixture(scope="module")
 def address(hosted):
     return hosted.address
+
+
+@pytest.fixture(scope="module")
+def client(address):
+    return wire_client(address)
 
 
 def stream_raw_events(address, job_id, *, last_event_id=None, stop_after=None):
@@ -89,48 +95,46 @@ def stream_raw_events(address, job_id, *, last_event_id=None, stop_after=None):
 
 
 class TestTraceparentAdmission:
-    def test_client_traceparent_wins(self, address):
+    def test_client_traceparent_wins(self, client):
         trace_id = observe.make_trace_id()
         traceparent = observe.format_traceparent(
             trace_id, observe.make_span_id()
         )
-        status, _, document = _request(
-            address, "POST", "/v1/jobs", body=SPEC, tenant="alpha",
-            extra_headers={TRACEPARENT_HEADER: traceparent},
+        status, _, document = client._request(
+            "POST", "/v1/jobs", body=SPEC,
+            headers={TRACEPARENT_HEADER: traceparent},
         )
         assert status == 202
         assert document["trace_id"] == trace_id
-        _, _, job = _request(address, "GET", f"/v1/jobs/{document['job_id']}")
+        _, _, job = client._request("GET", f"/v1/jobs/{document['job_id']}")
         assert job["trace_id"] == trace_id
 
-    def test_server_mints_without_header(self, address):
-        status, _, document = _request(
-            address, "POST", "/v1/jobs", body=SPEC, tenant="alpha"
-        )
+    def test_server_mints_without_header(self, client):
+        status, _, document = client._request("POST", "/v1/jobs", body=SPEC)
         assert status == 202
         parsed = observe.parse_traceparent(observe.format_traceparent(
             document["trace_id"], observe.make_span_id()
         ))
         assert parsed is not None and parsed[0] == document["trace_id"]
 
-    def test_garbage_traceparent_is_replaced_not_propagated(self, address):
-        status, _, document = _request(
-            address, "POST", "/v1/jobs", body=SPEC, tenant="alpha",
-            extra_headers={TRACEPARENT_HEADER: "zz-not-a-traceparent"},
+    def test_garbage_traceparent_is_replaced_not_propagated(self, client):
+        status, _, document = client._request(
+            "POST", "/v1/jobs", body=SPEC,
+            headers={TRACEPARENT_HEADER: "zz-not-a-traceparent"},
         )
         assert status == 202
         assert len(document["trace_id"]) == 32
         int(document["trace_id"], 16)  # valid hex, freshly minted
 
-    def test_resubmission_with_same_traceparent_same_trace(self, address):
+    def test_resubmission_with_same_traceparent_same_trace(self, client):
         traceparent = observe.format_traceparent(
             observe.make_trace_id(), observe.make_span_id()
         )
         ids = set()
         for _ in range(2):  # the client retry loop reuses its header
-            status, _, document = _request(
-                address, "POST", "/v1/jobs", body=SPEC, tenant="alpha",
-                extra_headers={TRACEPARENT_HEADER: traceparent},
+            status, _, document = client._request(
+                "POST", "/v1/jobs", body=SPEC,
+                headers={TRACEPARENT_HEADER: traceparent},
             )
             assert status == 202
             ids.add(document["trace_id"])
@@ -138,14 +142,16 @@ class TestTraceparentAdmission:
 
 
 class TestTraceThroughExecution:
-    def test_one_trace_id_from_submit_to_ledger(self, address, observe_dir):
+    def test_one_trace_id_from_submit_to_ledger(
+        self, address, client, observe_dir
+    ):
         trace_id = observe.make_trace_id()
         traceparent = observe.format_traceparent(
             trace_id, observe.make_span_id()
         )
-        status, _, document = _request(
-            address, "POST", "/v1/jobs", body=SPEC, tenant="alpha",
-            extra_headers={TRACEPARENT_HEADER: traceparent},
+        status, _, document = client._request(
+            "POST", "/v1/jobs", body=SPEC,
+            headers={TRACEPARENT_HEADER: traceparent},
         )
         assert status == 202
         events = stream_raw_events(address, document["job_id"])
@@ -171,14 +177,16 @@ class TestTraceThroughExecution:
             span.get("trace_id") == trace_id for span in roots
         )
 
-    def test_loadgen_submit_and_wait_reports_trace_id(self, address):
-        outcome, _, detail = submit_and_wait(address, SPEC, "alpha")
-        assert outcome == "completed"
-        assert len(detail["trace_id"]) == 32
+    def test_client_run_job_reports_trace_id(self, client):
+        outcome = client.run_job(SPEC)
+        assert outcome.outcome == "completed", outcome.error
+        assert len(outcome.trace_id) == 32
+        _, _, job = client._request("GET", f"/v1/jobs/{outcome.job_id}")
+        assert job["trace_id"] == outcome.trace_id
 
 
 class TestSseResumeUnderTracing:
-    def test_resume_mid_job_no_duplicates_same_trace(self, address):
+    def test_resume_mid_job_no_duplicates_same_trace(self, address, client):
         """Satellite: Last-Event-ID resume mid-job under tracing.
 
         Disconnect after the first frame while the job is (potentially)
@@ -193,9 +201,9 @@ class TestSseResumeUnderTracing:
         # A fresh spec variant defeats both the artifact cache and
         # dedup, so the stream has start/stage frames to resume across.
         spec = dict(SPEC, scale=0.21)
-        status, _, document = _request(
-            address, "POST", "/v1/jobs", body=spec, tenant="alpha",
-            extra_headers={TRACEPARENT_HEADER: traceparent},
+        status, _, document = client._request(
+            "POST", "/v1/jobs", body=spec,
+            headers={TRACEPARENT_HEADER: traceparent},
         )
         assert status == 202
         job_id = document["job_id"]

@@ -339,22 +339,6 @@ def _hammer(work, threads: int = 8) -> None:
 
 
 class TestThreadStress:
-    def test_load_record_loses_no_count(self):
-        from repro.perf import loadgen
-
-        registry, lock, calls = MetricsRegistry(), threading.Lock(), 10_000
-
-        def client(_):
-            for index in range(calls):
-                loadgen._record(
-                    registry, lock, "completed", 0.001 * (1 + index % 4), {}
-                )
-
-        _hammer(client)
-        timer = registry.timer("load.latency")
-        assert sum(timer.buckets.values()) == timer.count == 8 * calls
-        assert registry.counters()["load.completed"] == 8 * calls
-
     def test_registry_recorder_loses_no_count(self):
         with observe.Recorder() as capture:
             with observe.span("compress"):

@@ -129,25 +129,22 @@ class TestDiff:
         assert "REGRESSION" in captured.err
         assert "dict_build" in captured.err
 
-    def test_diff_against_bench_json(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_compression.json"
-        bench.write_text(json.dumps({
-            "runs": {"k": {"programs": {"gcc": {"encodings": {"nibble": {
-                "stage_seconds": {"dict_build": 0.05},
-                "compress_seconds": 0.05,
-            }}}}}},
-        }))
-        # Bench ledger records carry the same kind as converted bench
-        # JSON entries, so the two sides match up run-by-run.
-        current = self._write_ledger(
-            tmp_path / "cur", {"dict_build": 0.05}, kind="bench.compress"
-        )
-        assert main(["diff", str(bench), str(current)]) == 0
-        assert "dict_build" in capsys.readouterr().out
-
     def test_unreadable_side_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{nope\n")
         good = self._write_ledger(tmp_path / "a", {"dict_build": 0.05})
         assert main(["diff", str(bad), str(good)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["baseline", "current"])
+    @pytest.mark.parametrize("missing", ["absent.jsonl", "absent-dir"])
+    def test_missing_side_exits_2(self, tmp_path, capsys, side, missing):
+        good = str(self._write_ledger(tmp_path / "a", {"dict_build": 0.05}))
+        absent = str(tmp_path / missing)
+        argv = [absent, good] if side == "baseline" else [good, absent]
+        assert main(["diff", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "no stage regressions" not in captured.out
+        assert captured.err.count("\n") == 1
+        assert "error: no ledger at" in captured.err
+        assert missing in captured.err
