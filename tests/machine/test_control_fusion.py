@@ -185,7 +185,7 @@ class TestFusedControlSemantics:
         assert report["coverage"] == 1.0
 
     @pytest.mark.parametrize("name", ["compress", "li"])
-    def test_control_fusion_covers_suite_programs(self, small_suite, name):
+    def test_suite_fusion_coverage(self, small_suite, name):
         # Floor: 60% of the executed cmp+branch pairs run fused (both
         # programs measure 100%); a trace builder that stopped fusing
         # reads 0%.  Coverage is a count, so this is deterministic.

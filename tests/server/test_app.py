@@ -43,7 +43,11 @@ def hosted(tmp_path_factory):
         cache_dir=root / "cache",
         concurrency=2,
         quota=QuotaSpec(rate=500.0, burst=1000),
-        tenant_quotas={"hog": QuotaSpec(rate=1.0, burst=2)},
+        tenant_quotas={
+            "hog": QuotaSpec(rate=1.0, burst=2),
+            # One token, refilled after 100 s: a burst never refills.
+            "burst1": QuotaSpec(rate=0.01, burst=1),
+        },
     )
     with HostedServer(config) as server:
         yield server
@@ -86,6 +90,17 @@ class TestSubmitAndStream:
         stages = [e["data"] for e in events if e["kind"] == "stage"]
         assert [s["name"] for s in stages] == ["job"]
         assert stages[0]["attrs"]["cache_hit"] is True
+
+    def test_repeat_submissions_hit_the_warm_cache(self, alpha):
+        post_and_wait(alpha, SPEC)  # ensure built
+        before = alpha._request("GET", "/v1/stats")[2]["counters"]
+        for _ in range(3):
+            terminal = post_and_wait(alpha, SPEC)[-1]
+            assert terminal["kind"] == "completed"
+            assert terminal["data"]["cache_hit"] is True
+        after = alpha._request("GET", "/v1/stats")[2]["counters"]
+        assert after["cache.hits"] - before.get("cache.hits", 0) == 3
+        assert after["cache.misses"] == before["cache.misses"]
 
     def test_stage_order_matches_span_tree(self, alpha):
         """A built job streams its pipeline stages in start order."""
@@ -163,6 +178,21 @@ class TestQuota:
         assert codes.count(429) == 3
         assert reason == "quota"
         assert retry_after is not None and int(retry_after) >= 1
+
+    def test_hog_tenant_is_throttled_with_429(self, address):
+        # A burst of four against a one-token bucket: the first is
+        # admitted, the other three are refused and counted.
+        hog = wire_client(address, "burst1")
+        before = hog._request("GET", "/v1/stats")[2]["counters"]
+        codes = []
+        for _ in range(4):
+            status, headers, _ = hog._request("POST", "/v1/jobs", body=SPEC)
+            codes.append(status)
+            if status == 429:
+                assert int(headers["Retry-After"]) >= 1
+        after = hog._request("GET", "/v1/stats")[2]["counters"]
+        assert codes == [202, 429, 429, 429]
+        assert after["quota.rejected"] - before.get("quota.rejected", 0) == 3
 
     def test_other_tenants_unaffected_by_the_hog(self, address):
         beta = wire_client(address, "beta")
