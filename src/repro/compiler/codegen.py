@@ -17,7 +17,8 @@ Prologue and epilogue instructions are tagged with their
 :class:`~repro.linker.objfile.InsnRole` so the paper's Table 3 can
 measure them.  Dense ``switch`` statements compile to jump tables placed
 in .data (so the table can be re-patched after compression, paper
-section 3.2.1).  Each op is appended straight to the columns of the
+section 3.2.1).  Codegen walks the IR columns and dispatches each row
+on its opcode, and each op is appended straight to the columns of the
 :class:`~repro.linker.objfile.FunctionUnit` that ``link`` reads.
 """
 
@@ -186,8 +187,9 @@ class FunctionCodegen:
     def generate(self) -> FunctionUnit:
         self._emit_prologue()
         self._move_params_in()
-        for instr in self.fn.instrs:
-            self._gen_instr(instr)
+        templates = _TEMPLATES
+        for opcode, dest, a, b, c, name, label, extra in zip(*self.fn.columns):
+            templates[opcode](self, dest, a, b, c, name, label, extra)
         self._emit_epilogue()
         _peephole_jumps(self.unit)
         return self.unit
@@ -233,70 +235,66 @@ class FunctionCodegen:
         self._shuffle_regs_to_locs(moves)
 
     # ==================================================================
-    # Instruction dispatch
+    # Row templates: each takes the row's dest, a, b, c, name, label and
+    # extra columns (see ``ir``) and reads the ones its opcode fills.
     # ==================================================================
-    def _gen_instr(self, instr: ir.Instr) -> None:
-        template = _TEMPLATES.get(type(instr))
-        if template is None:  # pragma: no cover - IR set is closed
-            raise CompileError(f"no template for {type(instr).__name__}")
-        template(self, instr)
+    def _gen_label(self, _dest, _a, _b, _c, _name, label, _extra) -> None:
+        self._label(label)
 
-    def _gen_label(self, instr: ir.Label) -> None:
-        self._label(instr.name)
-
-    def _gen_copy(self, instr: ir.Copy) -> None:
-        dest, location = self._dest_reg(instr.dest)
-        if isinstance(instr.src, ir.Imm):
-            self._emit_li(dest, instr.src.value)
+    def _gen_copy(self, dest_vreg, src, _b, _c, _name, _label, _extra) -> None:
+        dest, location = self._dest_reg(dest_vreg)
+        if isinstance(src, ir.Imm):
+            self._emit_li(dest, src.value)
         else:
-            src = self._fetch(instr.src, dest)
+            src = self._fetch(src, dest)
             if src != dest:
                 self._emit("or", dest, src, src)
         self._store_dest(dest, location)
 
-    def _gen_bin(self, instr: ir.Bin) -> None:
-        dest, location = self._dest_reg(instr.dest)
-        handled = self._try_immediate_bin(instr, dest)
+    def _gen_bin(self, dest_vreg, a, b, _c, op, _label, _extra) -> None:
+        dest, location = self._dest_reg(dest_vreg)
+        handled = self._try_immediate_bin(op, a, b, dest)
         if not handled:
-            a = self._fetch(instr.a, _SCRATCH_ADDR)
-            b = self._fetch(instr.b, _SCRATCH_2)
-            self._emit_bin_rr(instr.op, dest, a, b)
+            a = self._fetch(a, _SCRATCH_ADDR)
+            b = self._fetch(b, _SCRATCH_2)
+            self._emit_bin_rr(op, dest, a, b)
         self._store_dest(dest, location)
 
-    def _try_immediate_bin(self, instr: ir.Bin, dest: int) -> bool:
+    def _try_immediate_bin(
+        self, op: str, a_operand: ir.Operand, b_operand: ir.Operand, dest: int
+    ) -> bool:
         """Use an immediate instruction form when the Imm fits."""
-        if not isinstance(instr.b, ir.Imm) or isinstance(instr.a, ir.Imm):
+        if not isinstance(b_operand, ir.Imm) or isinstance(a_operand, ir.Imm):
             return False
-        value = instr.b.value
+        value = b_operand.value
         a = None
-        op = instr.op
         if op == "add" and bitutils.fits_signed(value, 16):
-            a = self._fetch(instr.a, _SCRATCH_ADDR)
+            a = self._fetch(a_operand, _SCRATCH_ADDR)
             self._emit("addi", dest, a, value)
         elif op == "sub" and bitutils.fits_signed(-value, 16):
-            a = self._fetch(instr.a, _SCRATCH_ADDR)
+            a = self._fetch(a_operand, _SCRATCH_ADDR)
             self._emit("addi", dest, a, -value)
         elif op == "mul" and bitutils.fits_signed(value, 16):
-            a = self._fetch(instr.a, _SCRATCH_ADDR)
+            a = self._fetch(a_operand, _SCRATCH_ADDR)
             self._emit("mulli", dest, a, value)
         elif op == "and" and bitutils.fits_unsigned(value, 16):
-            a = self._fetch(instr.a, _SCRATCH_ADDR)
+            a = self._fetch(a_operand, _SCRATCH_ADDR)
             self._emit("andi.", dest, a, value)
         elif op == "or" and bitutils.fits_unsigned(value, 16):
-            a = self._fetch(instr.a, _SCRATCH_ADDR)
+            a = self._fetch(a_operand, _SCRATCH_ADDR)
             self._emit("ori", dest, a, value)
         elif op == "xor" and bitutils.fits_unsigned(value, 16):
-            a = self._fetch(instr.a, _SCRATCH_ADDR)
+            a = self._fetch(a_operand, _SCRATCH_ADDR)
             self._emit("xori", dest, a, value)
         elif op == "shl" and 0 <= value < 32:
-            a = self._fetch(instr.a, _SCRATCH_ADDR)
+            a = self._fetch(a_operand, _SCRATCH_ADDR)
             if value == 0:
                 if a != dest:
                     self._emit("or", dest, a, a)
             else:
                 self._emit("rlwinm", dest, a, value, 0, 31 - value)
         elif op == "sra" and 0 <= value < 32:
-            a = self._fetch(instr.a, _SCRATCH_ADDR)
+            a = self._fetch(a_operand, _SCRATCH_ADDR)
             if value == 0:
                 if a != dest:
                     self._emit("or", dest, a, a)
@@ -334,20 +332,20 @@ class FunctionCodegen:
         else:  # pragma: no cover
             raise CompileError(f"no template for binary op {op!r}")
 
-    def _gen_un(self, instr: ir.Un) -> None:
-        dest, location = self._dest_reg(instr.dest)
-        a = self._fetch(instr.a, _SCRATCH_ADDR)
-        if instr.op == "neg":
+    def _gen_un(self, dest_vreg, a, _b, _c, op, _label, _extra) -> None:
+        dest, location = self._dest_reg(dest_vreg)
+        a = self._fetch(a, _SCRATCH_ADDR)
+        if op == "neg":
             self._emit("neg", dest, a)
         else:  # bitwise not
             self._emit("nor", dest, a, a)
         self._store_dest(dest, location)
 
-    def _gen_cmpset(self, instr: ir.CmpSet) -> None:
-        dest, location = self._dest_reg(instr.dest)
+    def _gen_cmpset(self, dest_vreg, a, b, _c, op, _label, _extra) -> None:
+        dest, location = self._dest_reg(dest_vreg)
         done = self._new_local_label()
-        self._emit_compare(instr.a, instr.b)
-        bo, bit = _BRANCH_CODES[instr.op]
+        self._emit_compare(a, b)
+        bo, bit = _BRANCH_CODES[op]
         self._emit_li(dest, 1)
         self._emit("bc", bo, bit, 0, target=done)
         self._emit_li(dest, 0)
@@ -362,52 +360,50 @@ class FunctionCodegen:
             reg_b = self._fetch(b, _SCRATCH_2)
             self._emit("cmpw", 0, reg_a, reg_b)
 
-    def _gen_cbr(self, instr: ir.CBr) -> None:
-        self._emit_compare(instr.a, instr.b)
-        bo, bit = _BRANCH_CODES[instr.op]
-        self._emit("bc", bo, bit, 0, target=instr.target)
+    def _gen_cbr(self, _dest, a, b, _c, op, target, _extra) -> None:
+        self._emit_compare(a, b)
+        bo, bit = _BRANCH_CODES[op]
+        self._emit("bc", bo, bit, 0, target=target)
 
-    def _gen_br(self, instr: ir.Br) -> None:
-        self._emit("b", 0, target=instr.target)
+    def _gen_br(self, _dest, _a, _b, _c, _name, target, _extra) -> None:
+        self._emit("b", 0, target=target)
 
-    def _gen_addrof(self, instr: ir.AddrOf) -> None:
-        dest, location = self._dest_reg(instr.dest)
-        self._emit("addis", dest, 0, 0, hi_symbol=instr.symbol)
-        self._emit("addi", dest, dest, 0, lo_symbol=instr.symbol)
+    def _gen_addrof(self, dest_vreg, _a, _b, _c, symbol, _label, _extra) -> None:
+        dest, location = self._dest_reg(dest_vreg)
+        self._emit("addis", dest, 0, 0, hi_symbol=symbol)
+        self._emit("addi", dest, dest, 0, lo_symbol=symbol)
         self._store_dest(dest, location)
 
     # ------------------------------------------------------------------
     # Memory access templates
     # ------------------------------------------------------------------
-    def _gen_loadsym(self, instr: ir.LoadSym) -> None:
-        dest, location = self._dest_reg(instr.dest)
-        opcode = _LOADS[instr.size]
-        if instr.index is None or isinstance(instr.index, ir.Imm):
-            addend = (
-                0 if instr.index is None else instr.index.value * instr.scale
-            )
+    def _gen_loadsym(self, dest_vreg, index, _b, _c, symbol, _label, extra) -> None:
+        scale, size = extra
+        dest, location = self._dest_reg(dest_vreg)
+        opcode = _LOADS[size]
+        if index is None or isinstance(index, ir.Imm):
+            addend = 0 if index is None else index.value * scale
             self._emit("addis", _SCRATCH_ADDR, 0, 0,
-                       hi_symbol=instr.symbol, lo_addend=addend)
+                       hi_symbol=symbol, lo_addend=addend)
             self._emit(opcode, dest, (0, _SCRATCH_ADDR),
-                       lo_symbol=instr.symbol, lo_addend=addend)
+                       lo_symbol=symbol, lo_addend=addend)
         else:
-            self._symbol_indexed_address(instr.symbol, instr.index, instr.scale)
+            self._symbol_indexed_address(symbol, index, scale)
             self._emit(opcode, dest, (0, _SCRATCH_ADDR))
         self._store_dest(dest, location)
 
-    def _gen_storesym(self, instr: ir.StoreSym) -> None:
-        opcode = _STORES[instr.size]
-        src = self._fetch_store_source(instr.src)
-        if instr.index is None or isinstance(instr.index, ir.Imm):
-            addend = (
-                0 if instr.index is None else instr.index.value * instr.scale
-            )
+    def _gen_storesym(self, _dest, src, index, _c, symbol, _label, extra) -> None:
+        scale, size = extra
+        opcode = _STORES[size]
+        src = self._fetch_store_source(src)
+        if index is None or isinstance(index, ir.Imm):
+            addend = 0 if index is None else index.value * scale
             self._emit("addis", _SCRATCH_ADDR, 0, 0,
-                       hi_symbol=instr.symbol, lo_addend=addend)
+                       hi_symbol=symbol, lo_addend=addend)
             self._emit(opcode, src, (0, _SCRATCH_ADDR),
-                       lo_symbol=instr.symbol, lo_addend=addend)
+                       lo_symbol=symbol, lo_addend=addend)
         else:
-            self._symbol_indexed_address(instr.symbol, instr.index, instr.scale)
+            self._symbol_indexed_address(symbol, index, scale)
             self._emit(opcode, src, (0, _SCRATCH_ADDR))
 
     def _fetch_store_source(self, src: ir.Operand) -> int:
@@ -433,35 +429,37 @@ class FunctionCodegen:
         self._emit("addi", _SCRATCH_ADDR, _SCRATCH_ADDR, 0, lo_symbol=symbol)
         self._emit("add", _SCRATCH_ADDR, _SCRATCH_ADDR, index_reg)
 
-    def _gen_loadidx(self, instr: ir.LoadIdx) -> None:
-        dest, location = self._dest_reg(instr.dest)
-        opcode = _LOADS[instr.size]
-        base = self._fetch(instr.base, _SCRATCH_ADDR)
-        if isinstance(instr.index, ir.Imm):
-            offset = instr.index.value * instr.scale
+    def _gen_loadidx(self, dest_vreg, base, index, _c, _name, _label, extra) -> None:
+        scale, size = extra
+        dest, location = self._dest_reg(dest_vreg)
+        opcode = _LOADS[size]
+        base = self._fetch(base, _SCRATCH_ADDR)
+        if isinstance(index, ir.Imm):
+            offset = index.value * scale
             if bitutils.fits_signed(offset, 16):
                 self._emit(opcode, dest, (offset, base))
                 self._store_dest(dest, location)
                 return
-        index_reg = self._fetch(instr.index, _SCRATCH_2)
-        if instr.scale == 4:
+        index_reg = self._fetch(index, _SCRATCH_2)
+        if scale == 4:
             self._emit("rlwinm", _SCRATCH_2, index_reg, 2, 0, 29)
             index_reg = _SCRATCH_2
         self._emit("add", _SCRATCH_ADDR, base, index_reg)
         self._emit(opcode, dest, (0, _SCRATCH_ADDR))
         self._store_dest(dest, location)
 
-    def _gen_storeidx(self, instr: ir.StoreIdx) -> None:
-        opcode = _STORES[instr.size]
-        src = self._fetch_store_source(instr.src)
-        base = self._fetch(instr.base, _SCRATCH_ADDR)
-        if isinstance(instr.index, ir.Imm):
-            offset = instr.index.value * instr.scale
+    def _gen_storeidx(self, _dest, src, base, index, _name, _label, extra) -> None:
+        scale, size = extra
+        opcode = _STORES[size]
+        src = self._fetch_store_source(src)
+        base = self._fetch(base, _SCRATCH_ADDR)
+        if isinstance(index, ir.Imm):
+            offset = index.value * scale
             if bitutils.fits_signed(offset, 16):
                 self._emit(opcode, src, (offset, base))
                 return
-        index_reg = self._fetch(instr.index, _SCRATCH_2)
-        if instr.scale == 4:
+        index_reg = self._fetch(index, _SCRATCH_2)
+        if scale == 4:
             self._emit("rlwinm", _SCRATCH_2, index_reg, 2, 0, 29)
             index_reg = _SCRATCH_2
         self._emit("add", _SCRATCH_ADDR, base, index_reg)
@@ -470,11 +468,11 @@ class FunctionCodegen:
     # ------------------------------------------------------------------
     # Calls
     # ------------------------------------------------------------------
-    def _gen_call(self, instr: ir.Call) -> None:
-        self._marshal_arguments(instr.args)
-        self._emit("bl", 0, target=instr.name)
-        if instr.dest is not None:
-            location = self.alloc.loc(instr.dest)
+    def _gen_call(self, dest, _a, _b, _c, callee, _label, args) -> None:
+        self._marshal_arguments(args)
+        self._emit("bl", 0, target=callee)
+        if dest is not None:
+            location = self.alloc.loc(dest)
             if location.kind == "reg":
                 if location.index != _ARG_BASE:
                     self._emit("or", location.index, _ARG_BASE, _ARG_BASE)
@@ -575,20 +573,20 @@ class FunctionCodegen:
     # ------------------------------------------------------------------
     # Control and system templates
     # ------------------------------------------------------------------
-    def _gen_ret(self, instr: ir.Ret) -> None:
-        if instr.src is not None and self.fn.returns_value:
-            self._emit_arg_move(_ARG_BASE, instr.src)
+    def _gen_ret(self, _dest, src, _b, _c, _name, _label, _extra) -> None:
+        if src is not None and self.fn.returns_value:
+            self._emit_arg_move(_ARG_BASE, src)
         self._emit("b", 0, target=_EPILOGUE_LABEL)
 
-    def _gen_switch(self, instr: ir.Switch) -> None:
-        cases = sorted(instr.cases)
+    def _gen_switch(self, _dest, selector, _b, _c, _name, default, cases) -> None:
+        cases = sorted(cases)
         count = len(cases)
         span = cases[-1][0] - cases[0][0] + 1 if cases else 0
         dense = (
             count >= self.config.jump_table_min_cases
             and span <= self.config.jump_table_max_ratio * count
         )
-        selector = self._fetch(instr.selector, _SCRATCH_ADDR)
+        selector = self._fetch(selector, _SCRATCH_ADDR)
         if not dense:
             for value, label in cases:
                 if bitutils.fits_signed(value, 16):
@@ -597,14 +595,14 @@ class FunctionCodegen:
                     self._emit_li(_SCRATCH_2, value)
                     self._emit("cmpw", 0, selector, _SCRATCH_2)
                 self._emit("bc", 12, 2, 0, target=label)  # beq
-            self._emit("b", 0, target=instr.default)
+            self._emit("b", 0, target=default)
             return
         minimum = cases[0][0]
         table_symbol = f"__jt_{self.fn.name}_{self._jump_tables}"
         self._jump_tables += 1
         by_value = dict(cases)
         labels = [
-            by_value.get(minimum + offset, instr.default) for offset in range(span)
+            by_value.get(minimum + offset, default) for offset in range(span)
         ]
         self.data_out.append(
             DataItem(
@@ -623,7 +621,7 @@ class FunctionCodegen:
             if selector != work:
                 self._emit("or", work, selector, selector)
         self._emit("cmplwi", 0, work, span - 1)
-        self._emit("bc", 12, 1, 0, target=instr.default)  # bgt -> default
+        self._emit("bc", 12, 1, 0, target=default)  # bgt -> default
         self._emit("rlwinm", work, work, 2, 0, 29)  # scale by 4
         self._emit("addis", _SCRATCH_ADDR, 0, 0, hi_symbol=table_symbol)
         self._emit("addi", _SCRATCH_ADDR, _SCRATCH_ADDR, 0, lo_symbol=table_symbol)
@@ -632,17 +630,17 @@ class FunctionCodegen:
         self._emit("mtspr", 9, _SCRATCH_ADDR)  # mtctr
         self._emit("bcctr", 20, 0)  # bctr
 
-    def _gen_out(self, instr: ir.Out) -> None:
-        self._emit_arg_move(_ARG_BASE, instr.src)
+    def _gen_out(self, _dest, src, _b, _c, _name, _label, _extra) -> None:
+        self._emit_arg_move(_ARG_BASE, src)
         self._emit("addi", 0, 0, 1)  # li r0,1: put_int
         self._emit("sc")
 
-    def _gen_outc(self, instr: ir.OutC) -> None:
-        self._emit_arg_move(_ARG_BASE, instr.src)
+    def _gen_outc(self, _dest, src, _b, _c, _name, _label, _extra) -> None:
+        self._emit_arg_move(_ARG_BASE, src)
         self._emit("addi", 0, 0, 2)  # li r0,2: put_char
         self._emit("sc")
 
-    def _gen_halt(self, instr: ir.Halt) -> None:
+    def _gen_halt(self, _dest, _a, _b, _c, _name, _label, _extra) -> None:
         self._emit("addi", 0, 0, 0)  # li r0,0: exit
         self._emit("sc")
 
@@ -654,15 +652,10 @@ class FunctionCodegen:
         return f".Lcg{self._local_labels}"
 
 
-# The template of each IR class, keyed by exact type and built once.
-_TEMPLATES = {
-    cls: getattr(FunctionCodegen, f"_gen_{cls.__name__.lower()}")
-    for cls in (
-        ir.Label, ir.Copy, ir.Bin, ir.Un, ir.CmpSet, ir.AddrOf, ir.LoadSym,
-        ir.StoreSym, ir.LoadIdx, ir.StoreIdx, ir.Call, ir.Ret, ir.Br, ir.CBr,
-        ir.Switch, ir.Out, ir.OutC, ir.Halt,
-    )
-}
+# The template of each opcode, indexed by opcode and built once.
+_TEMPLATES = tuple(
+    getattr(FunctionCodegen, f"_gen_{cls.__name__.lower()}") for cls in ir.RECORDS
+)
 
 
 def generate_function(

@@ -31,8 +31,10 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass, field
+from itertools import count
 
 from repro.compiler import ir
+from repro.compiler.ir import BR, CALL, CBR, HALT, LABEL, OUT, OUTC, RET, SWITCH
 
 VOLATILE_POOL: tuple[int, ...] = tuple(range(3, 11))  # r3..r10
 NONVOLATILE_POOL: tuple[int, ...] = tuple(range(31, 13, -1))  # r31..r14
@@ -75,20 +77,26 @@ class Allocation:
 # One sweep: blocks, per-block use/def, vreg extents, clobbers
 # ---------------------------------------------------------------------------
 # A label starts a basic block; these end one.
-_ENDS_BLOCK = frozenset({ir.Br, ir.CBr, ir.Switch, ir.Ret, ir.Halt})
+_ENDS_BLOCK = frozenset({BR, CBR, SWITCH, RET, HALT})
 # Blocks ending in one of these have no fall-through successor.
-_NO_FALL_THROUGH = frozenset({ir.Br, ir.Ret, ir.Switch, ir.Halt})
+_NO_FALL_THROUGH = frozenset({BR, RET, SWITCH, HALT})
 # Out/OutC templates clobber the argument registers (they marshal into
 # r3 before ``sc``), so they constrain allocation like calls.
-_CLOBBERS = frozenset({ir.Call, ir.Out, ir.OutC})
+_CLOBBERS = frozenset({CALL, OUT, OUTC})
 
 _REGS = {n: reg(n) for n in VOLATILE_POOL + NONVOLATILE_POOL}
 
 
 def allocate(fn: ir.IRFunction) -> Allocation:
-    """Run liveness + linear scan, returning vreg locations."""
-    instrs = fn.instrs
-    # Per block: first instruction index, upward-exposed uses, defs.
+    """Run liveness + linear scan, returning vreg locations.
+
+    The sweep reads the IR columns: a row uses the vregs among its
+    ``a``, ``b`` and ``c`` operands (a call, its arguments) and defines
+    its ``dests`` entry.
+    """
+    opcodes, labels, extras = fn.opcodes, fn.labels, fn.extras
+    VReg = ir.VReg
+    # Per block: first row index, upward-exposed uses, defs.
     starts: list[int] = []
     block_uses: list[set] = []
     block_defs: list[set] = []
@@ -99,63 +107,62 @@ def allocate(fn: ir.IRFunction) -> Allocation:
     first: dict[ir.VReg, int] = {}
     last: dict[ir.VReg, int] = {}
     for pid in range(fn.nparams):
-        first[ir.VReg(pid)] = last[ir.VReg(pid)] = -1
+        first[VReg(pid)] = last[VReg(pid)] = -1
     clobbers: list[int] = []
-    has_calls = False
     uses: set = set()
     defs: set = set()
     leader = True
-    for i, instr in enumerate(instrs):
-        cls = type(instr)
-        if leader or cls is ir.Label:
+    for i, opcode, dest, a, b, c in zip(count(), opcodes, fn.dests, fn.a, fn.b, fn.c):
+        if leader or opcode == LABEL:
             starts.append(i)
             uses = set()
             defs = set()
             block_uses.append(uses)
             block_defs.append(defs)
             leader = False
-        if cls is ir.Label:
-            label_block[instr.name] = len(starts) - 1
-            continue
-        for vreg in instr.uses():
-            if vreg not in defs:
-                uses.add(vreg)
-            if vreg not in last:
-                first[vreg] = i
-            last[vreg] = i
-        for vreg in instr.defs():
-            defs.add(vreg)
-            if vreg not in last:
-                first[vreg] = i
-            last[vreg] = i
-        if cls in _CLOBBERS:
+            if opcode == LABEL:
+                label_block[labels[i]] = len(starts) - 1
+                continue
+        # A row reads its operands before it writes its dest.
+        for vreg in extras[i] if opcode == CALL else (a, b, c):
+            if type(vreg) is VReg:
+                if vreg not in defs:
+                    uses.add(vreg)
+                if vreg not in last:
+                    first[vreg] = i
+                last[vreg] = i
+        if dest is not None:
+            defs.add(dest)
+            if dest not in last:
+                first[dest] = i
+            last[dest] = i
+        if opcode in _CLOBBERS:
             clobbers.append(i)
-            has_calls = has_calls or cls is ir.Call
-        elif cls in _ENDS_BLOCK:
+        elif opcode in _ENDS_BLOCK:
             leader = True
 
     # Successors: branch targets, then the fall-through block.
-    count = len(starts)
-    ends = starts[1:] + [len(instrs)]
+    block_count = len(starts)
+    ends = starts[1:] + [len(opcodes)]
     succs: list[list[int]] = []
-    for b in range(count):
-        tail = instrs[ends[b] - 1]
-        cls = type(tail)
-        if cls is ir.Br or cls is ir.CBr:
-            out = [label_block[tail.target]]
-        elif cls is ir.Switch:
-            out = [label_block[label] for _, label in tail.cases]
-            out.append(label_block[tail.default])
+    for block in range(block_count):
+        tail = ends[block] - 1
+        opcode = opcodes[tail]
+        if opcode == BR or opcode == CBR:
+            out = [label_block[labels[tail]]]
+        elif opcode == SWITCH:
+            out = [label_block[label] for _, label in extras[tail]]
+            out.append(label_block[labels[tail]])
         else:
             out = []
-        if cls not in _NO_FALL_THROUGH and b + 1 < count:
-            out.append(b + 1)
+        if opcode not in _NO_FALL_THROUGH and block + 1 < block_count:
+            out.append(block + 1)
         succs.append(out)
 
     _widen_to_liveness(starts, ends, succs, block_uses, block_defs, first, last)
     intervals = sorted((first[vreg], last[vreg], vreg) for vreg in first)
     allocation = _linear_scan(intervals, clobbers)
-    allocation.has_calls = has_calls
+    allocation.has_calls = CALL in opcodes
     return allocation
 
 

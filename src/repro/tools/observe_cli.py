@@ -384,7 +384,7 @@ def _cmd_stitch(args) -> int:
     sources = args.ledger or [None]
     records: list[dict] = []
     for source in sources:
-        records.extend(read_ledger(_resolve_ledger_path(source)))
+        records.extend(_load_side(source))
     trace_id = args.trace_id
     if trace_id is None:
         for record in reversed(records):
@@ -441,8 +441,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _load_side(argument: str) -> list[dict]:
-    """A diff side: a ledger JSONL file or a ledger directory."""
+def _load_side(argument: str | None) -> list[dict]:
+    """The records of a ledger JSONL file or ledger directory (``None``:
+    the default directory) that must exist: a diff side or a stitch
+    source."""
     path = _resolve_ledger_path(argument)
     if not path.is_file():
         raise ReproError(f"no ledger at {path}")

@@ -1,16 +1,18 @@
 """Reference implementations of the compiler's rewritten back-half passes.
 
-These are the straightforward versions the linear-sweep passes in
-``optimizer``, ``regalloc`` and ``codegen`` must agree with: dead-code
-elimination and branch simplification that rescan and copy lists, a
-register allocator that splits blocks into records, builds intervals
-with ``min``/``max`` updates, tests every interval against every
-clobber and keeps its free lists sorted, and a jump peephole that
-restarts its scan and renumbers every label after each branch it
-removes.  The dataflow queries are free functions that read instruction
-fields by reflection, with their own table of use fields, so a mistake
-in the ``Instr`` methods or class attributes cannot hide in the
-reference too.
+These are the straightforward versions the columnar passes in
+``optimizer``, ``regalloc`` and ``codegen`` must agree with.  They work
+on instruction records, not on the IR columns: a :class:`RecordFunction`
+holds a function's ``ir.Instr`` records in a plain list, taken from an
+``IRFunction`` through its ``instrs`` view.  Constant folding rebuilds
+each folded record; dead-code elimination and branch simplification
+rescan and copy lists; the register allocator splits blocks into
+records, builds intervals with ``min``/``max`` updates, tests every
+interval against every clobber and keeps its free lists sorted; and a
+jump peephole restarts its scan and renumbers every label after each
+branch it removes.  The dataflow queries are free functions that read
+record fields by reflection, with their own table of use fields, so a
+mistake in the IR's column layout cannot hide in the reference too.
 
 Differential tests only: nothing in ``src`` imports this module.
 """
@@ -19,10 +21,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import bitutils
 from repro.compiler import ir
-from repro.compiler.optimizer import _CMP, _fold_constants
+from repro.compiler.optimizer import _CMP, _fold_bin
 from repro.compiler.regalloc import NONVOLATILE_POOL, VOLATILE_POOL, Allocation, Loc, reg, slot
 from repro.linker.objfile import FunctionUnit
+
+@dataclass
+class RecordFunction:
+    """An IR function as a mutable list of records, for the passes here."""
+
+    name: str
+    nparams: int
+    instrs: list[ir.Instr]
+
+
+def records(fn: ir.IRFunction) -> RecordFunction:
+    """``fn``'s rows as fresh records (the view builds new ones)."""
+    return RecordFunction(fn.name, fn.nparams, fn.instrs)
+
 
 # ---------------------------------------------------------------------------
 # Dataflow queries
@@ -101,14 +118,14 @@ def branch_targets(instr: ir.Instr) -> list[str]:
     return []
 
 
-def label_indices(fn: ir.IRFunction) -> dict[str, int]:
+def label_indices(fn: RecordFunction) -> dict[str, int]:
     return {ins.name: i for i, ins in enumerate(fn.instrs) if isinstance(ins, ir.Label)}
 
 
 # ---------------------------------------------------------------------------
 # Optimizer passes
 # ---------------------------------------------------------------------------
-def optimize_function(fn: ir.IRFunction, level: int = 2) -> None:
+def optimize_function(fn: RecordFunction, level: int = 2) -> None:
     """The optimizer's fixpoint loop over the reference passes."""
     if level <= 0:
         return
@@ -116,17 +133,80 @@ def optimize_function(fn: ir.IRFunction, level: int = 2) -> None:
     iterations = 0
     while changed and iterations < 20:
         changed = False
-        changed |= _fold_constants(fn)
+        changed |= fold_constants(fn)
         changed |= copy_propagate(fn)
         changed |= simplify_branches(fn)
         changed |= dead_code(fn)
         iterations += 1
 
 
+def fold_constants(fn: RecordFunction) -> bool:
+    """Replace each foldable record by a new one."""
+    changed = False
+    out: list[ir.Instr] = []
+    for instr in fn.instrs:
+        replacement = _fold_one(instr)
+        if replacement is not None:
+            out.append(replacement)
+            changed = True
+        else:
+            out.append(instr)
+    fn.instrs = out
+    return changed
+
+
+def _fold_one(instr: ir.Instr) -> ir.Instr | None:
+    if isinstance(instr, ir.Bin):
+        a, b = instr.a, instr.b
+        if isinstance(a, ir.Imm) and isinstance(b, ir.Imm):
+            value = _fold_bin(instr.op, a.value, b.value)
+            if value is not None:
+                return ir.Copy(instr.dest, ir.Imm(value))
+            return None
+        return _algebraic(instr)
+    if isinstance(instr, ir.Un) and isinstance(instr.a, ir.Imm):
+        value = -instr.a.value if instr.op == "neg" else ~instr.a.value
+        return ir.Copy(instr.dest, ir.Imm(bitutils.s32(value)))
+    if isinstance(instr, ir.CmpSet):
+        if isinstance(instr.a, ir.Imm) and isinstance(instr.b, ir.Imm):
+            result = _CMP[instr.op](instr.a.value, instr.b.value)
+            return ir.Copy(instr.dest, ir.Imm(1 if result else 0))
+    return None
+
+
+def _algebraic(instr: ir.Bin) -> ir.Instr | None:
+    a, b, op = instr.a, instr.b, instr.op
+    if isinstance(b, ir.Imm):
+        v = b.value
+        if v == 0 and op in ("add", "sub", "or", "xor", "shl", "sra"):
+            return ir.Copy(instr.dest, a)
+        if v == 0 and op in ("mul", "and"):
+            return ir.Copy(instr.dest, ir.Imm(0))
+        if v == 1 and op in ("mul", "div"):
+            return ir.Copy(instr.dest, a)
+        if v == 1 and op == "mod":
+            return ir.Copy(instr.dest, ir.Imm(0))
+        if v == -1 and op == "and":
+            return ir.Copy(instr.dest, a)
+        if op == "mul" and v > 1 and (v & (v - 1)) == 0:
+            return ir.Bin("shl", instr.dest, a, ir.Imm(v.bit_length() - 1))
+    if isinstance(a, ir.Imm):
+        v = a.value
+        if v == 0 and op in ("add", "or", "xor"):
+            return ir.Copy(instr.dest, b)
+        if v == 0 and op in ("mul", "and"):
+            return ir.Copy(instr.dest, ir.Imm(0))
+        if op == "mul" and v > 1 and (v & (v - 1)) == 0:
+            return ir.Bin("shl", instr.dest, b, ir.Imm(v.bit_length() - 1))
+        if v == 0 and op == "sub":
+            return ir.Un("neg", instr.dest, b)
+    return None
+
+
 _BLOCK_ENDS = (ir.Label, ir.Br, ir.Ret, ir.Switch, ir.CBr)
 
 
-def copy_propagate(fn: ir.IRFunction) -> bool:
+def copy_propagate(fn: RecordFunction) -> bool:
     changed = False
     available: dict[ir.VReg, ir.Operand] = {}
     copies_of: dict[ir.VReg, list[ir.VReg]] = {}
@@ -150,7 +230,7 @@ def copy_propagate(fn: ir.IRFunction) -> bool:
     return changed
 
 
-def simplify_branches(fn: ir.IRFunction) -> bool:
+def simplify_branches(fn: RecordFunction) -> bool:
     changed = False
     out: list[ir.Instr] = []
     for instr in fn.instrs:
@@ -198,7 +278,7 @@ def _next_label(instrs: list[ir.Instr], start: int) -> str | None:
     return None
 
 
-def dead_code(fn: ir.IRFunction) -> bool:
+def dead_code(fn: RecordFunction) -> bool:
     used: set[ir.VReg] = set()
     for instr in fn.instrs:
         used.update(uses(instr))
@@ -253,7 +333,7 @@ class _Block:
     live_out: set = field(default_factory=set)
 
 
-def _split_blocks(fn: ir.IRFunction) -> list[_Block]:
+def _split_blocks(fn: RecordFunction) -> list[_Block]:
     leaders = {0}
     labels = label_indices(fn)
     for i, instr in enumerate(fn.instrs):
@@ -282,7 +362,7 @@ def _split_blocks(fn: ir.IRFunction) -> list[_Block]:
     return blocks
 
 
-def _compute_liveness(fn: ir.IRFunction, blocks: list[_Block]) -> None:
+def _compute_liveness(fn: RecordFunction, blocks: list[_Block]) -> None:
     for block in blocks:
         seen_defs: set = set()
         for i in range(block.start, block.end):
@@ -307,7 +387,7 @@ def _compute_liveness(fn: ir.IRFunction, blocks: list[_Block]) -> None:
                 changed = True
 
 
-def _build_intervals(fn: ir.IRFunction, blocks: list[_Block]) -> list[_Interval]:
+def _build_intervals(fn: RecordFunction, blocks: list[_Block]) -> list[_Interval]:
     start: dict[ir.VReg, int] = {}
     end: dict[ir.VReg, int] = {}
 
@@ -348,7 +428,7 @@ def _build_intervals(fn: ir.IRFunction, blocks: list[_Block]) -> list[_Interval]
     return intervals
 
 
-def allocate(fn: ir.IRFunction) -> Allocation:
+def allocate(fn: RecordFunction) -> Allocation:
     blocks = _split_blocks(fn)
     _compute_liveness(fn, blocks)
     intervals = _build_intervals(fn, blocks)

@@ -1,10 +1,13 @@
-"""The linear-sweep back half computes exactly what the reference does.
+"""The columnar back half computes exactly what the reference does.
 
-``reference_backend`` holds the straightforward dead-code, branch and
-register-allocation passes.  The compiler's own passes must produce the
-same instruction lists, the same ``changed`` flags and the same
-allocations on generated IR, on every function of the suite and on
-programs of the ``build`` benchmark's decks, and the columnar jump
+``reference_lowering`` holds the record-building lowerer and
+``reference_backend`` the straightforward folding, copy-propagation,
+dead-code, branch and register-allocation passes over instruction
+records.  The compiler's own lowering must produce the same functions,
+compared through the ``instrs`` view, and its passes over the IR
+columns the same instruction lists, the same ``changed`` flags and the
+same allocations, on generated IR, on every function of the suite and
+on programs of the ``build`` benchmark's decks; the columnar jump
 peephole must leave the same ops and labels as the record-list one.
 The golden digests alone cannot show this for the allocator: no suite
 function spills, so they never reach the spill path of the scan.
@@ -14,28 +17,34 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import os
+import subprocess
+import sys
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import ast_nodes as ast
-from repro.compiler import codegen, ir, optimizer
+from repro.compiler import codegen, ir, optimizer, regalloc
 from repro.compiler.codegen import CodegenConfig, FunctionCodegen
 from repro.compiler.lowering import FunctionLowerer
 from repro.compiler.parser import parse
 from repro.compiler.regalloc import NONVOLATILE_POOL, VOLATILE_POOL, allocate
 from repro.compiler.runtime import RUNTIME_SOURCE
 from repro.compiler.semantics import check
+from repro.errors import CompileError
 from repro.linker.objfile import AsmOp, FunctionUnit
 from repro.workloads import BENCHMARK_NAMES, benchmark_source
 
 from . import reference_backend as ref
-from .test_frontend_differential import deck_sources
+from . import reference_lowering
+from .test_frontend_differential import _ROOT, deck_sources
 
 # (compiler pass, reference pass), in the optimizer's order.
 PASSES = [
-    (optimizer._fold_constants, optimizer._fold_constants),
+    (optimizer._fold_constants, ref.fold_constants),
     (optimizer._copy_propagate, ref.copy_propagate),
     (optimizer._simplify_branches, ref.simplify_branches),
     (optimizer._dead_code, ref.dead_code),
@@ -97,52 +106,100 @@ def _one_of_each() -> list[ir.Instr]:
     ]
 
 
+def _row_uses(fn: ir.IRFunction, row: int) -> tuple[ir.VReg, ...]:
+    """The vregs row ``row`` reads: those among its operand columns, or
+    among a call's arguments."""
+    if fn.opcodes[row] == ir.CALL:
+        operands = fn.extras[row]
+    else:
+        operands = (fn.a[row], fn.b[row], fn.c[row])
+    return tuple(x for x in operands if type(x) is ir.VReg)
+
+
 class TestInstrTable:
     def test_table_has_every_class(self):
         assert {type(i) for i in _one_of_each()} == _ir_classes(ir.Instr)
+        assert set(ir.RECORDS) == _ir_classes(ir.Instr)
 
     def test_methods_and_flags_match_reference(self):
+        # The column queries the passes make of one row, against the
+        # reference's reflection over the record: what it defines and
+        # uses, whether dead-code elimination may drop it, and whether
+        # it ends straight-line code.
         for instr in _one_of_each():
-            assert instr.defs() == ref.defs(instr), instr
-            assert instr.uses() == ref.uses(instr), instr
-            assert instr.has_side_effects == ref.has_side_effects(instr), instr
-            assert instr.is_terminator == ref.is_terminator(instr), instr
+            fn = _function([instr])
+            assert repr(fn.instrs) == repr([instr])
+            dest, opcode = fn.dests[0], fn.opcodes[0]
+            assert ((dest,) if dest is not None else ()) == ref.defs(instr), instr
+            assert _row_uses(fn, 0) == ref.uses(instr), instr
+            removable = bool(ref.defs(instr)) and not ref.has_side_effects(instr)
+            removable = removable and not isinstance(instr, (ir.Call, ir.LoadIdx, ir.LoadSym))
+            assert (opcode in optimizer._REMOVABLE) == removable, instr
+            ends = ref.is_terminator(instr) or isinstance(instr, ir.Halt)
+            assert (opcode in optimizer._ENDS_STRAIGHT_LINE) == ends, instr
+            assert (opcode in regalloc._NO_FALL_THROUGH) == ends, instr
 
     def test_replace_uses_matches_reference(self):
+        # Copy propagation substitutes in every operand column, and in a
+        # call's arguments, exactly where ``replace_uses`` does.
+        facts = [ir.Copy(v(2), ir.Imm(9)), ir.Copy(v(3), v(5))]
         mapping = {v(2): ir.Imm(9), v(3): v(5)}
         for ours, theirs in zip(_one_of_each(), _one_of_each()):
-            assert ours.replace_uses(mapping) == ref.replace_uses(theirs, mapping)
-            assert repr(ours) == repr(theirs)
+            fn = _function(facts + [ours])
+            assert optimizer._copy_propagate(fn) == ref.replace_uses(theirs, mapping)
+            assert repr(fn.instrs[2]) == repr(theirs)
 
     def test_records_are_slotted_and_flags_are_not_fields(self):
+        # The dataflow queries live in the columns, not on the records.
         for instr in _one_of_each():
             assert not hasattr(instr, "__dict__"), type(instr)
-            names = {f.name for f in dataclasses.fields(instr)}
-            assert not names & {"_use_fields", "has_side_effects", "is_terminator"}
+            for name in (
+                "uses", "defs", "replace_uses", "_use_fields",
+                "has_side_effects", "is_terminator",
+            ):
+                assert not hasattr(instr, name), (type(instr), name)
+
+    def test_from_instrs_round_trips_through_the_view(self):
+        records = _one_of_each()
+        fn = _function(records)
+        assert fn.instrs == records
+        assert len(fn.opcodes) == len(records)
+        view = fn.instrs
+        view[1].src = v(7)
+        view[22].args.append(v(9))
+        view.pop()
+        assert fn.instrs == records
 
     def test_a_new_class_with_an_unused_dest_is_kept(self):
+        # A class with no row layout cannot enter a function, so it is
+        # never removable by default; of the classes with a dest, the
+        # loads and calls stay when nothing uses it.
         @dataclasses.dataclass(slots=True)
         class Fresh(ir.Instr):
             dest: ir.VReg
 
-            def defs(self) -> tuple[ir.VReg, ...]:
-                return (self.dest,)
-
-        fn = _function([Fresh(v(1)), ir.Ret(None)])
-        assert not optimizer._dead_code(fn)
-        assert isinstance(fn.instrs[0], Fresh)
+        with pytest.raises(CompileError, match="no template for Fresh"):
+            _function([Fresh(v(1)), ir.Ret(None)])
+        for instr in (
+            ir.LoadSym(v(1), "g", None, 1, 4),
+            ir.LoadIdx(v(1), v(2), v(3), 4, 4),
+            ir.Call(v(1), "f", []),
+        ):
+            fn = _function([instr, ir.Ret(None)])
+            assert not optimizer._dead_code(fn)
+            assert fn.instrs[0] == instr
 
 
 # ---------------------------------------------------------------------------
 # Generated IR
 # ---------------------------------------------------------------------------
 def _function(instrs: list[ir.Instr], nparams: int = 0) -> ir.IRFunction:
-    return ir.IRFunction(
+    return ir.IRFunction.from_instrs(
+        instrs,
         name="t",
         nparams=nparams,
         param_is_array=(False,) * nparams,
         returns_value=True,
-        instrs=instrs,
         next_vreg=1000,
     )
 
@@ -155,9 +212,18 @@ def _operand(spec):
 
 
 def build(recipe) -> ir.IRFunction:
-    """A fresh function from a recipe of plain tuples, so each side of a
-    comparison gets its own instruction objects."""
-    nparams, rows = recipe
+    """A fresh function from a recipe of plain tuples."""
+    return _function(_records(recipe), recipe[0])
+
+
+def build_records(recipe) -> ref.RecordFunction:
+    """The same function as records for the reference passes, built
+    apart from the columns, so each side gets its own objects."""
+    return ref.RecordFunction("t", recipe[0], _records(recipe))
+
+
+def _records(recipe) -> list[ir.Instr]:
+    _, rows = recipe
     instrs = []
     for kind, *fields in rows:
         cls = getattr(ir, kind)
@@ -171,7 +237,7 @@ def build(recipe) -> ir.IRFunction:
             instrs.append(
                 cls(*(_operand(f) if isinstance(f, tuple) or f is None else f for f in fields))
             )
-    return _function(instrs, nparams)
+    return instrs
 
 
 def pressure(mode: str, count: int, first: int = 100) -> tuple[list, list]:
@@ -261,7 +327,7 @@ def ir_recipes(draw):
     return draw(st.integers(0, 3)), tuple(rows)
 
 
-def assert_same_allocation(fn_ours: ir.IRFunction, fn_ref: ir.IRFunction) -> None:
+def assert_same_allocation(fn_ours: ir.IRFunction, fn_ref: ref.RecordFunction) -> None:
     ours, theirs = allocate(fn_ours), ref.allocate(fn_ref)
     assert ours.location == theirs.location
     assert ours.used_nonvolatile == theirs.used_nonvolatile
@@ -269,7 +335,7 @@ def assert_same_allocation(fn_ours: ir.IRFunction, fn_ref: ir.IRFunction) -> Non
     assert ours.has_calls == theirs.has_calls
 
 
-def assert_lockstep(ours: ir.IRFunction, theirs: ir.IRFunction) -> None:
+def assert_lockstep(ours: ir.IRFunction, theirs: ref.RecordFunction) -> None:
     """Run the optimizer's fixpoint loop on both sides, one pass at a
     time, comparing after every pass."""
     for _ in range(20):
@@ -297,11 +363,12 @@ CLOBBER = _pressure_only("clobber", REGISTERS + 2, 2)
 @example(CHAIN)
 @example(CLOBBER)
 def test_passes_and_allocation_match_reference(recipe):
-    assert_same_allocation(build(recipe), build(recipe))
-    ours, theirs = build(recipe), build(recipe)
+    assert_same_allocation(build(recipe), build_records(recipe))
+    ours, theirs = build(recipe), build_records(recipe)
+    assert repr(ours.instrs) == repr(theirs.instrs)
     assert_lockstep(ours, theirs)
     assert_same_allocation(ours, theirs)
-    optimized, reference = build(recipe), build(recipe)
+    optimized, reference = build(recipe), build_records(recipe)
     optimizer.optimize_function(optimized)
     ref.optimize_function(reference)
     assert repr(optimized.instrs) == repr(reference.instrs)
@@ -319,7 +386,9 @@ def test_pressure_examples_reach_the_spill_paths():
 # ---------------------------------------------------------------------------
 # Real IR
 # ---------------------------------------------------------------------------
-def _lowered(source: str, runtime: ast.TranslationUnit | None) -> list[ir.IRFunction]:
+def _lowered(
+    source: str, runtime: ast.TranslationUnit | None, lowerer=FunctionLowerer
+) -> list[ir.IRFunction]:
     unit = parse(source)
     if runtime is None:
         info, is_library = check(unit), True
@@ -330,16 +399,25 @@ def _lowered(source: str, runtime: ast.TranslationUnit | None) -> list[ir.IRFunc
                 functions=runtime.functions + unit.functions,
             )
         ), False
-    return [FunctionLowerer(fn, info, is_library).lower() for fn in unit.functions]
+    return [lowerer(fn, info, is_library).lower() for fn in unit.functions]
+
+
+_SIGNATURE = ("name", "nparams", "param_is_array", "returns_value", "next_vreg", "is_library")
 
 
 def assert_same_back_end(source: str, runtime: ast.TranslationUnit | None) -> int:
     """For each function of ``source`` (checked against ``runtime``, or
-    as the runtime itself when ``None``): the allocations before and
-    after optimizing, the optimized IR, and the jump peephole on its
-    generated code equal the reference's.  Returns the function count."""
+    as the runtime itself when ``None``): the lowered IR, the
+    allocations before and after optimizing, the optimized IR, and the
+    jump peephole on its generated code equal the reference's.  Returns
+    the function count."""
     functions = 0
-    for ours, theirs in zip(_lowered(source, runtime), _lowered(source, runtime)):
+    lowered = _lowered(source, runtime, reference_lowering.FunctionLowerer)
+    for ours, expected in zip(_lowered(source, runtime), lowered, strict=True):
+        assert repr(ours.instrs) == repr(expected.instrs), ours.name
+        for name in _SIGNATURE:
+            assert getattr(ours, name) == getattr(expected, name), (ours.name, name)
+        theirs = ref.records(expected)
         assert_same_allocation(ours, theirs)
         optimizer.optimize_function(ours)
         ref.optimize_function(theirs)
@@ -441,3 +519,42 @@ def test_jump_peephole_matches_reference_on_real_code(monkeypatch):
     assert sum(op.mnemonic == "b" for unit in units for op in unit.ops) > 500
     for unit in units:
         assert_same_peephole(unit)
+
+
+# ---------------------------------------------------------------------------
+# No records between lowering and codegen
+# ---------------------------------------------------------------------------
+# The guard runs in a fresh process, so the runtime library is lowered,
+# optimized, allocated and generated under it too.
+_SCRIPT = """
+import sys
+
+from repro import compile_and_link
+from repro.compiler import ir
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("ir.Instr() between lowering and codegen")
+
+
+def patch(cls):
+    for sub in cls.__subclasses__():
+        sub.__init__ = refuse
+        patch(sub)
+
+
+patch(ir.Instr)
+program = compile_and_link(sys.stdin.read(), name="back-end")
+print("ok", len(program))
+"""
+
+
+def test_compile_and_link_builds_no_ir_records():
+    _, source = deck_sources(1, 0)[0]
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", _SCRIPT],
+        input=source, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.startswith("ok")

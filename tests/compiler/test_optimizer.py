@@ -5,12 +5,12 @@ from repro.compiler.optimizer import optimize_function
 
 
 def make_function(instrs, next_vreg=32):
-    return ir.IRFunction(
+    return ir.IRFunction.from_instrs(
+        instrs,
         name="t",
         nparams=0,
         param_is_array=(),
         returns_value=True,
-        instrs=instrs,
         next_vreg=next_vreg,
     )
 
@@ -198,12 +198,10 @@ class TestBranchSimplification:
         assert not any(isinstance(i, ir.Br) for i in fn.instrs)
 
     def test_unreachable_code_removed(self):
-        fn = make_function(
-            [ir.Ret(ir.Imm(1)), ir.Bin("add", v(0), ir.Imm(1), ir.Imm(1)),
-             ir.Label("L"), ir.Ret(ir.Imm(2))]
-        )
+        instrs = [ir.Ret(ir.Imm(1)), ir.Bin("add", v(0), ir.Imm(1), ir.Imm(1)),
+                  ir.Label("L"), ir.Ret(ir.Imm(2))]
         # Make the label referenced so it survives.
-        fn.instrs.insert(0, ir.CBr("eq", v(9), ir.Imm(0), "L"))
-        fn.next_vreg = 10
+        instrs.insert(0, ir.CBr("eq", v(9), ir.Imm(0), "L"))
+        fn = make_function(instrs, next_vreg=10)
         optimize_function(fn)
         assert not any(isinstance(i, ir.Bin) for i in fn.instrs)

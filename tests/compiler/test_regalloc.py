@@ -13,12 +13,12 @@ def v(n):
 
 
 def make_function(instrs, nparams=0, next_vreg=64):
-    return ir.IRFunction(
+    return ir.IRFunction.from_instrs(
+        instrs,
         name="t",
         nparams=nparams,
         param_is_array=(False,) * nparams,
         returns_value=True,
-        instrs=instrs,
         next_vreg=next_vreg,
     )
 

@@ -1,11 +1,11 @@
-"""repro-observe CLI: trace, report, diff end-to-end."""
+"""repro-observe CLI: trace, report, diff, stitch end-to-end."""
 
 import json
 
 import pytest
 
-from repro import workloads
-from repro.observe import RunLedger, make_record, validate_chrome_trace
+from repro import observe, workloads
+from repro.observe import Recorder, RunLedger, make_record, validate_chrome_trace
 from repro.tools.observe_cli import main
 
 
@@ -148,3 +148,65 @@ class TestDiff:
         assert captured.err.count("\n") == 1
         assert "error: no ledger at" in captured.err
         assert missing in captured.err
+
+
+class TestStitch:
+    @staticmethod
+    def _write_pair(tmp_path):
+        """A client ledger and a server ledger whose records share one
+        trace id, the server's root parented on the client's span."""
+        with Recorder() as client_side:
+            with observe.span("client.job", tenant="alpha"):
+                traceparent = observe.current_traceparent()
+        with Recorder() as server_side:
+            with observe.remote_context(traceparent):
+                with observe.span("server.job", job_id="j-1"):
+                    pass
+        client = RunLedger(tmp_path / "client")
+        client.append(make_record(
+            "client.job", spans=client_side.spans, meta={"process": "client"},
+        ))
+        server = RunLedger(tmp_path / "server")
+        server.append(make_record(
+            "server.job", spans=server_side.spans, meta={"process": "server"},
+        ))
+        return client.path, server.path
+
+    @pytest.mark.parametrize("position", ["first", "second"])
+    def test_missing_ledger_exits_2(self, tmp_path, capsys, position):
+        client, _ = self._write_pair(tmp_path)
+        absent = str(tmp_path / "server-ledger-typo")
+        ledgers = [absent, str(client)] if position == "first" else [str(client), absent]
+        output = tmp_path / "stitched.json"
+        argv = ["stitch", "-o", str(output)]
+        for ledger in ledgers:
+            argv += ["--ledger", ledger]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "error: no ledger at" in captured.err
+        assert "server-ledger-typo" in captured.err
+        assert not output.exists()
+
+    def test_shared_trace_id_stitches_with_a_flow_arrow(self, tmp_path, capsys):
+        client, server = self._write_pair(tmp_path)
+        output = tmp_path / "stitched.json"
+        assert main([
+            "stitch", "--ledger", str(client), "--ledger", str(server),
+            "-o", str(output),
+        ]) == 0
+        document = json.loads(output.read_text())
+        assert validate_chrome_trace(document) == []
+        flows = [e for e in document["traceEvents"] if e["ph"] == "s"]
+        assert len(flows) >= 1
+        assert "2 record(s)" in capsys.readouterr().out
+
+    def test_unknown_trace_id_exits_1(self, tmp_path, capsys):
+        client, server = self._write_pair(tmp_path)
+        output = tmp_path / "stitched.json"
+        assert main([
+            "stitch", "--ledger", str(client), "--ledger", str(server),
+            "--trace-id", "0" * 32, "-o", str(output),
+        ]) == 1
+        assert f"no records with trace id {'0' * 32}" in capsys.readouterr().err
+        assert not output.exists()
