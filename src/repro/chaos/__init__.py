@@ -7,8 +7,8 @@ The attack side of the robustness story (docs/robustness.md):
 * :mod:`repro.chaos.filesystem` — the :class:`FaultyFilesystem` shim
   threaded under the artifact cache and job ledger, plus crash-point
   mode for kill-after-every-write property tests;
-* :mod:`repro.chaos.process` — worker kills/hangs for both the
-  server's executor threads and the pool's worker processes;
+* :mod:`repro.chaos.process` — worker kills/hangs, decided where an
+  attempt is dispatched and carried out in its worker process;
 * :mod:`repro.chaos.campaign` — the end-to-end campaign: host a real
   server under a schedule, drive it with the resilient
   :class:`repro.client.ReproClient`, classify every job into the
@@ -21,11 +21,11 @@ plane without creating an import cycle through the service package.
 """
 
 from repro.chaos.process import (
-    WorkerCrash,
-    apply_worker_fault,
+    WorkerFault,
+    apply_fault,
+    dispatch_fault,
     install_schedule,
     installed_schedule,
-    pool_kill_point,
     uninstall_schedule,
 )
 from repro.chaos.schedule import (
@@ -63,12 +63,12 @@ __all__ = [
     "ChaosRule",
     "ChaosSchedule",
     "Injection",
-    "WorkerCrash",
-    "apply_worker_fault",
+    "WorkerFault",
+    "apply_fault",
+    "dispatch_fault",
     "install_schedule",
     "installed_schedule",
     "parse_rule",
-    "pool_kill_point",
     "uninstall_schedule",
     *_LAZY,
 ]

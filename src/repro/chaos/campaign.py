@@ -36,7 +36,6 @@ from pathlib import Path
 from random import Random
 
 from repro.chaos.filesystem import FaultyFilesystem
-from repro.chaos.process import install_schedule, uninstall_schedule
 from repro.chaos.schedule import ChaosRule, ChaosSchedule
 from repro.client import CircuitBreaker, ReproClient, RetryPolicy
 from repro.errors import ServiceError
@@ -196,41 +195,37 @@ def run_chaos_campaign(config: ChaosCampaignConfig) -> ChaosReport:
             job_attempts=config.job_attempts,
             job_timeout=config.job_timeout,
         )
-        install_schedule(schedule)
-        try:
-            with HostedServer(server_config) as hosted:
-                rng = Random(config.seed)
-                for index in range(config.jobs):
-                    spec = config.spec_for(index)
-                    tenant = config.tenants[index % len(config.tenants)]
-                    client = ReproClient(
-                        hosted.address,
-                        tenant,
-                        policy=RetryPolicy(max_attempts=6, base_delay=0.02,
-                                           max_delay=0.25),
-                        breaker=CircuitBreaker(failure_threshold=8,
-                                               reset_timeout=0.5),
-                        rng=rng,
-                        timeout=max(30.0, config.hang_seconds * 3),
-                    )
-                    result = client.run_job(dict(spec))
-                    server_attempts = _server_attempts(result)
-                    outcome = _classify(result, references, server_attempts)
-                    outcomes.append(outcome)
-                    client_totals["retries"] += result.retries
-                    client_totals["throttles"] += result.throttles
-                    client_totals["deduplicated"] += int(result.deduplicated)
-                    if outcome in (JOB_LOST, JOB_DIVERGED) or result.error:
-                        failures.append({
-                            "index": index,
-                            "outcome": outcome,
-                            "raw_outcome": result.outcome,
-                            "job_id": result.job_id,
-                            "key": result.key,
-                            "error": result.error,
-                        })
-        finally:
-            uninstall_schedule()
+        with HostedServer(server_config) as hosted:
+            rng = Random(config.seed)
+            for index in range(config.jobs):
+                spec = config.spec_for(index)
+                tenant = config.tenants[index % len(config.tenants)]
+                client = ReproClient(
+                    hosted.address,
+                    tenant,
+                    policy=RetryPolicy(max_attempts=6, base_delay=0.02,
+                                       max_delay=0.25),
+                    breaker=CircuitBreaker(failure_threshold=8,
+                                           reset_timeout=0.5),
+                    rng=rng,
+                    timeout=max(30.0, config.hang_seconds * 3),
+                )
+                result = client.run_job(dict(spec))
+                server_attempts = _server_attempts(result)
+                outcome = _classify(result, references, server_attempts)
+                outcomes.append(outcome)
+                client_totals["retries"] += result.retries
+                client_totals["throttles"] += result.throttles
+                client_totals["deduplicated"] += int(result.deduplicated)
+                if outcome in (JOB_LOST, JOB_DIVERGED) or result.error:
+                    failures.append({
+                        "index": index,
+                        "outcome": outcome,
+                        "raw_outcome": result.outcome,
+                        "job_id": result.job_id,
+                        "key": result.key,
+                        "error": result.error,
+                    })
 
     counts = tally(outcomes, JOB_OUTCOMES)
     fingerprint = hashlib.sha256(

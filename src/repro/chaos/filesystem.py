@@ -39,7 +39,12 @@ from pathlib import Path
 
 from repro.chaos.schedule import ChaosSchedule
 from repro.observe import blackbox
-from repro.service.fsio import AppendHandle, Filesystem
+from repro.service.fsio import (
+    AppendHandle,
+    Content,
+    Filesystem,
+    content_chunks,
+)
 
 
 class SimulatedCrash(BaseException):
@@ -96,9 +101,9 @@ class FaultyFilesystem(Filesystem):
     def _oserror(code: int, fault: str, path: str | Path) -> OSError:
         return OSError(code, f"chaos: injected {fault}", str(path))
 
-    def _torn(self, payload: bytes) -> bytes:
+    def _torn_length(self, size: int) -> int:
         fraction = self.schedule.torn_fraction if self.schedule else 0.5
-        return payload[: max(1, int(len(payload) * fraction))]
+        return min(size, max(1, int(size * fraction)))
 
     # -- reads ---------------------------------------------------------
     def read_bytes(self, path: str | Path) -> bytes:
@@ -107,17 +112,18 @@ class FaultyFilesystem(Filesystem):
         return super().read_bytes(path)
 
     # -- writes --------------------------------------------------------
-    def write_atomic(self, path: str | Path, data: bytes | str) -> None:
-        """The real three write points, each separately crashable."""
+    def write_atomic(self, path: str | Path, data: Content) -> None:
+        """The real three write points, each separately crashable.
+
+        The chunks stream to the temp file; a torn write then cuts the
+        file to its prefix, as a whole-payload write would have landed.
+        """
         path = Path(path)
-        payload = data.encode() if isinstance(data, str) else data
         fault = self._decide(path, "write")
         if fault == "enospc":
             raise self._oserror(errno.ENOSPC, "enospc", path)
         if fault == "eio_write":
             raise self._oserror(errno.EIO, "eio_write", path)
-        if fault == "torn_write":
-            payload = self._torn(payload)
         self._write_point(path, "create-temp")
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=path.suffix
@@ -125,7 +131,10 @@ class FaultyFilesystem(Filesystem):
         try:
             with os.fdopen(fd, "wb") as handle:
                 self._write_point(path, "write-temp")
-                handle.write(payload)
+                for chunk in content_chunks(data):
+                    handle.write(chunk)
+                if fault == "torn_write":
+                    handle.truncate(self._torn_length(handle.tell()))
             self._write_point(path, "replace")
             os.replace(tmp_name, path)
         except OSError:

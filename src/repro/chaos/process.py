@@ -1,25 +1,24 @@
 """Process-plane faults: killing, hanging, and slowing workers.
 
-Two execution substrates run compression jobs, and both get faults:
+Every compression job attempt runs in a worker process: one of the
+server's forked workers (:mod:`repro.server.workers`) or one of
+:func:`repro.service.run_batch`'s per-job processes.  The fault for an
+attempt is decided in the process that *dispatches* it
+(:func:`dispatch_fault`), so the schedule's per-site counters advance
+once per attempt and every injection lands in that process's
+:attr:`~repro.chaos.schedule.ChaosSchedule.injections`.  The decision
+travels to the worker with the job, and the worker applies it at the
+named point (:func:`apply_fault`):
 
-* the **server's executor threads**
-  (:meth:`repro.server.app.CompressionServer._run_job`) call
-  :func:`apply_worker_fault` at the top of every attempt.  ``kill``
-  raises :class:`WorkerCrash` (a
-  :class:`~repro.errors.TransientError`, so the server's job loop
-  retries it); ``hang`` sleeps past the server's job timeout *then*
-  raises, so the attempt both stalls a slot and dies without side
-  effects; ``slow_start`` just adds latency.
+* ``kill`` — a real ``SIGKILL`` to the worker's own pid, either before
+  any work (``start``) or with the result computed but unsent
+  (``before_result``); the dispatcher's crash path must recover it;
+* ``hang`` — sleep ``hang_seconds`` (long enough to trip the job
+  timeout, which kills the worker first), then die the same way;
+* ``slow_start`` — sleep ``slow_start_seconds`` and carry on.
 
-* the **worker processes** of :mod:`repro.service.pool` call
-  :func:`pool_kill_point` at chosen points; with a schedule installed
-  (:func:`install_schedule`, inherited across ``fork``) a ``kill``
-  decision is a real ``SIGKILL`` to the worker's own pid — the pool's
-  crash-retry path must recover it.
-
-The installed schedule is process-global on purpose: worker processes
-are forked from the parent, so installing before the pool spawns is
-all the plumbing a campaign needs.
+:func:`install_schedule` makes a schedule visible to ``run_batch``;
+the server takes its schedule from ``ServerConfig.chaos``.
 """
 
 from __future__ import annotations
@@ -27,19 +26,16 @@ from __future__ import annotations
 import os
 import signal
 import time
+from dataclasses import dataclass
 
-from repro.errors import TransientError
-
-
-class WorkerCrash(TransientError):
-    """A worker died mid-job (simulated).  Retryable by definition."""
-
+#: Where in an attempt a worker fault can strike, in attempt order.
+WORKER_POINTS = ("start", "before_result")
 
 _schedule = None
 
 
 def install_schedule(schedule) -> None:
-    """Make ``schedule`` visible to pool kill points (fork-inherited)."""
+    """Make ``schedule`` decide worker faults for :func:`run_batch`."""
     global _schedule
     _schedule = schedule
 
@@ -53,34 +49,43 @@ def installed_schedule():
     return _schedule
 
 
-def pool_kill_point(point: str, site: str) -> None:
-    """A worker-process location where the installed schedule may kill.
+@dataclass(frozen=True)
+class WorkerFault:
+    """One decided fault: what a worker does, and where in the attempt."""
 
-    ``site`` should be the job's content key so decisions are
-    deterministic per job, not per pid.
+    point: str
+    kind: str
+    seconds: float = 0.0
+
+
+def dispatch_fault(schedule, site: str) -> WorkerFault | None:
+    """Decide the fault for one attempt, in the dispatching process.
+
+    ``site`` should be the job's content key, so decisions are
+    deterministic per job, not per pid.  The points are asked in
+    attempt order and the first fault wins, exactly as if the worker
+    had asked at each point itself.
     """
-    schedule = _schedule
     if schedule is None:
+        return None
+    for point in WORKER_POINTS:
+        kind = schedule.decide("worker", site, point)
+        if kind == "hang":
+            return WorkerFault(point, kind, schedule.hang_seconds)
+        if kind == "slow_start":
+            return WorkerFault(point, kind, schedule.slow_start_seconds)
+        if kind is not None:
+            return WorkerFault(point, kind)
+    return None
+
+
+def apply_fault(fault: WorkerFault | None, point: str) -> None:
+    """Inside the worker: carry out ``fault`` if it strikes at ``point``."""
+    if fault is None or fault.point != point:
         return
-    if schedule.decide("worker", site, point) == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-def apply_worker_fault(schedule, site: str, *, sleep=time.sleep) -> None:
-    """Thread-executor fault gate, called at the top of a job attempt.
-
-    Raises :class:`WorkerCrash` for ``kill`` (immediately) and ``hang``
-    (after sleeping ``schedule.hang_seconds`` — long enough to trip the
-    server's job timeout first, which is the point).  ``slow_start``
-    sleeps briefly and lets the attempt proceed.
-    """
-    fault = schedule.decide("worker", site, "execute")
-    if fault == "kill":
-        raise WorkerCrash(f"chaos: worker killed before completing {site[:12]}")
-    if fault == "hang":
-        sleep(schedule.hang_seconds)
-        raise WorkerCrash(
-            f"chaos: worker hung {schedule.hang_seconds:g}s on {site[:12]}"
-        )
-    if fault == "slow_start":
-        sleep(schedule.slow_start_seconds)
+    if fault.kind == "slow_start":
+        time.sleep(fault.seconds)
+        return
+    if fault.kind == "hang":
+        time.sleep(fault.seconds)
+    os.kill(os.getpid(), signal.SIGKILL)

@@ -10,8 +10,9 @@ plane      instrumented sites
 ``disk``   every filesystem operation the service state goes through
            (:class:`repro.chaos.filesystem.FaultyFilesystem` threaded
            under the artifact cache and job ledger)
-``worker`` job-execution attempts (the server's executor slots and the
-           :mod:`repro.service.pool` worker processes)
+``worker`` job-execution attempts (the server's forked workers and the
+           :mod:`repro.service.pool` worker processes), decided where
+           each attempt is dispatched
 ``connection``  HTTP responses and individual SSE frames on the
            server front end
 ========== ==========================================================

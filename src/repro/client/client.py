@@ -19,7 +19,10 @@ connection refused/reset    exponential backoff + full jitter, then
 SSE stream reset midway     reconnect with ``?after=<cursor>`` /
                             ``Last-Event-ID`` and resume exactly
                             after the last frame seen
-SSE attempts exhausted      fall back to polling the status document
+SSE attempts exhausted      fall back to polling the status document,
+                            for as long as the server reports the job
+                            queued or running (up to
+                            :data:`LIVE_POLL_SECONDS`)
 failing repeatedly          circuit breaker opens; requests fail fast
                             instead of hammering a down server
 ==========================  =========================================
@@ -51,6 +54,12 @@ from repro.server.routes import (
     TRACEPARENT_HEADER,
 )
 from repro.server.sse import TERMINAL_EVENTS, read_events
+
+#: How long status polling waits on a job the server reports queued or
+#: running: far above the server's default attempt budget (two attempts
+#: of ``DEFAULT_JOB_TIMEOUT``), so only a job that never ends reads as
+#: lost.
+LIVE_POLL_SECONDS = 300.0
 
 #: Connection-level exceptions treated as transient network faults.
 _NETWORK_ERRORS = (
@@ -165,11 +174,16 @@ class ReproClient:
         canonical = json.dumps(spec, sort_keys=True).encode()
         return hashlib.sha256(canonical).hexdigest()[:16]
 
-    def submit(self, spec: dict) -> dict:
+    def submit(self, spec: dict, *, idempotent: bool = True) -> dict:
         """Submit until acknowledged; returns the 202 document.
 
         Raises :class:`ClientError` when every attempt (transient
         budget *and* throttle budget) is spent without an ack.
+
+        With ``idempotent=False`` no idempotency key is sent, so every
+        acknowledged attempt is a new job: a spec this tenant already
+        ran becomes a fresh (cache-hit) job instead of the first one
+        handed back, and a retry after a lost ack can run it twice.
 
         Every attempt carries the same ``traceparent`` (the enclosing
         span's identity when one is open, else minted here), so server
@@ -180,10 +194,9 @@ class ReproClient:
             traceparent = observe.format_traceparent(
                 observe.make_trace_id(), observe.make_span_id()
             )
-        headers = {
-            IDEMPOTENCY_HEADER: self.idempotency_key(spec),
-            TRACEPARENT_HEADER: traceparent,
-        }
+        headers = {TRACEPARENT_HEADER: traceparent}
+        if idempotent:
+            headers[IDEMPOTENCY_HEADER] = self.idempotency_key(spec)
         throttles = 0
         last_error = "no attempts made"
         attempt = 0
@@ -248,21 +261,25 @@ class ReproClient:
                 continue
             if terminal is not None:
                 return terminal, events
-        # SSE kept dying — poll the status document instead.
-        for _ in range(self.poll_attempts):
+        # SSE kept dying — poll the status document instead.  A poll that
+        # finds the job queued or running is the server at work, not a
+        # fault: only the other polls spend ``poll_attempts``, and
+        # waiting on a live job stops after LIVE_POLL_SECONDS.
+        failures = 0
+        waited = 0.0
+        while failures < self.poll_attempts and waited < LIVE_POLL_SECONDS:
             try:
                 status, _, document = self._request(
                     "GET", f"/v1/jobs/{job_id}"
                 )
             except (TransientError, CircuitOpenError):
+                failures += 1
                 self.retries += 1
                 self.sleep(self.policy.delay(0, self.rng))
                 continue
-            if status == 200 and document and document.get("status") in (
-                "completed", "failed", "cancelled"
-            ):
-                kind = document["status"]
-                synthetic = {"kind": kind, "data": {
+            state = (document or {}).get("status") if status == 200 else None
+            if state in ("completed", "failed", "cancelled"):
+                synthetic = {"kind": state, "data": {
                     "job_id": job_id,
                     "cache_hit": document.get("cache_hit", False),
                     "meta": document.get("meta", {}),
@@ -271,6 +288,10 @@ class ReproClient:
                 }}
                 events.append(synthetic)
                 return synthetic, events
+            if state in ("queued", "running"):
+                waited += self.poll_interval
+            else:
+                failures += 1
             self.sleep(self.poll_interval)
         return None, events
 

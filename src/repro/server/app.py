@@ -2,9 +2,10 @@
 
 :class:`CompressionServer` is the networked front end over the
 existing service layer: it accepts compile+compress job submissions
-over HTTP (:mod:`repro.server.routes`), runs them through
-:func:`repro.service.pool.execute_job` on a bounded thread executor,
-stores artifacts in one :class:`~repro.service.cache.ArtifactCache`
+over HTTP (:mod:`repro.server.routes`), answers cache hits on the
+event loop, builds misses in forked worker processes
+(:mod:`repro.server.workers`), stores artifacts in one
+:class:`~repro.service.cache.ArtifactCache`
 (the layout ``repro-serve`` and :func:`~repro.service.run_batch` use),
 journals every job transition in a
 :class:`~repro.server.ledger.JobLedger`, and streams per-job progress
@@ -15,7 +16,8 @@ Lifecycle
 
 * :meth:`start` opens the ledger, **re-queues jobs interrupted by the
   previous shutdown** (their specs are persisted in the state store),
-  spawns ``concurrency`` worker tasks, and binds the listening socket;
+  forks ``concurrency`` worker processes, spawns as many worker tasks,
+  and binds the listening socket;
 * submissions pass the :class:`~repro.server.quotas.AdmissionController`
   (per-tenant token bucket + server-wide queue-depth gate) before they
   are ledgered and queued — a refusal is an HTTP 429 with
@@ -25,10 +27,15 @@ Lifecycle
   flushes the ledger, and returns — the CLI then exits 0.
 
 Concurrency model: the event loop owns all bookkeeping (job table,
-event logs, ledger); compile+compress runs on executor threads, which
-touch only the artifact cache (internally locked) and return plain
-data.  SSE readers are loop coroutines woken through each job's
-``changed`` event, so no locks are needed on the event log.
+event logs, ledger, artifact cache).  A submission whose artifact is
+cached completes inside :meth:`CompressionServer.submit`, with no queue
+slot and no worker.  A miss is queued; a worker task re-checks the
+cache when it dequeues the job, then hands it to an idle worker
+process, which compiles and compresses and returns plain data (blob,
+metadata, span tree, metrics snapshot).  A timed-out or crashed
+attempt's worker is killed and re-forked, and the attempt is retried
+up to ``job_attempts``.  SSE readers are loop coroutines woken through
+each job's ``changed`` event, so no locks are needed on the event log.
 """
 
 from __future__ import annotations
@@ -36,13 +43,12 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import observe
-from repro.chaos.process import apply_worker_fault
-from repro.errors import ReproError, ServiceError, TransientError
+from repro.chaos.process import dispatch_fault
+from repro.errors import ReproError, ServiceError
 from repro.observe import Recorder
 from repro.server.http import (
     HttpError,
@@ -53,11 +59,11 @@ from repro.server.ledger import JobLedger, JobRecord, make_job_id
 from repro.server.quotas import AdmissionController, Decision, QuotaSpec
 from repro.server.routes import build_router, handle_events
 from repro.server.sse import span_events
+from repro.server.workers import WorkerLost, WorkerPool
 from repro.service.cache import ArtifactCache
 from repro.service.fsio import Filesystem
 from repro.service.jobs import CompressionJob
 from repro.service.metrics import MetricsRegistry
-from repro.service.pool import execute_job
 from repro.service.scrub import CacheScrubber
 
 #: Fields accepted in an HTTP job spec (prebuilt ``program`` jobs are
@@ -66,6 +72,13 @@ SPEC_FIELDS = {
     "benchmark", "source", "scale", "encoding", "max_codewords",
     "max_entry_len", "verify", "name",
 }
+
+#: Per-attempt limit (seconds) unless configured otherwise.  The slowest
+#: suite spec, ``vortex`` at scale 1.0 with ``verify: full``, builds in
+#: 4.0-5.1 s on a 2-vCPU host (docs/service.md), so a legitimate job
+#: finishes well inside it, while a hostile source holds a worker for at
+#: most this long per attempt.
+DEFAULT_JOB_TIMEOUT = 30.0
 
 
 @dataclass
@@ -92,8 +105,9 @@ class ServerConfig:
     #: 2+ happens only for transient failures (worker crash, timeout).
     job_attempts: int = 2
     #: Per-attempt wall-clock limit (seconds); None = unlimited.  A
-    #: timed-out attempt counts as transient and is retried.
-    job_timeout: float | None = None
+    #: timed-out attempt's worker is killed and re-forked, and the
+    #: attempt counts as transient (retried up to ``job_attempts``).
+    job_timeout: float | None = DEFAULT_JOB_TIMEOUT
     #: Per-connection limit on reading the request (slow-loris guard);
     #: exceeded → 408 and the connection is closed.
     read_timeout: float | None = 10.0
@@ -189,12 +203,6 @@ class SubmitOutcome:
         return self.decision.admitted
 
 
-def _consume_abandoned(future) -> None:
-    """Retrieve (and drop) the result of an abandoned executor future."""
-    if not future.cancelled():
-        future.exception()
-
-
 def parse_spec(spec: dict, *, default_verify: str = "stream") -> CompressionJob:
     """Validate an HTTP job spec into a :class:`CompressionJob` (400s)."""
     if not isinstance(spec, dict):
@@ -237,10 +245,7 @@ class CompressionServer:
         self._workers: list[asyncio.Task] = []
         self._connections: set[asyncio.Task] = set()
         self._server: asyncio.base_events.Server | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, config.concurrency),
-            thread_name_prefix="repro-job",
-        )
+        self.workers: WorkerPool | None = None
         self._shutdown_event = asyncio.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._started_monotonic = time.monotonic()
@@ -251,6 +256,8 @@ class CompressionServer:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._started_monotonic = time.monotonic()
+        # Forked before the listening socket exists, from this thread.
+        self.workers = WorkerPool(self.config.concurrency)
         self._resume_interrupted()
         for _ in range(max(1, self.config.concurrency)):
             self._workers.append(asyncio.create_task(self._worker()))
@@ -313,7 +320,8 @@ class CompressionServer:
             self._scrub_task.cancel()
             await asyncio.gather(self._scrub_task, return_exceptions=True)
             self._scrub_task = None
-        self._executor.shutdown(wait=True)
+        if self.workers is not None:
+            self.workers.close()
         try:
             self.ledger.compact()
         except OSError:
@@ -442,7 +450,13 @@ class CompressionServer:
             "job_id": state.job_id, "tenant": tenant, "key": state.key,
             "position": self.queue_depth, "trace_id": state.trace_id,
         })
-        self._queue.put_nowait(state)
+        start = time.perf_counter()
+        entry = self.cache.get(key)
+        if entry is None:
+            self._queue.put_nowait(state)
+        else:
+            self._start_attempt(state)
+            self._complete_hit(state, entry, start)
         self.metrics.counter("jobs.submitted").inc()
         self.metrics.counter(f"server.trace.count.{tenant}").inc()
         return SubmitOutcome(decision=decision, state=state)
@@ -473,48 +487,65 @@ class CompressionServer:
                 self.metrics.counter("worker.guard_trips").inc()
                 self._fail(state, f"internal: {type(exc).__name__}: {exc}")
 
-    async def _attempt(self, state: JobState) -> None:
+    def _start_attempt(self, state: JobState) -> None:
         state.status = "running"
         state.attempts += 1
         self._ledger_record(state.job_id, "started")
         state.add_event("started", {
             "job_id": state.job_id, "attempt": state.attempts,
         })
-        loop = asyncio.get_running_loop()
+
+    async def _attempt(self, state: JobState) -> None:
+        self._start_attempt(state)
+        # The artifact may have landed while this job waited (another
+        # tenant's build of the same spec): answer it from the cache.
+        # ``in`` first, so the cache counts this job's miss only once.
+        start = time.perf_counter()
+        if state.key in self.cache:
+            entry = self.cache.get(state.key)
+            if entry is not None:
+                self._complete_hit(state, entry, start)
+                return
+        fault = dispatch_fault(self.config.chaos, state.key)
         try:
-            future = loop.run_in_executor(
-                self._executor, self._run_job, state.job, state.key,
-                state.traceparent,
+            result, spans, wall = await self.workers.run(
+                (state.job, state.traceparent, fault), self.config.job_timeout
             )
-            if self.config.job_timeout is not None:
-                outcome = await asyncio.wait_for(
-                    asyncio.shield(future), self.config.job_timeout
-                )
-            else:
-                outcome = await future
-        except (TransientError, asyncio.TimeoutError) as exc:
-            if not future.done():
-                # A timed-out attempt leaves its executor thread running
-                # to completion; consume whatever it eventually raises so
-                # it cannot leak a never-retrieved-exception warning.
-                future.add_done_callback(_consume_abandoned)
-            reason = (f"{type(exc).__name__}: {exc}" if str(exc)
-                      else "attempt timed out")
+        except WorkerLost as exc:
+            reason = str(exc)
+            if fault is not None:
+                reason += f"; chaos: injected {fault.kind}"
             self._retry_or_fail(state, reason)
             return
-        except ReproError as exc:
-            self._fail(state, f"{type(exc).__name__}: {exc}")
+        if result[0] == "error":
+            self._fail(state, result[1])
             return
-        except Exception as exc:  # noqa: BLE001 — job bug, not server bug
-            self._fail(state, f"{type(exc).__name__}: {exc}")
-            return
-        cache_hit, blob, meta, spans, snapshot, wall = outcome
+        _, blob, meta, snapshot = result
         self.metrics.merge(snapshot)
+        self.cache.put(state.key, blob, meta)
+        self._complete(state, False, meta, spans, wall)
+
+    def _complete_hit(self, state: JobState, entry, start: float) -> None:
+        """Complete ``state`` from a cache entry, with its marker span."""
+        with Recorder() as recorder:
+            with observe.remote_context(state.traceparent):
+                with observe.span(
+                    "job", label=state.job.label, encoding=state.job.encoding,
+                    verify=state.job.verify_level, cache_hit=True,
+                ):
+                    pass
+        spans = [root.to_dict() for root in recorder.spans]
+        self._complete(
+            state, True, entry.meta, spans, time.perf_counter() - start
+        )
+
+    def _complete(
+        self, state: JobState, cache_hit: bool, meta: dict,
+        spans: list[dict], wall: float,
+    ) -> None:
         self.metrics.counter(
             "cache.hits" if cache_hit else "cache.misses"
         ).inc()
-        if not cache_hit:
-            self.cache.put(state.key, blob, meta)
         state.cache_hit = cache_hit
         state.meta = meta
         state.wall_seconds = wall
@@ -582,43 +613,6 @@ class CompressionServer:
         })
         self._queue.put_nowait(state)
 
-    def _run_job(
-        self, job: CompressionJob, key: str, traceparent: str | None = None
-    ):
-        """Executor-thread body: cache lookup, else compile+compress.
-
-        Returns ``(cache_hit, blob, meta, span_dicts, metrics_snapshot,
-        wall_seconds)``.  The observe recorder is installed in this
-        thread's context, so the captured span tree is exactly this
-        job's — concurrent jobs on other threads never interleave.  The
-        job's ``traceparent`` parents the recorded spans under the
-        remote (client-side) trace, one trace id across the wire.
-        """
-        start = time.perf_counter()
-        if self.config.chaos is not None:
-            # Worker-plane faults: kill (raises immediately), hang
-            # (sleeps past job_timeout, then raises — no side effects),
-            # slow_start.  Keyed by content key for determinism.
-            apply_worker_fault(self.config.chaos, key)
-        entry = self.cache.get(key)
-        if entry is not None:
-            with Recorder() as recorder:
-                with observe.remote_context(traceparent):
-                    with observe.span(
-                        "job", label=job.label, encoding=job.encoding,
-                        verify=job.verify_level, cache_hit=True,
-                    ):
-                        pass
-            spans = [root.to_dict() for root in recorder.spans]
-            return (True, entry.blob, entry.meta, spans, {},
-                    time.perf_counter() - start)
-        with Recorder() as recorder:
-            with observe.remote_context(traceparent):
-                blob, meta, snapshot = execute_job(job)
-        spans = [root.to_dict() for root in recorder.spans]
-        return (False, blob, meta, spans, snapshot,
-                time.perf_counter() - start)
-
     def _fail(self, state: JobState, error: str) -> None:
         state.status = "failed"
         state.error = error
@@ -642,12 +636,15 @@ class CompressionServer:
         Eviction, quarantine, or disk failure between completion and
         download means the bytes are gone — but the spec is not, and
         jobs are deterministic, so the artifact is re-derivable on
-        demand.  Returns the fresh cache entry (also re-stored).
+        demand.  Returns the fresh cache entry (also re-stored).  The
+        rebuild runs on a worker process under the job timeout.
         """
-        loop = asyncio.get_running_loop()
-        blob, meta, snapshot = await loop.run_in_executor(
-            self._executor, execute_job, state.job
+        result, _, _ = await self.workers.run(
+            (state.job, None, None), self.config.job_timeout
         )
+        if result[0] != "ok":
+            raise ServiceError(f"rederiving {state.key[:12]}: {result[1]}")
+        _, blob, meta, snapshot = result
         self.metrics.merge(snapshot)
         self.metrics.counter("cache.rederived").inc()
         return self.cache.put(state.key, blob, meta)

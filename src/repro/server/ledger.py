@@ -27,7 +27,10 @@ cleanly instead of dropping accepted work.
 :meth:`JobLedger.compact` rewrites the state store as one ``snapshot``
 line per job (atomic temp-file + ``os.replace``), which the graceful
 shutdown path runs after draining so the log does not grow without
-bound across restarts.
+bound across restarts.  It runs in two passes so that no spec is held
+longer than its own snapshot line: the first folds the log keeping
+only each spec's line offset, the second re-reads one spec per line
+as the snapshot streams to the temp file.
 
 Torn-tail recovery
 ------------------
@@ -53,6 +56,7 @@ import uuid
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 from repro.errors import ServiceError
 from repro.service.fsio import DEFAULT_FS, Filesystem
@@ -220,26 +224,38 @@ class JobLedger:
         self._handle.flush()
         return line
 
-    def _read_lines(self) -> Iterator[dict]:
-        """The decodable lines of the state store, read one at a time."""
+    def _read_lines(self) -> Iterator[tuple[int, dict]]:
+        """The decodable lines of the state store with their byte
+        offsets, read one at a time."""
         if not self.fs.exists(self.state_path):
             return
-        for raw in self.fs.read_lines(self.state_path):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                line = json.loads(raw)
-            except json.JSONDecodeError:
-                # A torn final line from a crash mid-append is expected;
-                # anything else is still not worth refusing to start over.
-                continue
-            yield line
+        offset = 0
+        with self.fs.open_read(self.state_path) as handle:
+            for raw in handle:
+                start, offset = offset, offset + len(raw)
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    line = json.loads(raw)
+                except (json.JSONDecodeError, UnicodeDecodeError):
+                    # A torn final line from a crash mid-append is
+                    # expected; anything else is still not worth
+                    # refusing to start over.
+                    continue
+                yield start, line
 
     def replay(self) -> dict[str, JobRecord]:
         """Fold the transition log into per-job records, log order."""
+        return self._fold()
+
+    def _fold(
+        self, spec_offsets: dict[str, int] | None = None
+    ) -> dict[str, JobRecord]:
+        """Fold the log; with ``spec_offsets``, leave every spec out of
+        its record and note the offset of the line that carries it."""
         records: dict[str, JobRecord] = {}
-        for line in self._read_lines():
+        for offset, line in self._read_lines():
             job_id = line.get("job_id")
             event = line.get("event")
             if not isinstance(job_id, str) or event not in EVENTS:
@@ -247,10 +263,15 @@ class JobLedger:
             if event == "snapshot":
                 snap = line.get("record", {})
                 if isinstance(snap, dict) and snap.get("job_id") == job_id:
-                    records[job_id] = JobRecord(**{
+                    fields = {
                         k: v for k, v in snap.items()
                         if k in JobRecord.__dataclass_fields__
-                    })
+                    }
+                    if spec_offsets is not None:
+                        spec_offsets.pop(job_id, None)
+                        if fields.pop("spec", None) is not None:
+                            spec_offsets[job_id] = offset
+                    records[job_id] = JobRecord(**fields)
                 continue
             record = records.get(job_id)
             if record is None:
@@ -263,7 +284,10 @@ class JobLedger:
                 record.key = line.get("key", record.key)
                 spec = line.get("spec")
                 if isinstance(spec, dict):
-                    record.spec = spec
+                    if spec_offsets is None:
+                        record.spec = spec
+                    else:
+                        spec_offsets[job_id] = offset
             elif event == "started":
                 record.attempts += 1
             elif event == "completed":
@@ -287,24 +311,43 @@ class JobLedger:
 
         Returns the number of jobs kept.  Atomic: readers either see
         the old log or the compacted one, never a truncated file.
-        Memory stays near one copy of the log: each line is folded as
-        it is read, and each record is released as its snapshot line
-        is written.
+        Memory stays near one record per job, specs excluded: the first
+        pass folds the log keeping each spec's line offset, and the
+        second re-reads each spec as its snapshot line streams out.
         """
-        records = self.replay()
+        spec_offsets: dict[str, int] = {}
+        records = self._fold(spec_offsets)
         kept = len(records)
-        snapshot = bytearray()
+        self.close()
+        log = self.fs.open_read(self.state_path) if spec_offsets else None
+        try:
+            lines = self._snapshot_lines(records, spec_offsets, log)
+            self.fs.write_atomic(self.state_path, lines)
+        finally:
+            if log is not None:
+                log.close()
+        return kept
+
+    @staticmethod
+    def _snapshot_lines(
+        records: dict[str, JobRecord], spec_offsets: dict[str, int],
+        log: BinaryIO | None,
+    ) -> Iterator[bytes]:
         for job_id in list(records):
             record = records.pop(job_id)
-            snapshot += json.dumps(
+            offset = spec_offsets.get(job_id)
+            if offset is not None:
+                log.seek(offset)
+                line = json.loads(log.readline())
+                record.spec = (
+                    line["record"]["spec"] if line["event"] == "snapshot"
+                    else line["spec"]
+                )
+            yield json.dumps(
                 {"job_id": record.job_id, "event": "snapshot",
                  "unix_time": time.time(), "record": record.as_dict()},
                 sort_keys=True,
-            ).encode()
-            snapshot += b"\n"
-        self.close()
-        self.fs.write_atomic(self.state_path, snapshot)
-        return kept
+            ).encode() + b"\n"
 
     def close(self) -> None:
         if self._handle is not None:

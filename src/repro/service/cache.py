@@ -28,8 +28,8 @@ Guarantees:
   a concurrent process may evict or quarantine at any moment;
 * **thread safety** — one lock serializes :meth:`ArtifactCache.get`,
   :meth:`~ArtifactCache.put`, ``in``, :meth:`~ArtifactCache.quarantine`
-  and :meth:`~ArtifactCache.clear`, so one instance is shared by the
-  server's executor threads, its event loop and its scrubber;
+  and :meth:`~ArtifactCache.clear`, so one instance can be shared by
+  threads (the server uses it from its event loop only);
 * **corruption detection** — the envelope hash is verified on every
   read; a mismatch (or truncation) raises
   :class:`CacheCorruptionError`, and :meth:`ArtifactCache.get` moves

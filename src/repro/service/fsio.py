@@ -23,7 +23,8 @@ op                   used by
 ===================  ==================================================
 ``write_atomic``     cache entry store, ledger manifest, ledger
                      compaction (internally: create-temp → write-temp
-                     → replace, three points)
+                     → replace, three points, however many chunks the
+                     content streams in)
 ``open_append``      ledger state-store appends (one point per line)
 ``append_bytes``     ledger tail quarantine
 ``replace``          cache quarantine moves
@@ -37,8 +38,22 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable
 from pathlib import Path
+from typing import BinaryIO, Union
+
+#: What :meth:`Filesystem.write_atomic` writes: the whole content, or
+#: an iterable of byte chunks written as they are produced.
+Content = Union[bytes, bytearray, str, Iterable[bytes]]
+
+
+def content_chunks(data: Content) -> Iterable[bytes]:
+    """``data`` as byte chunks (a whole content is one chunk)."""
+    if isinstance(data, str):
+        return (data.encode(),)
+    if isinstance(data, (bytes, bytearray)):
+        return (data,)
+    return data
 
 
 class AppendHandle:
@@ -67,11 +82,10 @@ class Filesystem:
     def read_text(self, path: str | Path) -> str:
         return Path(path).read_text()
 
-    def read_lines(self, path: str | Path) -> Iterator[str]:
-        """The lines of a text file, one at a time (the file is never
-        held in memory whole)."""
-        with open(path) as handle:
-            yield from handle
+    def open_read(self, path: str | Path) -> BinaryIO:
+        """A binary read handle: iterate it for lines (the file is never
+        held in memory whole), or seek back to a line's offset."""
+        return open(path, "rb")
 
     def exists(self, path: str | Path) -> bool:
         return Path(path).exists()
@@ -80,22 +94,24 @@ class Filesystem:
         return Path(path).stat()
 
     # -- writes --------------------------------------------------------
-    def write_atomic(self, path: str | Path, data: bytes | bytearray | str) -> None:
+    def write_atomic(self, path: str | Path, data: Content) -> None:
         """Write a complete file via temp-file + ``os.replace``.
 
+        ``data`` is the whole content, or an iterable of byte chunks
+        written as they come, so a caller never has to hold the file.
         Readers never observe a partial file; a crash mid-write leaves
         at most an orphaned ``.tmp-*`` file beside the target.
         """
         path = Path(path)
-        payload = data.encode() if isinstance(data, str) else data
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=path.suffix
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
+                for chunk in content_chunks(data):
+                    handle.write(chunk)
             os.replace(tmp_name, path)
-        except OSError:
+        except BaseException:
             Path(tmp_name).unlink(missing_ok=True)
             raise
 

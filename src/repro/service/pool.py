@@ -14,6 +14,10 @@ Worker-pool semantics:
   failed (``error="timed out..."``) — the rest of the batch continues;
 * a worker that **crashes** (killed, segfault, unpicklable result) is
   retried up to ``retries`` times before the job is reported failed;
+* with a chaos schedule installed
+  (:func:`repro.chaos.process.install_schedule`), each attempt's
+  worker fault is decided here, at dispatch, and sent to the worker
+  with the job;
 * exceptions *inside* a job (compile errors, bad parameters) are
   deterministic, so they are reported immediately and never retried;
 * ``processes=0`` degrades gracefully to plain in-process execution —
@@ -37,7 +41,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro import observe
-from repro.chaos.process import pool_kill_point
+from repro.chaos.process import (
+    apply_fault,
+    dispatch_fault,
+    installed_schedule,
+)
 from repro.core.image import CompressedImage
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import CompressionJob
@@ -97,24 +105,35 @@ def execute_job(job: CompressionJob) -> tuple[bytes, dict, dict]:
     return blob, meta, registry.as_dict()
 
 
-def _worker(conn, job: CompressionJob, traceparent: str | None = None) -> None:
-    # Chaos kill points (no-ops without an installed schedule): a real
-    # SIGKILL either before any work or with the result computed but
-    # unsent — both must be recovered by the pool's crash-retry path.
-    key = job.content_key()
-    pool_kill_point("start", key)
+def attempt_job(
+    job: CompressionJob, traceparent: str | None = None, fault=None
+):
+    """One attempt at ``job`` in a worker process: the body every worker runs.
+
+    Returns ``("ok", blob, meta, snapshot)`` or, for a failure inside
+    the job, ``("error", message, traceback)``.  ``fault`` is the
+    :class:`~repro.chaos.process.WorkerFault` the dispatcher decided
+    for this attempt (or None): a ``kill`` strikes before any work or
+    with the result computed but unsent, and the dispatcher's
+    crash-retry path must recover either.  The dispatcher's
+    ``traceparent`` crosses the process boundary as a plain argument;
+    spans recorded here parent under it, so one trace id covers the
+    dispatching and the worker lanes.
+    """
+    apply_fault(fault, "start")
     try:
-        # The parent's traceparent crosses the process boundary as a
-        # plain argument; spans recorded in this worker parent under it,
-        # so one trace id covers dispatcher and worker lanes.
         with observe.remote_context(traceparent):
             blob, meta, snapshot = execute_job(job)
-        pool_kill_point("before_result", key)
-        conn.send(("ok", blob, meta, snapshot))
-    except Exception as exc:  # job failure, shipped to the parent
-        conn.send(
-            ("error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
-        )
+    except Exception as exc:  # job failure, shipped to the dispatcher
+        message = f"{type(exc).__name__}: {exc}"
+        return ("error", message, traceback.format_exc())
+    apply_fault(fault, "before_result")
+    return ("ok", blob, meta, snapshot)
+
+
+def _worker(conn, job: CompressionJob, traceparent: str | None, fault) -> None:
+    try:
+        conn.send(attempt_job(job, traceparent, fault))
     finally:
         conn.close()
 
@@ -261,12 +280,16 @@ def _run_pool(
                 _cancel(jobs, index, results)
         while queue and len(running) < processes:
             index, prior_attempts = queue.popleft()
+            fault = dispatch_fault(
+                installed_schedule(), jobs[index].content_key()
+            )
             try:
                 parent_conn, child_conn = context.Pipe(duplex=False)
                 process = context.Process(
                     target=_worker,
                     args=(
-                        child_conn, jobs[index], observe.current_traceparent()
+                        child_conn, jobs[index],
+                        observe.current_traceparent(), fault,
                     ),
                     daemon=True,
                 )

@@ -1,10 +1,11 @@
 """``repro-server``: the asyncio compression service front end.
 
 Binds an HTTP/1.1 listener, accepts compile+compress job submissions,
-executes them on a bounded worker executor against the artifact cache
-(the same ``<root>/<key[:2]>/<key>.rcc`` store ``repro-serve``
-writes), journals every transition in the persistent job ledger, and
-streams per-job progress as server-sent events.
+answers cache hits from the artifact cache (the same
+``<root>/<key[:2]>/<key>.rcc`` store ``repro-serve`` writes), builds
+misses in forked worker processes, journals every transition in the
+persistent job ledger, and streams per-job progress as server-sent
+events.
 
 Endpoints (see ``docs/service.md`` for schemas)::
 
@@ -36,7 +37,7 @@ import asyncio
 import sys
 
 from repro.errors import ReproError
-from repro.server.app import ServerConfig, serve
+from repro.server.app import DEFAULT_JOB_TIMEOUT, ServerConfig, serve
 from repro.server.quotas import parse_quota, parse_tenant_quota
 from repro.service.jobs import VERIFY_LEVELS
 
@@ -56,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--state-dir", default=None,
                         help="job-ledger directory (default: CACHE_DIR/state)")
     parser.add_argument("--concurrency", type=int, default=2,
-                        help="concurrent job executions (default %(default)s)")
+                        help="worker processes building jobs (default "
+                        "%(default)s)")
     parser.add_argument("--max-queue-depth", type=int, default=64,
                         help="pending-job cap before 429 queue_full")
     parser.add_argument("--quota", default="20:40", metavar="RATE[:BURST]",
@@ -77,9 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--job-attempts", type=int, default=2,
                         help="execution attempts per job before it fails "
                         "terminally (default %(default)s)")
-    parser.add_argument("--job-timeout", type=float, default=None,
+    parser.add_argument("--job-timeout", type=float,
+                        default=DEFAULT_JOB_TIMEOUT,
                         help="per-attempt wall-clock limit in seconds; a "
-                        "timed-out attempt is retried (default: none)")
+                        "timed-out attempt's worker is killed and the "
+                        "attempt retried (default %(default)s)")
     parser.add_argument("--scrub-interval", type=float, default=None,
                         help="seconds between background cache integrity "
                         "scrub steps (default: scrubber off)")

@@ -22,6 +22,12 @@ class TestScheduledFaults:
         assert target.read_bytes() == b"01234"
         assert fs.faults == [("torn_write", "entry.rcc", "write")]
 
+    def test_torn_chunked_write_lands_the_same_prefix(self, tmp_path):
+        fs = always("torn_write", torn_fraction=0.5)
+        target = tmp_path / "state.jsonl"
+        fs.write_atomic(target, (bytes([b]) for b in b"0123456789"))
+        assert target.read_bytes() == b"01234"
+
     def test_enospc_raises_and_leaves_target_untouched(self, tmp_path):
         fs = always("enospc")
         target = tmp_path / "entry.rcc"
@@ -107,6 +113,23 @@ class TestCrashPoints:
             handle.write(line)
         raw = target.read_text()
         assert raw == line[: len(line) // 2]  # the mess recovery must fix
+
+    def test_chunked_write_keeps_three_crash_points(self, tmp_path):
+        clean = FaultyFilesystem()
+        clean.write_atomic(tmp_path / "f", iter([b"pay", b"lo", b"ad"]))
+        assert clean.write_ops == 3
+        assert (tmp_path / "f").read_bytes() == b"payload"
+
+    @pytest.mark.parametrize("crash_after", [0, 1, 2])
+    def test_crash_mid_chunked_write_never_tears_the_target(
+        self, tmp_path, crash_after
+    ):
+        target = tmp_path / "state.jsonl"
+        target.write_bytes(b"old-and-complete")
+        fs = FaultyFilesystem(crash_after=crash_after)
+        with pytest.raises(SimulatedCrash):
+            fs.write_atomic(target, (bytes([b]) for b in b"new-lines"))
+        assert target.read_bytes() == b"old-and-complete"
 
     def test_surviving_write_points_count_up(self, tmp_path):
         fs = FaultyFilesystem(crash_after=10)

@@ -160,6 +160,16 @@ class TestAgainstARealServer:
         assert second.job_id == first.job_id
         assert second.data == first.data
 
+    def test_submit_without_idempotency_key_is_a_fresh_job(self, hosted):
+        client = ReproClient(hosted.address, "alpha")
+        first = client.run_job(dict(self.SPEC))
+        ack = client.submit(dict(self.SPEC), idempotent=False)
+        assert ack["deduplicated"] is False
+        assert ack["job_id"] != first.job_id
+        terminal, _ = client.wait(ack["job_id"])
+        assert terminal["kind"] == "completed"
+        assert terminal["data"]["cache_hit"] is True
+
     def test_client_span_and_server_share_one_trace(self, hosted):
         from repro import observe
         from repro.observe.recorder import Recorder
@@ -246,3 +256,39 @@ class TestThrottleOnTheWire:
             second = client.run_job(self.OTHER)
         assert first.outcome == "completed", first.error
         assert second.outcome == "completed", second.error
+
+
+class SlowJobBrokenStream:
+    """A schedule-shaped stub: every job's worker starts late and every
+    SSE frame is torn, so only status polling can see a job finish."""
+
+    hang_seconds = 0.0
+    slow_start_seconds = 1.0
+    stall_seconds = 0.0
+
+    def decide(self, plane: str, site: str, op: str) -> str | None:
+        if plane == "worker" and op == "start":
+            return "slow_start"
+        if plane == "connection" and op == "sse-event":
+            return "reset"
+        return None
+
+
+def test_polling_waits_while_the_server_reports_the_job_running(tmp_path):
+    """Regression: polling gave up after ``poll_attempts`` answers of
+    "running" (2 s by default), so a job still inside its first attempt
+    read as lost when its SSE streams kept dying."""
+    config = ServerConfig(
+        host="127.0.0.1", port=0, cache_dir=tmp_path / "cache",
+        concurrency=1, quota=QuotaSpec(rate=500.0, burst=1000),
+        chaos=SlowJobBrokenStream(),
+    )
+    with HostedServer(config) as server:
+        client = ReproClient(
+            server.address, "alpha",
+            policy=RetryPolicy(max_attempts=2, base_delay=0.0),
+            sse_attempts=2, poll_attempts=3, poll_interval=0.05,
+        )
+        outcome = client.run_job(dict(TestAgainstARealServer.SPEC))
+    assert outcome.outcome == "completed", outcome.error
+    assert outcome.events[-1]["data"]["polled"] is True

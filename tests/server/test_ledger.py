@@ -163,6 +163,20 @@ class TestCompaction:
         assert [r.job_id for r in resumable] == ["job-run"]
         assert resumable[0].spec == {"benchmark": "go"}
 
+    def test_recompaction_rereads_specs_from_snapshot_lines(self, ledger):
+        ledger.record("job-a", "submitted", spec={"benchmark": "go"})
+        ledger.record("job-b", "submitted", spec={"source": "int x;"})
+        ledger.record("job-b", "completed", cache_hit=True, meta={"n": 1})
+        before = {k: v.as_dict() for k, v in ledger.replay().items()}
+        ledger.compact()
+        ledger.record("job-c", "submitted", spec={"benchmark": "li"})
+        assert ledger.compact() == 3
+        after = {k: v.as_dict() for k, v in ledger.replay().items()}
+        assert after.pop("job-c")["spec"] == {"benchmark": "li"}
+        for record in (*before.values(), *after.values()):
+            record.pop("updated_unix")
+        assert after == before
+
     def test_compaction_streams_the_log(self, ledger):
         # 400 jobs with ~8 KB MiniC specs (~3.4 MB of log): compaction
         # folds each line as it reads it and releases each record as it
@@ -191,6 +205,36 @@ class TestCompaction:
         assert peak <= 1.5 * size, (peak, size)
         after = {k: v.as_dict() for k, v in ledger.replay().items()}
         assert after == before
+
+    def test_compaction_peak_does_not_grow_with_the_specs(self, tmp_path):
+        # 1,800 more jobs carry ~14 MB more of specs; compaction holds
+        # one spec at a time, so only a spec-free record per job (under
+        # 1 KB each here) may grow with the log.
+        def compaction_peak(jobs: int) -> int:
+            ledger = JobLedger(tmp_path / f"ledger-{jobs}")
+            for index in range(jobs):
+                source = "".join(
+                    f"int f{index}_{k}(int x) {{ return x + {k}; }}\n"
+                    for k in range(300)
+                )[:8000]
+                ledger.record(f"job-{index}", "submitted", tenant="t",
+                              key="k" * 64,
+                              spec={"source": source, "encoding": "nibble"})
+                ledger.record(f"job-{index}", "started")
+                ledger.record(f"job-{index}", "completed", cache_hit=False,
+                              meta={"bytes": 1234})
+            ledger.close()
+            tracemalloc.start()
+            try:
+                assert ledger.compact() == jobs
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert ledger.resumable() == []
+            return peak
+
+        small, large = compaction_peak(200), compaction_peak(2_000)
+        assert large - small <= 3 * 1024 * 1024, (small, large)
 
 
 def test_make_job_id_is_unique_and_prefixed():

@@ -13,13 +13,12 @@ def wire_client(address, tenant: str = "alpha") -> ReproClient:
 
 
 def post_and_wait(client: ReproClient, spec: dict) -> list[dict]:
-    """POST ``spec`` and return its events up to the terminal one.
+    """Submit ``spec`` and return its events up to the terminal one.
 
-    The POST carries no idempotency key, so a repeated spec is a fresh
-    job (a cache hit), where ``submit`` would hand back the first job.
+    The submission carries no idempotency key, so a repeated spec is a
+    fresh job (a cache hit), not the first job handed back.
     """
-    status, _, submitted = client._request("POST", "/v1/jobs", body=spec)
-    assert status == 202, (status, submitted)
+    submitted = client.submit(spec, idempotent=False)
     terminal, events = client.wait(submitted["job_id"])
     assert terminal is not None, events
     return events

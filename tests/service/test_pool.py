@@ -11,6 +11,12 @@ import time
 
 import pytest
 
+from repro.chaos import (
+    ChaosRule,
+    ChaosSchedule,
+    install_schedule,
+    uninstall_schedule,
+)
 from repro.service import ArtifactCache, CompressionJob, MetricsRegistry
 from repro.service import pool as pool_module
 from repro.service.pool import run_batch
@@ -163,3 +169,23 @@ class TestCrashAndTimeout:
         assert time.monotonic() - start < 10
         assert not results[0].ok
         assert "timed out" in results[0].error
+
+
+@fork_only
+class TestChaosDecidedAtDispatch:
+    def test_kill_decisions_advance_across_attempts(self):
+        """Regression: each worker used to decide its own kill, in a
+        forked copy of the schedule whose counters never advanced, so
+        every attempt drew the first decision (a kill, for this seed)
+        and no injection reached the parent's log."""
+        schedule = ChaosSchedule(11, (ChaosRule("worker", "kill", 0.5),))
+        job = CompressionJob(benchmark="compress", scale=0.1,
+                             encoding="nibble")
+        install_schedule(schedule)
+        try:
+            [result] = run_batch([job], processes=1, retries=3, timeout=60)
+        finally:
+            uninstall_schedule()
+        assert result.ok, result.error
+        assert result.attempts == 2
+        assert schedule.injected_counts() == {"worker:kill": 1}
