@@ -11,7 +11,9 @@ connection refused/reset    exponential backoff + full jitter, then
                             ``X-Repro-Idempotency-Key`` header keys
                             dedupe on (tenant, content key), so a
                             retried ack the client never saw does not
-                            enqueue the job twice)
+                            enqueue the job twice; the retry's
+                            ``traceparent`` finds the job even after
+                            it failed)
 429 + ``Retry-After``       honor the header (capped), using a
                             separate throttle budget so being rate
                             limited is not treated as a fault

@@ -406,11 +406,17 @@ class CompressionServer:
         if idempotent:
             # A client retrying an ack it never saw must not enqueue the
             # job twice: match on (tenant, content key) against any job
-            # that is still live or already done.
+            # that is still live or already done.  A retry of the very
+            # submission that made the job (every attempt of one client
+            # submit carries one traceparent) gets that job back even
+            # once it has failed, so which job a retry lands on does not
+            # depend on how fast the first one failed.
             existing_id = self._by_key.get((tenant, key))
             existing = self.jobs.get(existing_id) if existing_id else None
-            if existing is not None and existing.status in (
-                "queued", "running", "completed"
+            if existing is not None and (
+                existing.status in ("queued", "running", "completed")
+                or (traceparent is not None
+                    and existing.traceparent == traceparent)
             ):
                 self.metrics.counter("jobs.deduplicated").inc()
                 return SubmitOutcome(

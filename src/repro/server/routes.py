@@ -22,7 +22,9 @@ admission queue is saturated).
 Sending the ``X-Repro-Idempotency-Key`` header (any non-empty value)
 makes submission idempotent per (tenant, content key): a client
 re-submitting after a torn 202 gets the already-queued/completed job
-back (``"deduplicated": true`` in the body) instead of a duplicate.
+back (``"deduplicated": true`` in the body) instead of a duplicate.  A
+resubmission with the ``traceparent`` the job was admitted under (a
+retry of the same submission) gets it back in any state, failed too.
 """
 
 from __future__ import annotations

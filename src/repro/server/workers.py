@@ -17,9 +17,9 @@ Fork, not spawn or forkserver: a fresh interpreter that imports
 long as the whole server start, while a fork starts with the server's
 imports already done.  A forked worker therefore inherits every
 descriptor the server holds at that moment, the listening socket and
-open client connections included; it points each inherited socket at
-``/dev/null`` first, so a connection the server closes reads as EOF on
-the client even while workers live.
+open client connections included; it points each inherited socket
+but its standard streams at ``/dev/null`` first, so a connection the
+server closes reads as EOF on the client even while workers live.
 """
 
 from __future__ import annotations
@@ -46,14 +46,16 @@ def _release_sockets(keep: int) -> None:
 
     Replacing rather than closing keeps each descriptor number taken, so
     an inherited socket object that is later collected closes
-    ``/dev/null``, never a file this worker opened since.
+    ``/dev/null``, never a file this worker opened since.  Descriptors
+    0-2 stay: when the server's stdout or stderr is a socket (a journal,
+    a supervisor's socketpair), a worker's tracebacks still reach it.
     """
     fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
     null = os.open(os.devnull, os.O_RDWR)
     try:
         for name in os.listdir(fd_dir):
             fd = int(name)
-            if fd in (keep, null):
+            if fd <= 2 or fd in (keep, null):
                 continue
             try:
                 if stat.S_ISSOCK(os.fstat(fd).st_mode):

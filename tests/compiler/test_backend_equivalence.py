@@ -57,10 +57,16 @@ def v(n: int) -> ir.VReg:
 
 
 def _ir_classes(cls: type) -> set[type]:
-    """The instruction classes ``ir`` defines below ``cls``."""
+    """The instruction classes ``ir`` defines below ``cls``.
+
+    Only the classes the module binds count: on Python 3.10,
+    ``dataclass(slots=True)`` leaves the class it replaced among the
+    base's subclasses.
+    """
     out = set()
     for sub in cls.__subclasses__():
-        if sub.__module__ == ir.__name__ and dataclasses.is_dataclass(sub):
+        if (getattr(ir, sub.__name__, None) is sub
+                and dataclasses.is_dataclass(sub)):
             out.add(sub)
         out |= _ir_classes(sub)
     return out

@@ -13,7 +13,7 @@ import http.client
 
 import pytest
 
-from repro.client import ReproClient
+from repro.client import ClientError, ReproClient
 from repro.core.image import CompressedImage
 from repro.server.app import HostedServer, ServerConfig
 from repro.server.ledger import JobLedger
@@ -47,6 +47,7 @@ def hosted(tmp_path_factory):
             "hog": QuotaSpec(rate=1.0, burst=2),
             # One token, refilled after 100 s: a burst never refills.
             "burst1": QuotaSpec(rate=0.01, burst=1),
+            "once": QuotaSpec(rate=0.01, burst=1),
         },
     )
     with HostedServer(config) as server:
@@ -193,6 +194,14 @@ class TestQuota:
         after = hog._request("GET", "/v1/stats")[2]["counters"]
         assert codes == [202, 429, 429, 429]
         assert after["quota.rejected"] - before.get("quota.rejected", 0) == 3
+
+    def test_wire_client_raises_on_the_first_429(self, address):
+        # The wire helpers must see throttling, not wait it out.
+        client = wire_client(address, "once")
+        client.submit(SPEC, idempotent=False)
+        with pytest.raises(ClientError, match="throttled"):
+            client.submit(SPEC, idempotent=False)
+        assert client.throttles == 1
 
     def test_other_tenants_unaffected_by_the_hog(self, address):
         beta = wire_client(address, "beta")

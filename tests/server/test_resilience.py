@@ -12,8 +12,10 @@ import socket
 
 import pytest
 
+from repro import observe
 from repro.server.app import HostedServer, ServerConfig
 from repro.server.quotas import QuotaSpec
+from repro.server.routes import IDEMPOTENCY_HEADER, TRACEPARENT_HEADER
 
 from .wire import post_and_wait, wire_client
 
@@ -131,3 +133,41 @@ class TestArtifactRederivation:
             assert second_blob == first_blob  # byte-identical recomputation
             stats = client._request("GET", "/v1/stats")[2]
             assert stats["counters"]["cache.rederived"] == 1
+
+
+class TestRetriedSubmission:
+    def test_retry_finds_its_job_even_after_it_failed(self, tmp_path):
+        # One submission's retries share a traceparent: a retry that
+        # arrives after its job already failed gets that job back, as
+        # it would while the job was live, so the outcome a client sees
+        # does not depend on how fast the job failed.
+        config = hosted_config(
+            tmp_path, chaos=WorkerFaultStub(kills=99), job_attempts=1,
+        )
+        with HostedServer(config) as hosted:
+            client = wire_client(hosted.address)
+
+            def post(traceparent: str) -> dict:
+                status, _, ack = client._request(
+                    "POST", "/v1/jobs", body=SPEC,
+                    headers={IDEMPOTENCY_HEADER: "spec",
+                             TRACEPARENT_HEADER: traceparent},
+                )
+                assert status == 202, ack
+                return ack
+
+            def fresh_traceparent() -> str:
+                return observe.format_traceparent(
+                    observe.make_trace_id(), observe.make_span_id()
+                )
+
+            traceparent = fresh_traceparent()
+            first = post(traceparent)
+            assert client.wait(first["job_id"])[0]["kind"] == "failed"
+            retried = post(traceparent)
+            assert retried["deduplicated"] is True
+            assert retried["job_id"] == first["job_id"]
+            # A new submission of the same spec is a new job.
+            again = post(fresh_traceparent())
+            assert again["deduplicated"] is False
+            assert again["job_id"] != first["job_id"]

@@ -10,6 +10,7 @@ open behind the server's back.
 import json
 import os
 import socket
+import stat
 import time
 
 from repro.server.app import (
@@ -19,6 +20,7 @@ from repro.server.app import (
     parse_spec,
 )
 from repro.server.quotas import QuotaSpec
+from repro.server.workers import _release_sockets
 from repro.tools.server_cli import build_parser
 
 from .wire import post_and_wait, wire_client
@@ -187,6 +189,30 @@ class TestWorkerReplacement:
                 while chunk := sock.recv(4096):
                     received += chunk
             assert received.startswith(b"HTTP/1.1 200")
+
+
+def test_socket_release_keeps_the_standard_streams():
+    # A server whose stderr is a socket (a journal, a supervisor's
+    # socketpair) still hears its workers; other inherited sockets go.
+    stderr_end, stderr_peer = socket.socketpair()
+    client_end, client_peer = socket.socketpair()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.dup2(stderr_end.fileno(), 2)
+            _release_sockets(keep=-1)
+            os.write(2, b"traceback")
+            mode = os.fstat(client_end.fileno()).st_mode
+            code = 2 if stat.S_ISSOCK(mode) else 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    stderr_peer.settimeout(5)
+    assert stderr_peer.recv(64) == b"traceback"
+    for sock in (stderr_end, stderr_peer, client_end, client_peer):
+        sock.close()
 
 
 def test_job_timeout_defaults_to_a_finite_limit():

@@ -4,11 +4,11 @@ from repro.client import ReproClient, RetryPolicy
 
 
 def wire_client(address, tenant: str = "alpha") -> ReproClient:
-    """One attempt per request and per SSE stream, and no status polling,
-    so the client cannot absorb a server fault."""
+    """One attempt per request and per SSE stream, no wait on a 429 and
+    no status polling, so the client cannot absorb a server fault."""
     return ReproClient(
         address, tenant, policy=RetryPolicy(max_attempts=1),
-        sse_attempts=1, poll_attempts=0,
+        max_throttle_retries=0, sse_attempts=1, poll_attempts=0,
     )
 
 
