@@ -20,14 +20,7 @@ This ``__init__`` keeps the filesystem/campaign imports lazy so that
 plane without creating an import cycle through the service package.
 """
 
-from repro.chaos.process import (
-    WorkerFault,
-    apply_fault,
-    dispatch_fault,
-    install_schedule,
-    installed_schedule,
-    uninstall_schedule,
-)
+from repro.chaos.process import WorkerFault, apply_fault, dispatch_fault
 from repro.chaos.schedule import (
     FAULTS,
     PLANES,
@@ -66,9 +59,6 @@ __all__ = [
     "WorkerFault",
     "apply_fault",
     "dispatch_fault",
-    "install_schedule",
-    "installed_schedule",
     "parse_rule",
-    "uninstall_schedule",
     *_LAZY,
 ]

@@ -1,8 +1,8 @@
 """Process-plane faults: killing, hanging, and slowing workers.
 
-Every compression job attempt runs in a worker process: one of the
-server's forked workers (:mod:`repro.server.workers`) or one of
-:func:`repro.service.run_batch`'s per-job processes.  The fault for an
+Every pooled compression job attempt runs in a worker process of a
+:class:`~repro.service.workers.WorkerPool`, the server's or a
+:func:`repro.service.run_batch` batch's.  The fault for an
 attempt is decided in the process that *dispatches* it
 (:func:`dispatch_fault`), so the schedule's per-site counters advance
 once per attempt and every injection lands in that process's
@@ -17,8 +17,8 @@ named point (:func:`apply_fault`):
   timeout, which kills the worker first), then die the same way;
 * ``slow_start`` — sleep ``slow_start_seconds`` and carry on.
 
-:func:`install_schedule` makes a schedule visible to ``run_batch``;
-the server takes its schedule from ``ServerConfig.chaos``.
+A dispatcher takes its schedule as a value: ``run_batch(chaos=...)``
+or ``ServerConfig.chaos``.
 """
 
 from __future__ import annotations
@@ -30,24 +30,6 @@ from dataclasses import dataclass
 
 #: Where in an attempt a worker fault can strike, in attempt order.
 WORKER_POINTS = ("start", "before_result")
-
-_schedule = None
-
-
-def install_schedule(schedule) -> None:
-    """Make ``schedule`` decide worker faults for :func:`run_batch`."""
-    global _schedule
-    _schedule = schedule
-
-
-def uninstall_schedule() -> None:
-    global _schedule
-    _schedule = None
-
-
-def installed_schedule():
-    return _schedule
-
 
 @dataclass(frozen=True)
 class WorkerFault:

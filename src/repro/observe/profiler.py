@@ -105,11 +105,12 @@ class SamplingProfiler:
 
     def stop(self) -> int:
         """Stop sampling; reports ``profiler.samples`` and returns it."""
+        # First, so a capture of this thread inside stop() is dropped.
+        self._stop_event.set()
         if self._thread is None:
             return self.samples
         from repro.machine import fastpath
 
-        self._stop_event.set()
         self._thread.join(timeout=5.0)
         self._thread = None
         fastpath.disable_trace_tagging()
@@ -129,6 +130,8 @@ class SamplingProfiler:
         frames = sys._current_frames()
         live = _spans.live_spans() if _spans._live_tracking else {}
         markers = fastpath.live_trace_markers()
+        if self._stop_event.is_set():
+            return  # the stacks may show the profiler stopping itself
         with self._lock:
             self.wakeups += 1
             for ident, frame in frames.items():

@@ -332,6 +332,10 @@ def span(name: str, /, **attrs) -> Iterator[Span | None]:
         recorders = parent._recorders
     current = Span(name, attrs, time.perf_counter_ns())
     current._recorders = recorders
+    # Live from its first clock tick, so a sample taken while the ids
+    # below are minted is attributed to it.
+    if _live_tracking:
+        _live_spans[current.thread_id] = current
     if parent is not None:
         current.trace_id = parent.trace_id
         current.parent_span_id = parent.span_id
@@ -343,8 +347,6 @@ def span(name: str, /, **attrs) -> Iterator[Span | None]:
             current.trace_id = make_trace_id()
     current.span_id = make_span_id()
     token = _current_span.set(current)
-    if _live_tracking:
-        _live_spans[current.thread_id] = current
     try:
         yield current
     finally:

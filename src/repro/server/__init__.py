@@ -5,9 +5,8 @@ into an actual server:
 
 * :mod:`repro.server.app` — :class:`CompressionServer`, the asyncio
   application: submission (cache hits answered on the loop), worker
-  tasks, graceful drain;
-* :mod:`repro.server.workers` — the forked worker processes that
-  build cache misses, killed and re-forked on timeout or crash;
+  tasks that build misses on a :mod:`repro.service.workers` pool,
+  graceful drain;
 * :mod:`repro.server.http` — a minimal stdlib HTTP/1.1 layer (strict,
   bounded parser; fixed and SSE responses);
 * :mod:`repro.server.routes` — the endpoint table

@@ -4,7 +4,8 @@
 existing service layer: it accepts compile+compress job submissions
 over HTTP (:mod:`repro.server.routes`), answers cache hits on the
 event loop, builds misses in forked worker processes
-(:mod:`repro.server.workers`), stores artifacts in one
+(:mod:`repro.service.workers`, the pool ``run_batch`` also runs on),
+stores artifacts in one
 :class:`~repro.service.cache.ArtifactCache`
 (the layout ``repro-serve`` and :func:`~repro.service.run_batch` use),
 journals every job transition in a
@@ -59,12 +60,12 @@ from repro.server.ledger import JobLedger, JobRecord, make_job_id
 from repro.server.quotas import AdmissionController, Decision, QuotaSpec
 from repro.server.routes import build_router, handle_events
 from repro.server.sse import span_events
-from repro.server.workers import WorkerLost, WorkerPool
 from repro.service.cache import ArtifactCache
 from repro.service.fsio import Filesystem
 from repro.service.jobs import CompressionJob
 from repro.service.metrics import MetricsRegistry
 from repro.service.scrub import CacheScrubber
+from repro.service.workers import WorkerLost, WorkerPool
 
 #: Fields accepted in an HTTP job spec (prebuilt ``program`` jobs are
 #: process-local objects and cannot cross the wire).

@@ -8,8 +8,10 @@ call chain into a *service* shape:
 * :mod:`repro.service.cache` — :class:`ArtifactCache`, a
   content-addressed on-disk ``.rcim`` store (atomic writes, LRU
   memory front, size-budget eviction, corruption quarantine);
-* :mod:`repro.service.pool` — :func:`run_batch`, per-job worker
-  processes with timeout, crash retry, and an in-process fallback;
+* :mod:`repro.service.pool` — :func:`run_batch`, misses built on a
+  worker pool with timeout, crash retry, and an in-process fallback;
+* :mod:`repro.service.workers` — :class:`WorkerPool`, persistent
+  forked worker processes (``run_batch``'s and the server's);
 * :mod:`repro.service.metrics` — :class:`MetricsRegistry`, counters
   and log-bucketed latency timers wired into the pipeline's
   :mod:`repro.observe` stage marks.

@@ -7,51 +7,48 @@ metrics back into one registry, and stores fresh artifacts.
 
 Worker-pool semantics:
 
-* each job runs in its **own process** (at most ``processes`` at a
-  time), so one pathological job can neither corrupt nor stall its
-  neighbours;
-* a job that exceeds ``timeout`` seconds is terminated and reported
-  failed (``error="timed out..."``) — the rest of the batch continues;
+* misses run on ``min(processes, misses)`` **persistent** worker
+  processes (:class:`~repro.service.workers.WorkerPool`, the pool the
+  server builds on), one attempt per worker at a time, so one
+  pathological job can neither corrupt nor stall its neighbours, and
+  what a worker caches (the runtime library, ``build_benchmark``'s
+  programs) serves its later jobs;
+* a job that exceeds ``timeout`` seconds has its worker killed and
+  re-forked, and is reported failed (``error="... timed out ..."``);
+  the rest of the batch continues on the fresh worker;
 * a worker that **crashes** (killed, segfault, unpicklable result) is
-  retried up to ``retries`` times before the job is reported failed;
-* with a chaos schedule installed
-  (:func:`repro.chaos.process.install_schedule`), each attempt's
-  worker fault is decided here, at dispatch, and sent to the worker
-  with the job;
+  re-forked and the job retried up to ``retries`` times before it is
+  reported failed;
+* with a ``chaos`` schedule, each attempt's worker fault is decided
+  here, at dispatch, and sent to the worker with the job;
 * exceptions *inside* a job (compile errors, bad parameters) are
   deterministic, so they are reported immediately and never retried;
 * ``processes=0`` degrades gracefully to plain in-process execution —
   no subprocesses, same results, same metrics — which is also the
   automatic fallback when the platform refuses to fork;
-* a ``stop`` predicate (polled between job launches) supports
-  graceful drain: once it returns true no *new* job starts, jobs
-  already running finish normally, and jobs never started come back
-  with ``cancelled=True`` — the SIGTERM path of ``repro-serve``.
+* a ``stop`` predicate (asked before every launch, crash retries
+  included) supports graceful drain: once it returns true no *new*
+  attempt starts, jobs already running finish normally, and jobs not
+  started come back with ``cancelled=True`` — the SIGTERM path of
+  ``repro-serve``.
 
 Results come back in input order, one :class:`JobResult` per job,
-never raising for individual job failures.
+never raising for individual job failures.  A pooled batch runs its
+own event loop (``asyncio.run``), so call it from synchronous code.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro import observe
-from repro.chaos.process import (
-    apply_fault,
-    dispatch_fault,
-    installed_schedule,
-)
+from repro.chaos.process import apply_fault, dispatch_fault
 from repro.core.image import CompressedImage
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import CompressionJob
 from repro.service.metrics import MetricsRegistry
-
-_POLL_SECONDS = 0.01
 
 
 @dataclass
@@ -131,13 +128,6 @@ def attempt_job(
     return ("ok", blob, meta, snapshot)
 
 
-def _worker(conn, job: CompressionJob, traceparent: str | None, fault) -> None:
-    try:
-        conn.send(attempt_job(job, traceparent, fault))
-    finally:
-        conn.close()
-
-
 # ----------------------------------------------------------------------
 # Batch driver.
 # ----------------------------------------------------------------------
@@ -150,12 +140,16 @@ def run_batch(
     retries: int = 1,
     metrics: MetricsRegistry | None = None,
     stop=None,
+    chaos=None,
 ) -> list[JobResult]:
     """Run ``jobs`` through the cache and (optionally parallel) pool.
 
-    ``stop`` is an optional zero-argument predicate polled between job
-    launches; once it returns true the batch drains — running jobs
-    finish, unstarted jobs return ``cancelled=True``.
+    ``stop`` is an optional zero-argument predicate asked before every
+    launch; once it returns true the batch drains — running jobs
+    finish, unstarted jobs return ``cancelled=True``.  ``chaos`` is a
+    :class:`~repro.chaos.ChaosSchedule` that decides each pooled
+    attempt's worker fault, as ``ServerConfig.chaos`` does for the
+    server; None injects nothing.
     """
     registry = metrics if metrics is not None else MetricsRegistry()
     results: list[JobResult | None] = [None] * len(jobs)
@@ -189,7 +183,7 @@ def run_batch(
             _run_pool(
                 jobs, pending, results, registry,
                 processes=processes, timeout=timeout, retries=retries,
-                stop=stop,
+                stop=stop, chaos=chaos,
             )
 
     for index in pending:
@@ -215,11 +209,28 @@ def run_batch(
     return [result for result in results if result is not None]
 
 
-def _cancel(jobs, index: int, results) -> None:
-    results[index] = JobResult(
-        job=jobs[index], key=jobs[index].content_key(), cancelled=True,
+def _cancelled(job: CompressionJob) -> JobResult:
+    return JobResult(
+        job=job, key=job.content_key(), cancelled=True,
         error="cancelled: drain requested before the job started",
     )
+
+
+def _settle(
+    job: CompressionJob, answer: tuple, attempt: int, start: float,
+    registry: MetricsRegistry,
+) -> JobResult:
+    """The result of ``job`` from an :func:`attempt_job` answer."""
+    result = JobResult(
+        job=job, key=job.content_key(), attempts=attempt,
+        wall_seconds=time.perf_counter() - start,
+    )
+    if answer[0] == "ok":
+        _, result.blob, result.meta, snapshot = answer
+        registry.merge(snapshot)
+    else:
+        result.error = answer[1]
+    return result
 
 
 def _run_inline(
@@ -230,24 +241,12 @@ def _run_inline(
     stop=None,
 ) -> None:
     for index in pending:
-        if stop is not None and stop():
-            _cancel(jobs, index, results)
-            continue
         job = jobs[index]
+        if stop is not None and stop():
+            results[index] = _cancelled(job)
+            continue
         start = time.perf_counter()
-        try:
-            blob, meta, snapshot = execute_job(job)
-            registry.merge(snapshot)
-            results[index] = JobResult(
-                job=job, key=job.content_key(), blob=blob, meta=meta,
-                attempts=1, wall_seconds=time.perf_counter() - start,
-            )
-        except Exception as exc:
-            results[index] = JobResult(
-                job=job, key=job.content_key(), attempts=1,
-                wall_seconds=time.perf_counter() - start,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        results[index] = _settle(job, attempt_job(job), 1, start, registry)
 
 
 def _run_pool(
@@ -260,106 +259,47 @@ def _run_pool(
     timeout: float | None,
     retries: int,
     stop=None,
+    chaos=None,
 ) -> None:
-    context = multiprocessing.get_context()
-    queue: deque[tuple[int, int]] = deque((index, 0) for index in pending)
-    running: dict[int, tuple] = {}  # index -> (proc, conn, started, attempt)
+    # Imported here, so that ``import repro`` does not load asyncio.
+    import asyncio
 
-    def finish(index: int, attempt: int, started: float, **kwargs) -> None:
-        results[index] = JobResult(
-            job=jobs[index], key=jobs[index].content_key(), attempts=attempt,
-            wall_seconds=time.monotonic() - started, **kwargs,
-        )
+    from repro.service.workers import WorkerLost, WorkerPool
 
-    while queue or running:
-        if stop is not None and queue and stop():
-            # Drain: everything not yet launched is cancelled; the
-            # workers already running finish normally below.
-            while queue:
-                index, _ = queue.popleft()
-                _cancel(jobs, index, results)
-        while queue and len(running) < processes:
-            index, prior_attempts = queue.popleft()
-            fault = dispatch_fault(
-                installed_schedule(), jobs[index].content_key()
-            )
-            try:
-                parent_conn, child_conn = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_worker,
-                    args=(
-                        child_conn, jobs[index],
-                        observe.current_traceparent(), fault,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-            except OSError:
-                # Platform refused a subprocess; degrade to inline.
-                _run_inline(jobs, [index], results, registry)
-                continue
-            running[index] = (
-                process, parent_conn, time.monotonic(), prior_attempts + 1
-            )
+    try:
+        pool = WorkerPool(min(processes, len(pending)))
+    except (OSError, ValueError):
+        # The platform refused to fork; degrade to inline.
+        _run_inline(jobs, pending, results, registry, stop=stop)
+        return
+    traceparent = observe.current_traceparent()
+    misses = iter(pending)
 
-        now = time.monotonic()
-        for index in list(running):
-            process, conn, started, attempt = running[index]
-            if conn.poll():
+    async def lane() -> None:
+        for index in misses:
+            job, attempt = jobs[index], 0
+            while results[index] is None:
+                if stop is not None and stop():
+                    results[index] = _cancelled(job)
+                    break
+                attempt += 1
+                fault = dispatch_fault(chaos, job.content_key())
+                start = time.perf_counter()
                 try:
-                    payload = conn.recv()
-                except EOFError:
-                    payload = None
-                process.join()
-                conn.close()
-                del running[index]
-                if payload is None:
-                    _retry_or_fail(
-                        index, attempt, started, retries, queue, finish,
-                        registry, "worker crashed (no result before exit)",
+                    answer, _, _ = await pool.run(
+                        (job, traceparent, fault), timeout
                     )
-                elif payload[0] == "ok":
-                    _, blob, meta, snapshot = payload
-                    registry.merge(snapshot)
-                    finish(index, attempt, started, blob=blob, meta=meta)
-                else:
-                    # Deterministic job failure: never retried.
-                    finish(index, attempt, started, error=payload[1])
-            elif timeout is not None and now - started > timeout:
-                process.terminate()
-                process.join()
-                conn.close()
-                del running[index]
-                finish(
-                    index, attempt, started,
-                    error=f"timed out after {timeout:g}s",
-                )
-            elif not process.is_alive():
-                process.join()
-                exitcode = process.exitcode
-                conn.close()
-                del running[index]
-                _retry_or_fail(
-                    index, attempt, started, retries, queue, finish, registry,
-                    f"worker crashed (exit code {exitcode})",
-                )
-        if running:
-            time.sleep(_POLL_SECONDS)
+                except WorkerLost as exc:
+                    if not exc.timed_out and attempt <= retries:
+                        registry.counter("jobs.retries").inc()
+                        continue
+                    answer = ("error", str(exc))
+                results[index] = _settle(job, answer, attempt, start, registry)
 
+    async def run_lanes() -> None:
+        await asyncio.gather(*(lane() for _ in pool.workers))
 
-def _retry_or_fail(
-    index: int,
-    attempt: int,
-    started: float,
-    retries: int,
-    queue: deque,
-    finish,
-    registry: MetricsRegistry,
-    reason: str,
-) -> None:
-    if attempt <= retries:
-        registry.counter("jobs.retries").inc()
-        queue.append((index, attempt))
-    else:
-        finish(index, attempt, started, error=reason)
+    try:
+        asyncio.run(run_lanes())
+    finally:
+        pool.close()

@@ -1,23 +1,32 @@
-"""The server's build workers: persistent processes forked from the loop.
+"""Build workers: persistent processes that run job attempts.
 
-:class:`WorkerPool` holds ``concurrency`` worker processes, each forked
-from the event-loop thread.  A worker runs one attempt at a time
-through :func:`repro.service.pool.attempt_job` (the job body
-``run_batch``'s workers run) under an observe recorder, and sends back
-the attempt's result, its span tree and its wall time.  The loop waits
-for that answer on the pipe's readability, so no helper thread sits
-between a worker and the loop.
+:class:`WorkerPool` holds ``size`` worker processes, forked when the
+pool is made.  A worker runs one attempt at a time through
+:func:`repro.service.pool.attempt_job` under an observe recorder and
+sends back the attempt's result, its span tree and its wall time; the
+event loop waits for that answer on the pipe's readability, so no
+helper thread sits between a worker and the loop.  A worker lives for
+many attempts, so whatever the job body caches in the process (the
+compiled runtime library, :func:`~repro.workloads.build_benchmark`'s
+programs) carries over from one of its jobs to the next.
+
+Both dispatchers run their attempts here: the server
+(:mod:`repro.server.app`) keeps one pool for its lifetime, and
+:func:`repro.service.run_batch` makes one per pooled batch.
 
 A worker whose attempt overruns the timeout, or that dies, is killed,
 reaped and re-forked before :class:`WorkerLost` reaches the caller: no
 timed-out attempt runs on, and the next attempt finds a fresh worker.
+``WorkerLost.timed_out`` tells the two apart, because the dispatchers
+treat them differently (the server retries both; ``run_batch`` fails a
+timed-out job and retries a crashed one).
 
 Fork, not spawn or forkserver: a fresh interpreter that imports
 :mod:`repro.service` and compiles the runtime library takes about as
-long as the whole server start, while a fork starts with the server's
+long as the whole server start, while a fork starts with the parent's
 imports already done.  A forked worker therefore inherits every
-descriptor the server holds at that moment, the listening socket and
-open client connections included; it points each inherited socket
+descriptor its parent holds at that moment, a server's listening socket
+and open client connections included; it points each inherited socket
 but its standard streams at ``/dev/null`` first, so a connection the
 server closes reads as EOF on the client even while workers live.
 """
@@ -39,6 +48,11 @@ from repro.service.pool import attempt_job
 
 class WorkerLost(TransientError):
     """An attempt's worker timed out or died; it has been replaced."""
+
+    def __init__(self, message: str, *, timed_out: bool) -> None:
+        super().__init__(message)
+        #: True when the attempt overran its timeout, False on a crash.
+        self.timed_out = timed_out
 
 
 def _release_sockets(keep: int) -> None:
@@ -68,12 +82,12 @@ def _release_sockets(keep: int) -> None:
 
 def _serve(conn) -> None:
     """A worker's main loop: one attempt per message until the pipe closes."""
-    # Inherited objects are the server's: never scan them, so the
+    # Inherited objects are the parent's: never scan them, so the
     # collector does not copy their pages into this process.
     gc.freeze()
     _release_sockets(conn.fileno())
-    # The loop's signal handlers came along with the fork; a worker
-    # ignores Ctrl-C (the server drains it) and dies on SIGTERM.
+    # The parent's signal handlers came along with the fork; a worker
+    # ignores Ctrl-C (its parent drains it) and dies on SIGTERM.
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -146,11 +160,15 @@ class Worker:
         except asyncio.TimeoutError:
             self.kill()
             self.spawn()
-            raise WorkerLost(f"attempt timed out after {timeout:g}s") from None
+            raise WorkerLost(
+                f"attempt timed out after {timeout:g}s", timed_out=True
+            ) from None
         except (EOFError, OSError):
             code = self.kill()
             self.spawn()
-            raise WorkerLost(f"worker crashed (exit code {code})") from None
+            raise WorkerLost(
+                f"worker crashed (exit code {code})", timed_out=False
+            ) from None
         except BaseException:
             # Cancelled mid-attempt: a late answer must never reach the
             # next caller, so this process goes (re-forked on next use).
@@ -162,7 +180,13 @@ class WorkerPool:
     """``size`` workers; callers borrow an idle one per attempt."""
 
     def __init__(self, size: int) -> None:
-        self.workers = [Worker() for _ in range(max(1, size))]
+        self.workers: list[Worker] = []
+        try:
+            for _ in range(max(1, size)):
+                self.workers.append(Worker())
+        except BaseException:
+            self.close()  # a later fork failed: reap the ones made
+            raise
         self._idle: asyncio.Queue[Worker] = asyncio.Queue()
         for worker in self.workers:
             self._idle.put_nowait(worker)

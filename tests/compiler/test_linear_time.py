@@ -32,11 +32,18 @@ _DIAGNOSE = (
     "except CompileError as exc:\n"
     "    print(exc)\n"
 )
+# The compiling process's own peak in KB.  Linux carries ``ru_maxrss``
+# across exec, so a child spawned from a large test process would report
+# that process's peak; ``VmHWM`` belongs to the child's own address space.
 _PEAK = (
     "import resource, sys\n"
     "from repro.compiler.driver import compile_source\n"
     "compile_source(sys.stdin.read())\n"
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    "try:\n"
+    "    status = open('/proc/self/status').read()\n"
+    "    print(status.split('VmHWM:')[1].split()[0])\n"
+    "except OSError:\n"
+    "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
 )
 _TOKENIZE = (
     "import sys\n"
@@ -130,7 +137,7 @@ def test_many_loops_each_over_a_fresh_local_stay_in_memory():
     # Every loop head keeps its live-in bitset between liveness passes,
     # with bits numbered over the whole function, so this shape's peak
     # grows faster than its source.  20,000 loops (1,050 KB) compile in
-    # about 3 s and peak at about 150 MB (``ru_maxrss`` of the compiling
+    # about 3 s and peak at about 150 MB (``VmHWM`` of the compiling
     # process on a 2-vCPU x86 host); the bound is twice that, so a
     # change that grows the peak shows here.
     loops = "".join(

@@ -98,6 +98,39 @@ class TestSampling:
             if stack
         )
 
+    def test_sample_after_stop_records_nothing(self):
+        profiler = SamplingProfiler(hz=400)
+        profiler.start()
+        profiler.stop()
+        before = (profiler.samples, profiler.wakeups, dict(profiler._stacks))
+        profiler._sample(own_ident=-1)
+        assert (profiler.samples, profiler.wakeups, profiler._stacks) == before
+
+    def test_opening_span_is_live_while_its_ids_are_minted(
+        self, monkeypatch
+    ):
+        import threading
+
+        from repro.observe import spans
+        from repro.observe.recorder import Recorder
+
+        seen = []
+        real = spans.make_trace_id
+
+        def watching() -> str:
+            live = spans.live_spans().get(threading.get_ident())
+            seen.append(None if live is None else live.name)
+            return real()
+
+        monkeypatch.setattr(spans, "make_trace_id", watching)
+        spans._enable_live_tracking()
+        try:
+            with Recorder(), observe.span("opening"):
+                pass
+        finally:
+            spans._disable_live_tracking()
+        assert seen == ["opening"]
+
     def test_bad_hz_rejected(self):
         with pytest.raises(ValueError):
             SamplingProfiler(hz=0)

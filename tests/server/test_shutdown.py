@@ -137,9 +137,10 @@ def test_repro_serve_drains_and_exits_zero(tmp_path):
     ])
     reader = LineReader(proc)
     try:
-        # Let the first jobs start, then ask for the drain mid-batch.
+        # The header reaches the pipe when the batch forks its worker
+        # (multiprocessing flushes stdout before a fork), so a signal
+        # sent now lands while pass 1 still has jobs to start.
         reader.wait_for("=== pass 1/2 ===")
-        time.sleep(1.0)
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=120) == 0
     finally:
@@ -148,4 +149,5 @@ def test_repro_serve_drains_and_exits_zero(tmp_path):
             proc.wait(timeout=10)
     output = reader.drain()
     assert "draining in-flight jobs" in output
+    assert "cancelled by drain" in output
     assert "drained gracefully" in output

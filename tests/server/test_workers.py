@@ -20,7 +20,7 @@ from repro.server.app import (
     parse_spec,
 )
 from repro.server.quotas import QuotaSpec
-from repro.server.workers import _release_sockets
+from repro.service.workers import _release_sockets
 from repro.tools.server_cli import build_parser
 
 from .wire import post_and_wait, wire_client

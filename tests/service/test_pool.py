@@ -1,22 +1,21 @@
 """Worker-pool tests: parity, caching, failure, crash retry, timeout.
 
 The crash/timeout tests monkeypatch :func:`repro.service.pool.execute_job`
-in the parent; the fork start method propagates the patch into workers.
+in the parent; the workers are forked after the patch, so they run it.
 They are skipped on platforms whose default start method is not fork.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.chaos import (
-    ChaosRule,
-    ChaosSchedule,
-    install_schedule,
-    uninstall_schedule,
-)
+from repro import compile_and_link
+from repro.chaos import ChaosRule, ChaosSchedule
 from repro.service import ArtifactCache, CompressionJob, MetricsRegistry
 from repro.service import pool as pool_module
 from repro.service.pool import run_batch
@@ -181,11 +180,104 @@ class TestChaosDecidedAtDispatch:
         schedule = ChaosSchedule(11, (ChaosRule("worker", "kill", 0.5),))
         job = CompressionJob(benchmark="compress", scale=0.1,
                              encoding="nibble")
-        install_schedule(schedule)
-        try:
-            [result] = run_batch([job], processes=1, retries=3, timeout=60)
-        finally:
-            uninstall_schedule()
+        [result] = run_batch(
+            [job], processes=1, retries=3, timeout=60, chaos=schedule
+        )
         assert result.ok, result.error
         assert result.attempts == 2
         assert schedule.injected_counts() == {"worker:kill": 1}
+
+
+def stamp_pid(monkeypatch, before=None):
+    """Patch ``execute_job`` to record the pid that ran each job in
+    its meta, after calling ``before(job)`` in that process."""
+    real = pool_module.execute_job
+
+    def stamped(job):
+        if before is not None:
+            before(job)
+        blob, meta, snapshot = real(job)
+        return blob, {**meta, "pid": os.getpid()}, snapshot
+
+    monkeypatch.setattr(pool_module, "execute_job", stamped)
+
+
+@fork_only
+class TestPersistentWorkers:
+    def test_six_jobs_run_in_at_most_two_worker_processes(
+        self, monkeypatch
+    ):
+        stamp_pid(monkeypatch)
+        jobs = [
+            CompressionJob(source=SOURCE, encoding=encoding, name=f"t{n}")
+            for n in range(2)
+            for encoding in ("baseline", "onebyte", "nibble")
+        ]
+        results = run_batch(jobs, processes=2)
+        assert all(r.ok for r in results)
+        pids = {r.meta["pid"] for r in results}
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_timed_out_worker_is_reforked_for_the_next_job(
+        self, tmp_path, monkeypatch
+    ):
+        # Warm the parent's runtime-library cache, so a fresh fork
+        # builds the second job well inside the timeout.
+        run_batch(jobs_for(("nibble",)))
+        hung_pid = tmp_path / "hung-pid"
+
+        def hang_baseline(job):
+            if job.encoding == "baseline":
+                hung_pid.write_text(str(os.getpid()))
+                time.sleep(60)
+
+        stamp_pid(monkeypatch, hang_baseline)
+        hung, done = run_batch(
+            jobs_for(("baseline", "nibble")), processes=1, timeout=2.0,
+        )
+        assert not hung.ok and "timed out" in hung.error
+        assert hung.attempts == 1  # a timeout is not retried
+        assert done.ok, done.error
+        assert done.meta["pid"] != int(hung_pid.read_text())
+
+    def test_prebuilt_program_jobs_match_inline_runs(self):
+        program = compile_and_link(SOURCE, name="t")
+        jobs = [
+            CompressionJob(program=program, encoding=encoding)
+            for encoding in ("baseline", "onebyte", "nibble")
+        ]
+        inline = run_batch(jobs)
+        pooled = run_batch(jobs, processes=2)
+        assert all(r.ok for r in pooled)
+        assert [r.blob for r in pooled] == [r.blob for r in inline]
+
+
+@pytest.mark.parametrize("processes", [0, pytest.param(2, marks=fork_only)])
+def test_stop_after_the_first_launch_cancels_the_rest(processes):
+    answers = iter([False])
+    registry = MetricsRegistry()
+    results = run_batch(
+        jobs_for(("baseline", "onebyte", "nibble")), processes=processes,
+        stop=lambda: next(answers, True), metrics=registry,
+    )
+    assert results[0].ok
+    assert [r.cancelled for r in results] == [False, True, True]
+    assert registry.counter("jobs.cancelled").value == 2
+
+
+def test_import_repro_does_not_load_asyncio():
+    # A pooled batch imports asyncio when it runs; importing it with
+    # ``repro`` would add ~2.3 MB to every process that only compiles
+    # and compresses.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[2] / "src"),
+        env.get("PYTHONPATH"),
+    ]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('asyncio' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert result.stdout.strip() == "False"
