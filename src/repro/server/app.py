@@ -36,14 +36,24 @@ process, which compiles and compresses and returns plain data (blob,
 metadata, span tree, metrics snapshot).  A timed-out or crashed
 attempt's worker is killed and re-forked, and the attempt is retried
 up to ``job_attempts``.  SSE readers are loop coroutines woken through
-each job's ``changed`` event, so no locks are needed on the event log.
+each live job's ``changed`` event, so no locks are needed on the event
+log.
+
+The job table keeps every job for the life of the process, so a
+finished job is kept compact (:class:`JobState`): its event log is the
+SSE frame bytes rendered once at append, and its terminal event drops
+the wake-up event and packs the spec into one zlib-compressed pickle,
+expanded only to re-derive a lost artifact.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import pickle
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,13 +69,13 @@ from repro.server.http import (
 from repro.server.ledger import JobLedger, JobRecord, make_job_id
 from repro.server.quotas import AdmissionController, Decision, QuotaSpec
 from repro.server.routes import build_router, handle_events
-from repro.server.sse import span_events
+from repro.server.sse import TERMINAL_EVENTS, format_event, span_events
 from repro.service.cache import ArtifactCache
 from repro.service.fsio import Filesystem
 from repro.service.jobs import CompressionJob
 from repro.service.metrics import MetricsRegistry
 from repro.service.scrub import CacheScrubber
-from repro.service.workers import WorkerLost, WorkerPool
+from repro.service.workers import WorkerLost, WorkerPool, process_memory
 
 #: Fields accepted in an HTTP job spec (prebuilt ``program`` jobs are
 #: process-local objects and cannot cross the wire).
@@ -129,29 +139,40 @@ class ServerConfig:
 
 
 class JobState:
-    """One accepted job: spec, live status, and its event log."""
+    """One accepted job: its spec fields, live status and event log.
+
+    The log is a list of SSE frames, each rendered once when its event
+    is appended, so every reader writes the same bytes and none
+    re-encodes them.  A live job also holds its :class:`CompressionJob`
+    and the ``changed`` event that wakes its SSE streams.  The terminal
+    event drops what only a live job needs: ``changed`` becomes None
+    (the log is closed) and the job is packed into one zlib-compressed
+    pickle that :meth:`compression_job` expands.
+    """
 
     __slots__ = (
-        "job_id", "job", "tenant", "key", "status", "events", "changed",
-        "error", "meta", "cache_hit", "attempts", "created", "wall_seconds",
-        "traceparent", "trace_id",
+        "job_id", "tenant", "key", "label", "encoding", "verify", "status",
+        "frames", "changed", "_job", "error", "meta", "cache_hit",
+        "attempts", "wall_seconds", "traceparent", "trace_id",
     )
 
     def __init__(
         self, job_id: str, job: CompressionJob, tenant: str, key: str
     ) -> None:
         self.job_id = job_id
-        self.job = job
         self.tenant = tenant
         self.key = key
+        self.label = job.label
+        self.encoding = job.encoding
+        self.verify = job.verify_level
         self.status = "queued"
-        self.events: list[dict] = []
-        self.changed = asyncio.Event()
+        self.frames: list[bytes] = []
+        self.changed: asyncio.Event | None = asyncio.Event()
+        self._job: CompressionJob | bytes = job
         self.error: str | None = None
         self.meta: dict = {}
         self.cache_hit = False
         self.attempts = 0
-        self.created = time.time()
         self.wall_seconds = 0.0
         #: W3C trace identity: the client's ``traceparent`` header when
         #: one arrived with the submit, else minted at admission so
@@ -159,16 +180,39 @@ class JobState:
         self.traceparent: str | None = None
         self.trace_id: str | None = None
 
+    @property
+    def closed(self) -> bool:
+        """True once the log holds a terminal event."""
+        return self.changed is None
+
+    def compression_job(self) -> CompressionJob:
+        """The job's spec; a finished job's is unpickled on each call."""
+        if isinstance(self._job, bytes):
+            return pickle.loads(zlib.decompress(self._job))
+        return self._job
+
     def add_event(self, kind: str, data: dict) -> None:
-        """Append one event and wake every SSE stream on this job."""
-        self.events.append({"kind": kind, "data": data})
-        waiters, self.changed = self.changed, asyncio.Event()
+        """Append one event's frame and wake every SSE stream on this job.
+
+        A closed log takes no more events: its terminal frame stays last.
+        """
+        waiters = self.changed
+        if waiters is None:
+            return
+        self.frames.append(format_event(kind, data, len(self.frames)))
+        if kind in TERMINAL_EVENTS:
+            self.changed = None
+            # Level 1: this runs on the event loop as every job ends, at
+            # half the default level's time for about a fifth more bytes.
+            self._job = zlib.compress(pickle.dumps(self._job), 1)
+        else:
+            self.changed = asyncio.Event()
         waiters.set()
 
     def summary(self) -> dict:
         return {
             "job_id": self.job_id,
-            "label": self.job.label,
+            "label": self.label,
             "tenant": self.tenant,
             "status": self.status,
             "cache_hit": self.cache_hit,
@@ -179,12 +223,12 @@ class JobState:
     def document(self) -> dict:
         return {
             **self.summary(),
-            "encoding": self.job.encoding,
-            "verify": self.job.verify_level,
+            "encoding": self.encoding,
+            "verify": self.verify,
             "attempts": self.attempts,
             "error": self.error,
             "meta": dict(self.meta),
-            "events": len(self.events),
+            "events": len(self.frames),
             "wall_seconds": self.wall_seconds,
         }
 
@@ -281,7 +325,10 @@ class CompressionServer:
         """Signal-safe shutdown trigger (callable from any thread)."""
         if self._loop is None:
             return
-        self._loop.call_soon_threadsafe(self._shutdown_event.set)
+        try:
+            self._loop.call_soon_threadsafe(self._shutdown_event.set)
+        except RuntimeError:
+            pass  # the loop is closed: the server already shut down
 
     async def run_until_shutdown(self) -> None:
         await self._shutdown_event.wait()
@@ -516,7 +563,8 @@ class CompressionServer:
         fault = dispatch_fault(self.config.chaos, state.key)
         try:
             result, spans, wall = await self.workers.run(
-                (state.job, state.traceparent, fault), self.config.job_timeout
+                (state.compression_job(), state.traceparent, fault),
+                self.config.job_timeout,
             )
         except WorkerLost as exc:
             reason = str(exc)
@@ -537,8 +585,8 @@ class CompressionServer:
         with Recorder() as recorder:
             with observe.remote_context(state.traceparent):
                 with observe.span(
-                    "job", label=state.job.label, encoding=state.job.encoding,
-                    verify=state.job.verify_level, cache_hit=True,
+                    "job", label=state.label, encoding=state.encoding,
+                    verify=state.verify, cache_hit=True,
                 ):
                     pass
         spans = [root.to_dict() for root in recorder.spans]
@@ -588,8 +636,8 @@ class CompressionServer:
             ledger = observe.RunLedger(self.config.observe_dir)
             ledger.append(observe.make_record(
                 "server.job",
-                program=state.job.label,
-                encoding=state.job.encoding,
+                program=state.label,
+                encoding=state.encoding,
                 spans=spans,
                 wall_seconds=wall,
                 trace_id=state.trace_id,
@@ -647,7 +695,7 @@ class CompressionServer:
         rebuild runs on a worker process under the job timeout.
         """
         result, _, _ = await self.workers.run(
-            (state.job, None, None), self.config.job_timeout
+            (state.compression_job(), None, None), self.config.job_timeout
         )
         if result[0] != "ok":
             raise ServiceError(f"rederiving {state.key[:12]}: {result[1]}")
@@ -757,7 +805,7 @@ class CompressionServer:
         for state in self.jobs.values():
             by_status[state.status] = by_status.get(state.status, 0) + 1
         cache_stats = self.cache.stats
-        return {
+        document = {
             "uptime_seconds": time.monotonic() - self._started_monotonic,
             "draining": self.draining,
             "queue_depth": self.queue_depth,
@@ -775,6 +823,11 @@ class CompressionServer:
                 "recovered_bytes": self.ledger.recovered_bytes,
             },
         }
+        server = process_memory(os.getpid())
+        if server is not None:  # None where there is no /proc
+            workers = self.workers.memory() if self.workers is not None else []
+            document["memory"] = {"server": server, "workers": workers}
+        return document
 
 
 async def serve(

@@ -137,18 +137,19 @@ async def read_request(
 def response_head(
     status: int,
     *,
-    content_type: str = "application/json",
+    content_type: str | None = "application/json",
     content_length: int | None = None,
     extra_headers: dict[str, str] | None = None,
 ) -> bytes:
-    """Status line + headers (+ blank line) for one response."""
+    """Status line + headers (+ blank line) for one response.
+
+    ``content_type=None`` leaves the header out (a ``204`` has no body).
+    """
     reason = REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Server: {SERVER_NAME}",
-        f"Content-Type: {content_type}",
-        "Connection: close",
-    ]
+    lines = [f"HTTP/1.1 {status} {reason}", f"Server: {SERVER_NAME}"]
+    if content_type is not None:
+        lines.append(f"Content-Type: {content_type}")
+    lines.append("Connection: close")
     if content_length is not None:
         lines.append(f"Content-Length: {content_length}")
     for name, value in (extra_headers or {}).items():

@@ -4,7 +4,7 @@
 method      path                       behaviour
 ==========  =========================  =====================================
 GET         ``/healthz``               liveness: ``{"status": "ok"}``
-GET         ``/v1/stats``              metrics counters, cache + queue state
+GET         ``/v1/stats``              counters, cache, queue, memory
 GET         ``/metrics``               Prometheus text exposition
 POST        ``/v1/jobs``               submit one job → 202, or 429/503
 GET         ``/v1/jobs``               job summaries (``?tenant=`` filter)
@@ -32,8 +32,14 @@ from __future__ import annotations
 import asyncio
 
 from repro.observe import prometheus_snapshot
-from repro.server.http import HttpError, Request, error_response, response, sse_head
-from repro.server.sse import TERMINAL_EVENTS, format_event
+from repro.server.http import (
+    HttpError,
+    Request,
+    error_response,
+    response,
+    response_head,
+    sse_head,
+)
 
 TENANT_HEADER = "x-repro-tenant"
 IDEMPOTENCY_HEADER = "x-repro-idempotency-key"
@@ -200,7 +206,9 @@ async def handle_events(server, request: Request, params: dict, writer) -> None:
     """Stream a job's event log as SSE until it reaches a terminal event.
 
     Honors ``Last-Event-ID`` (or ``?after=``) so a reconnecting client
-    resumes after the last frame it saw.
+    resumes after the last frame it saw.  A resume at or past a
+    finished job's last event answers ``204 No Content``, which tells
+    an ``EventSource`` to stop reconnecting.
     """
     state = server.job_state(params["job_id"])
     after_text = request.header("last-event-id") or request.query.get("after", "")
@@ -208,14 +216,21 @@ async def handle_events(server, request: Request, params: dict, writer) -> None:
         cursor = int(after_text) + 1 if after_text else 0
     except ValueError:
         raise HttpError(400, f"bad Last-Event-ID {after_text!r}")
+    if state.closed and cursor >= len(state.frames):
+        writer.write(response_head(204, content_type=None))
+        await writer.drain()
+        return
     writer.write(sse_head())
     await writer.drain()
     server.metrics.counter("sse.streams").inc()
     sse_site = f"{state.key}:events"
     while True:
-        events = state.events
-        while cursor < len(events):
-            event = events[cursor]
+        # Taken before writing, so an event appended from here on sets
+        # it; None means the log was closed and this pass writes it all.
+        changed = state.changed
+        frames = state.frames
+        while cursor < len(frames):
+            frame = frames[cursor]
             fault = server.chaos_connection_fault(sse_site, "sse-event")
             if fault == "reset":
                 # Kill the stream mid-flight: flush everything delivered
@@ -227,19 +242,16 @@ async def handle_events(server, request: Request, params: dict, writer) -> None:
                 # seed-replay determinism.  The client sees EOF with no
                 # terminal event and resumes via Last-Event-ID from the
                 # frame before this one.
-                frame = format_event(event["kind"], event["data"], cursor)
                 writer.write(frame[: max(1, len(frame) // 2)])
                 await writer.drain()
                 return
             if fault == "stall":
                 await asyncio.sleep(server.config.chaos.stall_seconds)
-            writer.write(format_event(event["kind"], event["data"], cursor))
+            writer.write(frame)
             cursor += 1
-            if event["kind"] in TERMINAL_EVENTS:
-                await writer.drain()
-                return
         await writer.drain()
-        changed = state.changed
+        if changed is None:
+            return
         try:
             await asyncio.wait_for(changed.wait(), timeout=30.0)
         except asyncio.TimeoutError:

@@ -103,6 +103,26 @@ def _serve(conn) -> None:
         conn.send((result, spans, time.perf_counter() - start))
 
 
+def process_memory(pid: int) -> dict | None:
+    """``pid``'s resident set now and at its peak, from ``/proc``.
+
+    Returns ``{"pid", "vm_rss_kb", "vm_hwm_kb"}``, or None where
+    ``/proc/<pid>/status`` is missing or has no memory lines (no
+    ``/proc``, a reaped or a zombie process).
+    """
+    fields = {"VmRSS": "vm_rss_kb", "VmHWM": "vm_hwm_kb"}
+    memory = {"pid": pid}
+    try:
+        with open(f"/proc/{pid}/status") as status:
+            for line in status:
+                name, _, value = line.partition(":")
+                if name in fields:
+                    memory[fields[name]] = int(value.split()[0])
+    except OSError:
+        return None
+    return memory if len(memory) == 3 else None
+
+
 def _set_once(future: asyncio.Future) -> None:
     if not future.done():
         future.set_result(None)
@@ -204,6 +224,11 @@ class WorkerPool:
             return await worker.run(message, timeout)
         finally:
             self._idle.put_nowait(worker)
+
+    def memory(self) -> list[dict]:
+        """:func:`process_memory` of each live worker."""
+        live = [w.pid for w in self.workers if w.process is not None]
+        return [m for m in map(process_memory, live) if m is not None]
 
     def close(self) -> None:
         for worker in self.workers:

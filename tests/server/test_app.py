@@ -119,8 +119,8 @@ class TestSubmitAndStream:
         _, _, submitted = alpha._request("POST", "/v1/jobs", body=SPEC)
         job_id = submitted["job_id"]
         _, full = alpha.wait(job_id)
-        # A reconnect pointing past the final event id would block, so
-        # resume from one before the end and expect exactly the tail.
+        # Resume from one before the end and expect exactly the tail
+        # (a resume at the final id answers 204: test_job_table.py).
         _, _, document = alpha._request("GET", f"/v1/jobs/{job_id}")
         total = document["events"]
         tail = stream_events_after(address, job_id, total - 2)

@@ -118,6 +118,9 @@ class TestArtifactRederivation:
         with HostedServer(config) as hosted:
             client = wire_client(hosted.address)
             job_id = post_and_wait(client, SPEC)[-1]["data"]["job_id"]
+            # A finished job keeps its spec packed; re-derivation
+            # unpacks it.
+            assert hosted.server.job_state(job_id).closed
             artifact = f"/v1/jobs/{job_id}/artifact"
             first_status, _, first_blob = client._request(
                 "GET", artifact, raw=True
@@ -164,6 +167,7 @@ class TestRetriedSubmission:
             traceparent = fresh_traceparent()
             first = post(traceparent)
             assert client.wait(first["job_id"])[0]["kind"] == "failed"
+            assert hosted.server.job_state(first["job_id"]).closed
             retried = post(traceparent)
             assert retried["deduplicated"] is True
             assert retried["job_id"] == first["job_id"]

@@ -43,8 +43,11 @@ class LineReader:
         self._thread.start()
 
     def _pump(self, proc) -> None:
-        for line in proc.stdout:
-            self.lines.put(line)
+        # The pipe is closed at EOF, when the process and every worker
+        # it forked have exited, so no test leaves it open.
+        with proc.stdout:
+            for line in proc.stdout:
+                self.lines.put(line)
         self.lines.put(None)
 
     def wait_for(self, needle: str, timeout: float = 60.0) -> str:

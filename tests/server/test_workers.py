@@ -3,16 +3,22 @@
 Each test hosts a real server and checks one promise of the execution
 model: a hit needs no worker, keeps the ledger lines and SSE kinds a
 hit has always had, a timed-out attempt's worker is gone (and replaced)
-before the job moves on, and a re-forked worker holds no connection
-open behind the server's back.
+before the job moves on, a re-forked worker holds no connection open
+behind the server's back, and ``/v1/stats`` reports the memory of the
+server and of each live worker.
 """
 
 import json
 import os
 import socket
 import stat
+import subprocess
+import sys
 import time
 
+import pytest
+
+from repro.server import app
 from repro.server.app import (
     DEFAULT_JOB_TIMEOUT,
     HostedServer,
@@ -20,7 +26,7 @@ from repro.server.app import (
     parse_spec,
 )
 from repro.server.quotas import QuotaSpec
-from repro.service.workers import _release_sockets
+from repro.service.workers import _release_sockets, process_memory
 from repro.tools.server_cli import build_parser
 
 from .wire import post_and_wait, wire_client
@@ -189,6 +195,35 @@ class TestWorkerReplacement:
                 while chunk := sock.recv(4096):
                     received += chunk
             assert received.startswith(b"HTTP/1.1 200")
+
+
+class TestMemoryInStats:
+    def test_stats_report_the_server_and_each_live_worker(self, tmp_path):
+        if not os.path.exists(f"/proc/{os.getpid()}/status"):
+            pytest.skip("no /proc on this platform")
+        config = hosted_config(tmp_path, concurrency=2)
+        with HostedServer(config) as hosted:
+            client = wire_client(hosted.address)
+            assert post_and_wait(client, SPEC)[-1]["kind"] == "completed"
+            memory = client._request("GET", "/v1/stats")[2]["memory"]
+            pids = sorted(w.pid for w in hosted.server.workers.workers)
+        # A hosted server runs in this process; its workers are forks.
+        assert memory["server"]["pid"] == os.getpid()
+        assert sorted(w["pid"] for w in memory["workers"]) == pids
+        for entry in [memory["server"], *memory["workers"]]:
+            assert set(entry) == {"pid", "vm_rss_kb", "vm_hwm_kb"}
+            assert 0 < entry["vm_rss_kb"] <= entry["vm_hwm_kb"]
+
+    def test_no_memory_block_without_proc(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(app, "process_memory", lambda pid: None)
+        with HostedServer(hosted_config(tmp_path)) as hosted:
+            stats = wire_client(hosted.address)._request("GET", "/v1/stats")[2]
+        assert "memory" not in stats and "cache" in stats
+
+    def test_a_reaped_process_has_no_memory_entry(self):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        assert process_memory(child.pid) is None
 
 
 def test_socket_release_keeps_the_standard_streams():
