@@ -46,6 +46,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.compressor import CompressedProgram
 from repro.core.dictionary import Dictionary, DictionaryEntry
@@ -171,17 +172,12 @@ class CompressedImage:
         max_codewords, entry_unit, total_units, text_base = (
             view.u32(), view.u32(), view.u32(), view.u32(),
         )
-        entries = []
-        for _ in range(view.u16()):
-            length = view.u8()
-            uses = view.u32()
-            words = tuple(view.u32() for _ in range(length))
-            entries.append(DictionaryEntry(words=words, uses=uses))
+        entries = view.entries(view.u16())
         stream = view.take(view.u32())
         data_image = view.take(view.u32())
         if view.remaining():
             raise ImageFormatError("trailing bytes in image")
-        if zlib.crc32(blob[payload_start:]) != crc:
+        if zlib.crc32(memoryview(blob)[payload_start:]) != crc:
             raise ImageChecksumError("image checksum mismatch (corrupt bytes)")
         try:
             encoding = make_encoding(encoding_name, max_codewords)
@@ -234,5 +230,28 @@ class _Cursor:
     def u32(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
 
+    def entries(self, count: int) -> list[DictionaryEntry]:
+        """``count`` dictionary entries (u8 length, u32 uses, then the
+        words), each read with one ``unpack_from``."""
+        blob = self._blob
+        position = self._pos
+        entries = []
+        try:
+            for _ in range(count):
+                layout = _entry_layout(blob[position])
+                fields = layout.unpack_from(blob, position)
+                entries.append(DictionaryEntry(words=fields[2:], uses=fields[1]))
+                position += layout.size
+        except (IndexError, struct.error):
+            raise ImageFormatError("truncated image") from None
+        self._pos = position
+        return entries
+
     def remaining(self) -> int:
         return len(self._blob) - self._pos
+
+
+@lru_cache(maxsize=None)
+def _entry_layout(length: int) -> struct.Struct:
+    """The layout of a dictionary entry of ``length`` words."""
+    return struct.Struct(f">BI{length}I")

@@ -259,7 +259,7 @@ def _numpy_nibble(decoder, tables: PrefixTables):
             _np.array(tables.ranks, dtype=_np.int32),
         )
     np_steps, np_ranks = views
-    entries = decoder._entries
+    entries = decoder.expansions()
     padded = stream + _PAD
     raw = _np.frombuffer(padded, dtype=_np.uint8).astype(_np.uint32)
     nibbles = _np.empty(2 * raw.shape[0], dtype=_np.uint32)
@@ -300,7 +300,7 @@ def _numpy_nibble(decoder, tables: PrefixTables):
 def _numpy_bytes(decoder, tables: PrefixTables, *, codeword_indexed: bool):
     stream = decoder.stream
     total = decoder.total_units
-    entries = decoder._entries
+    entries = decoder.expansions()
     if codeword_indexed:
         codeword_bytes, codeword_units, instruction_units = 2, 1, 2
     else:
@@ -389,7 +389,7 @@ def _python_nibble(decoder, tables: PrefixTables):
     encoding = decoder.encoding
     stream = decoder.stream
     padded = stream + _PAD
-    entries = decoder._entries
+    entries = decoder.expansions()
     n_entries = len(entries)
     total = decoder.total_units
     lens = tables.lens
@@ -459,7 +459,7 @@ def _python_bytes(decoder, tables: PrefixTables, *, codeword_indexed: bool):
     escape_ranks = tables.ranks
     stream = decoder.stream
     n = len(stream)
-    entries = decoder._entries
+    entries = decoder.expansions()
     n_entries = len(entries)
     total = decoder.total_units
     if codeword_indexed:

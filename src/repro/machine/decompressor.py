@@ -313,16 +313,28 @@ class StreamDecoder:
         self.strict = strict
         self.max_diagnostics = max_diagnostics
         self.diagnostics: list[DecodeDiagnostic] = []
-        # Pre-decode dictionary entries once (the on-chip dictionary RAM).
-        # A lenient decoder keeps going past entries that are empty or
-        # whose words no longer decode; codewords that reference them
-        # become diagnostics instead of expansions.
-        self._entries: list[tuple[Instruction, ...] | None] = []
-        for rank, entry in enumerate(dictionary.entries):
+        self._entries: list[tuple[Instruction, ...] | None] | None = None
+        if not strict:
+            # A lenient decoder reports its dictionary before any item.
+            self.expansions()
+
+    def expansions(self) -> list[tuple[Instruction, ...] | None]:
+        """Each dictionary entry decoded (the on-chip dictionary RAM).
+
+        Decoded on the first call, so a strict :meth:`decode` served
+        from the decode cache never pays for it.  A strict decoder
+        raises on an empty or undecodable entry; a lenient one records
+        a diagnostic and keeps ``None``, so codewords that reference
+        the entry become diagnostics instead of expansions.
+        """
+        if self._entries is not None:
+            return self._entries
+        expansions: list[tuple[Instruction, ...] | None] = []
+        for rank, entry in enumerate(self.dictionary.entries):
             try:
                 expansion = tuple(decode(word) for word in entry.words)
             except DecodingError as exc:
-                if strict:
+                if self.strict:
                     raise DecompressionError(
                         f"dictionary entry {rank} does not decode: {exc}"
                     ) from exc
@@ -332,11 +344,13 @@ class StreamDecoder:
                 expansion = None
             if expansion == ():
                 message = f"dictionary entry {rank} is empty"
-                if strict:
+                if self.strict:
                     raise DecompressionError(message)
                 self.diagnostics.append(DecodeDiagnostic(-1, message))
                 expansion = None
-            self._entries.append(expansion)
+            expansions.append(expansion)
+        self._entries = expansions
+        return expansions
 
     # ------------------------------------------------------------------
     def _read_one(
@@ -394,6 +408,7 @@ class StreamDecoder:
         )
         columns = _decode_cache.lookup(key)
         if columns is None:
+            self.expansions()  # a bad dictionary raises before any item
             try:
                 columns = bulkdecode.decode_columns(self)
             except bulkdecode.BulkFallback:
@@ -405,6 +420,7 @@ class StreamDecoder:
         """The one-item-at-a-time reference walk: the equivalence oracle
         of :meth:`decode`, and the lenient walk on a ``strict=False``
         decoder."""
+        self.expansions()
         reader = bitutils.BitReader(self.stream)
         items: list[FetchItem] = []
         address = 0

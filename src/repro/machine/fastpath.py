@@ -11,14 +11,22 @@ pass for a fast steady state, QEMU-style:
   instruction to ``(state, memory)`` directly.  The thunk is rendered
   from the instruction's statement template in
   :mod:`repro.machine.fusion`, the single fast-path copy of the data
-  semantics, and memoized process-wide (instructions are
-  frozen/hashable), so the dictionary entry ``addi r3, r3, 1`` shared
-  by every program in a batch is bound exactly once.
+  semantics, and memoized process-wide, so the dictionary entry
+  ``addi r3, r3, 1`` shared by every program in a batch is bound
+  exactly once.
 * A :class:`TranslationCache` groups consecutive thunks into
   straight-line **traces** that end at a control-flow instruction.
   Executing a trace is a single dict lookup plus a tight loop over
   plain callables — the dispatch loop is re-entered per trace, not per
   instruction.
+
+A trace costs in proportion to how often it runs.  Predecode only
+flattens the image's instructions and marks its controls; a trace binds
+the thunks of its own span when it is first entered, so code that never
+runs is never bound.  Every run folds each trace's entries into a count
+kept with the cached image, and a trace entered
+:data:`HOT_TRACE_ENTRIES` times has its body compiled into one function
+(:func:`repro.machine.fusion.body_thunk`), under data-pair fusion only.
 
 One cache serves both simulators, because an uncompressed program is
 just the stream whose every item is an escaped instruction (paper
@@ -74,10 +82,10 @@ Per dispatch the run loop does the trace lookup, the budget test, the
 body's thunks, the control and one count of the trace's completed
 entries; generated thunks call no helper besides ``Memory.load`` and
 ``store`` (see :mod:`repro.machine.fusion`).  Fetch statistics,
-profile counts and trace-cache metrics are folded from the entry counts
-once, when the loop exits.  A trace that raised is credited up to and
-including the faulting instruction, as the reference counts a fetch
-and issue before executing it.
+profile counts, trace-cache metrics and the traces' entry counts are
+folded from the run's counts once, when the loop exits.  A trace that
+raised is credited up to and including the faulting instruction, as
+the reference counts a fetch and issue before executing it.
 
 Observability: predecode passes run under the ``sim.predecode`` stage
 timer; trace-cache effectiveness is reported through the
@@ -88,12 +96,14 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate, chain, repeat
+from operator import attrgetter
 import threading
 import time
 
 from repro import observe
 from repro.errors import SimulationError
 from repro.isa.instruction import decode
+from repro.isa.opcodes import INSTRUCTION_SPECS
 from repro.machine import fusion
 from repro.machine.decompressor import (
     StreamColumns,
@@ -109,6 +119,20 @@ from repro.machine.simulator import RunResult, branch_decision, do_syscall
 # trace, stays reasonably fine-grained).  A capped trace ends with
 # ``control=None`` and chains to a continuation trace.
 MAX_TRACE = 1024
+
+# Entries, across runs of one cached image, after which a trace's body
+# becomes one compiled function.  Compiling costs about as much as a
+# few hundred entries save, and the compiled body is shared process-wide,
+# so a modest count keeps one-off traces uncompiled.
+HOT_TRACE_ENTRIES = 64
+
+# 1 for a control mnemonic, 0 for a data one: the cache marks each
+# position's kind with one C-level pass over its instructions.
+_IS_CONTROL = {
+    spec.mnemonic: int(spec.mnemonic in CONTROL_MNEMONICS)
+    for spec in INSTRUCTION_SPECS
+}
+_MNEMONIC = attrgetter("spec.mnemonic")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +164,10 @@ class Trace:
 
     ``fetched`` is ``(units, expansions, escapes)``, the fetch
     statistics of the items that start inside the trace
-    (:meth:`TranslationCache.span_stats`).
+    (:meth:`TranslationCache.span_stats`).  ``entries`` counts the
+    trace's completed entries over every run of its cache; at
+    :data:`HOT_TRACE_ENTRIES` its body may become one compiled function
+    (:meth:`TranslationCache.compile_body`).
     """
 
     __slots__ = (
@@ -153,6 +180,7 @@ class Trace:
         "cont",
         "steps_cost",
         "fetched",
+        "entries",
     )
 
     def __init__(self, start, body, body_insns, control, steps_cost):
@@ -165,13 +193,14 @@ class Trace:
         self.cont = None
         self.steps_cost = steps_cost
         self.fetched = (0, 0, 0)
+        self.entries = 0
 
 
 def _fuses_control(lead, tail) -> bool:
     """Whether a trace absorbs ``lead`` into its ``tail`` control."""
     return (
-        tail.mnemonic in fusion.CONTROL_TAIL_MNEMONICS
-        and (lead.mnemonic, tail.mnemonic) in fusion.active_control_pairs()
+        tail.spec.mnemonic in fusion.CONTROL_TAIL_MNEMONICS
+        and (lead.spec.mnemonic, tail.spec.mnemonic) in fusion.active_control_pairs()
     )
 
 
@@ -239,6 +268,11 @@ class TranslationCache:
     ``hook_base + unit * alignment_bits // 8``, and a halting ``sc``
     leaves the PC ``halt_advance`` positions past itself.  ``kind``
     only labels spans and profiler markers.
+
+    ``controls[pos]`` is 1 where a control instruction sits.
+    ``thunks[pos]`` is the bound thunk of a data instruction, ``None``
+    until a trace over it is built (or :meth:`thunk_at` binds it), and
+    always ``None`` at a control.
     """
 
     def __init__(
@@ -263,11 +297,11 @@ class TranslationCache:
         started = time.perf_counter()
         with observe.stage("sim.predecode", kind=kind, items=len(columns)):
             groups = columns.instructions
-            self.instructions = [ins for group in groups for ins in group]
-            self.thunks = [
-                None if ins.mnemonic in CONTROL_MNEMONICS else bound_thunk(ins)
-                for ins in self.instructions
-            ]
+            self.instructions = list(chain.from_iterable(groups))
+            self.controls = bytes(
+                map(_IS_CONTROL.__getitem__, map(_MNEMONIC, self.instructions))
+            )
+            self.thunks = [None] * len(self.instructions)
             # first[item] is the item's first flat position (one extra
             # entry past the end); item_of[pos] is the inverse.
             self.first = array("I", accumulate(map(len, groups), initial=0))
@@ -279,6 +313,14 @@ class TranslationCache:
 
     def hook_address(self, item):
         return self.hook_base + (self.addresses[item] * self.alignment_bits) // 8
+
+    def thunk_at(self, pos):
+        """The bound thunk of the data instruction at ``pos``, bound on
+        first use."""
+        thunk = self.thunks[pos]
+        if thunk is None:
+            thunk = self.thunks[pos] = bound_thunk(self.instructions[pos])
+        return thunk
 
     # -- control compilation ------------------------------------------
     def control_at(self, pos, fused=False):
@@ -398,9 +440,9 @@ class TranslationCache:
         return trace
 
     def build_trace(self, start):
+        """Build, bind and keep the trace starting at ``start``."""
         self.misses += 1
         n = self.count
-        thunks = self.thunks
         if not 0 <= start < n:
             # Only the uncompressed front end defers a bad transfer to
             # the next fetch; its reference step raises there.
@@ -410,13 +452,18 @@ class TranslationCache:
             trace = Trace(start, (), 0, out_of_range, 0)
             self.traces[start] = trace
             return trace
-        end = start
         limit = min(n, start + MAX_TRACE)
-        while end < limit and thunks[end] is not None:
-            end += 1
+        end = self.controls.find(1, start, limit)
+        if end < 0:
+            end = limit
+        thunks = self.thunks
+        instructions = self.instructions
+        for pos in range(start, end):
+            if thunks[pos] is None:
+                thunks[pos] = bound_thunk(instructions[pos])
         body_insns = end - start
         fused = False
-        if end < n and thunks[end] is None:  # ends at a control instruction
+        if end < n and self.controls[end]:  # ends at a control instruction
             plain = self.control_at(end)
             fused = end > start and _fuses_control(
                 self.instructions[end - 1], self.instructions[end]
@@ -479,7 +526,7 @@ class TranslationCache:
             if i + 1 < end:
                 a = instructions[i]
                 b = instructions[i + 1]
-                if (a.mnemonic, b.mnemonic) in pairs:
+                if (a.spec.mnemonic, b.spec.mnemonic) in pairs:
                     fused = fusion.fused_thunk(a, b)
                     if fused is not None:
                         body.append(fused)
@@ -488,6 +535,18 @@ class TranslationCache:
             body.append(thunks[i])
             i += 1
         return tuple(body)
+
+    def compile_body(self, trace):
+        """Make a hot trace's body one function, under data-pair fusion.
+
+        The compiled body runs the same instructions as the thunks it
+        replaces, a fused control's lead excepted, so step and fetch
+        accounting carry over unchanged.  A body of one call has nothing
+        to gain and stays.
+        """
+        if len(trace.body) > 1 and fusion.active_pairs():
+            end = trace.start + trace.body_insns - trace.fused
+            trace.body = (fusion.body_thunk(self.instructions[trace.start:end]),)
 
     def stats(self):
         return {
@@ -550,7 +609,8 @@ def stream_cache(columns, text_base, alignment_bits) -> TranslationCache:
 # which swaps a fusion function for a wrapper still clears the memo
 # underneath it.
 _GENERATED_MEMOS = (
-    bound_thunk, fusion.fused_thunk, fusion.compare_feed, fusion.compile_factory,
+    bound_thunk, fusion.fused_thunk, fusion.compare_feed, fusion.body_thunk,
+    fusion.compile_factory,
 )
 
 
@@ -559,7 +619,7 @@ def clear_translation_caches() -> None:
 
     That is the stream caches, and with them the decode cache they live
     in, and every memo of generated code: bound and fused thunks,
-    compare feeds and the template factories.
+    compare feeds, compiled bodies and the template factories.
     """
     clear_decode_cache()
     for memo in _GENERATED_MEMOS:
@@ -568,6 +628,7 @@ def clear_translation_caches() -> None:
 
 def translation_cache_stats() -> dict:
     info = bound_thunk.cache_info()
+    bodies = fusion.body_thunk.cache_info()
     return {
         "stream_caches": sum(
             columns.translation is not None
@@ -576,6 +637,8 @@ def translation_cache_stats() -> dict:
         "thunk_hits": info.hits,
         "thunk_misses": info.misses,
         "thunks": info.currsize,
+        "bodies": bodies.currsize,
+        "body_hits": bodies.hits,
     }
 
 
@@ -744,12 +807,18 @@ def _fold(stats, cache, entered, counts, aborted=None):
     up to and including the faulting instruction, because the reference
     counts an instruction's fetch and issue before executing it.  A
     control counts its step before it raises, so a fault there credits
-    the whole trace.
+    the whole trace.  Whole entries also heat their trace: one that
+    reaches :data:`HOT_TRACE_ENTRIES` here has its body compiled.  The
+    count is a heuristic, so threads sharing a cache need no lock for
+    it: a lost update only moves when a memoized body is compiled.
     """
-    runs = [
-        (trace.start, trace.steps_cost, trace.fetched, times)
-        for trace, times in entered.items()
-    ]
+    runs = []
+    for trace, times in entered.items():
+        runs.append((trace.start, trace.steps_cost, trace.fetched, times))
+        before = trace.entries
+        trace.entries = before + times
+        if before < HOT_TRACE_ENTRIES <= before + times:
+            cache.compile_body(trace)
     if aborted is not None:
         trace, done = aborted
         if done < trace.steps_cost:
@@ -782,15 +851,14 @@ def _run_trace_hooked(sim, cache, trace, hook):
     memory = sim.memory
     first = cache.first
     item_of = cache.item_of
-    thunks = cache.thunks
+    controls = cache.controls
     for pos in range(trace.start, trace.start + trace.steps_cost):
         item = item_of[pos]
         if first[item] == pos:
             sim._seek(cache, pos)
             hook(cache.hook_address(item), cache.sizes[item])
-        thunk = thunks[pos]
-        if thunk is not None:
-            thunk(state, memory)
+        if not controls[pos]:
+            cache.thunk_at(pos)(state, memory)
 
 
 def step_once(sim, cache=None) -> None:
@@ -816,11 +884,10 @@ def step_once(sim, cache=None) -> None:
         if sim.fetch_hook is not None:
             sim.fetch_hook(cache.hook_address(item), cache.sizes[item])
     stats.instructions_issued += 1
-    thunk = cache.thunks[pos]
-    if thunk is None:
+    if cache.controls[pos]:
         pos = cache.control_at(pos)(sim.state, sim, cache)
     else:
-        thunk(sim.state, sim.memory)
+        cache.thunk_at(pos)(sim.state, sim.memory)
         pos += 1
         if pos == cache.count:
             pos = _cold(cache, sim, pos - 1, "_advance")
@@ -831,10 +898,11 @@ def step_trace(sim, cache=None) -> None:
     """Execute one whole trace (lockstep harness).
 
     Trace-granularity single-step: runs the trace body — fused thunks
-    included, exactly as :func:`run_fast` would — plus its control
-    transfer, leaving the simulator at the next trace boundary.
-    :func:`step_once` cannot exercise fused bodies; this can.  Fetch
-    statistics are credited after the trace runs, by the same fold as
+    and, once the trace is hot, its compiled body included, exactly as
+    :func:`run_fast` would — plus its control transfer, leaving the
+    simulator at the next trace boundary.  :func:`step_once` cannot
+    exercise fused or compiled bodies; this can.  Fetch statistics and
+    entry counts are credited after the trace runs, by the same fold as
     :func:`run_fast`, so they are exact on an abort too.
     """
     if cache is None:

@@ -6,7 +6,7 @@ The fast path (:mod:`repro.machine.fastpath`) runs generated code
 instead, and all of it comes from :data:`_TEMPLATES`: each data
 mnemonic has one *statement template* that names its operands
 (register numbers, immediates, precomputed masks) as placeholders.  The
-same statements render three ways:
+same statements render four ways:
 
 * :func:`bound_thunk` — the 1-instruction case.  The placeholders
   become the parameters of a closure factory, compiled with ``exec``
@@ -17,9 +17,17 @@ same statements render three ways:
   The placeholders become literals and two templates concatenate into
   one ``(state, mem)`` function, compiled once per distinct pair; a
   fused pair halves the loop iterations and calls of a trace body.
+* :func:`body_thunk` — the same concatenation over a whole hot trace
+  body, so the trace runs one call instead of one per thunk.  The fast
+  path compiles a body only once its trace has proven hot.
 * :func:`compare_feed` — a compare template as ``feed(state)``, which
   also returns the CR field bits it wrote, for compare+branch control
   fusion.
+
+Every memo of generated code is process-wide and keyed on each
+instruction's ``(mnemonic, operand values)``, which hashes in C; an
+:class:`~repro.isa.instruction.Instruction` would hash through two
+Python ``__hash__`` calls (its own and its spec's).
 
 The executor stays a separate, hand-written oracle on purpose: the
 lockstep harness (:mod:`repro.verify.fastpath`) checks every rendering
@@ -29,16 +37,17 @@ Generated code calls no Python helper of its own: signed reads, sign
 extension and the ``rlwinm`` rotate render as inline expressions (see
 *Inline arithmetic* below), loads and stores call ``mem.load`` and
 ``mem.store``, and the only other names it reads are the two entries of
-:data:`_ENV` — ``_cdiv`` for ``divw``, which never fuses, and
+:data:`_ENV` — ``_cdiv`` for ``divw``, which no pair fuses, and
 ``_SimulationError`` for an unsupported SPR.  The ``bitutils``
 functions those expressions equal stay the executor's.
 
-Step accounting is exact: ``state.steps`` counts per instruction
-whenever either half of a pair can raise (loads/stores), so an
-out-of-range access observes the reference step count; only pure-ALU
-pairs coalesce into one ``state.steps += 2``.  Control instructions
-have no template, and ``divw``/``divwu``/``mfspr``/``mtspr`` are never
-fused.
+Step accounting is exact: concatenated code advances ``state.steps``
+once at its end, and first catches up with the instructions already
+run before any statement that can raise (a load, a store, an
+unsupported SPR), so an error observes the reference step count.  A
+pure-ALU pair coalesces into one ``state.steps += 2``.  Control
+instructions have no template, and ``divw``/``divwu``/``mfspr``/
+``mtspr`` are never fused into pairs (bodies take every template).
 
 Which pairs fuse is a *plan*: :data:`DEFAULT_PAIRS` carries the hottest
 adjacent data-instruction pairs mined from ``profile_program`` fetch
@@ -70,7 +79,8 @@ from functools import lru_cache
 from repro import bitutils
 from repro.errors import SimulationError
 from repro.isa import registers
-from repro.isa.instruction import decode
+from repro.isa.instruction import Instruction, decode
+from repro.isa.opcodes import SPEC_BY_MNEMONIC
 from repro.machine.executor import CONTROL_MNEMONICS
 
 _U = bitutils.WORD_MASK
@@ -182,6 +192,7 @@ def config_key() -> tuple:
 def fusion_stats() -> dict:
     info = fused_thunk.cache_info()
     feeds = compare_feed.cache_info()
+    bodies = body_thunk.cache_info()
     return {
         "enabled": _enabled,
         "pairs": sorted(_pairs),
@@ -191,6 +202,8 @@ def fusion_stats() -> dict:
         "thunk_hits": info.hits,
         "thunk_misses": info.misses,
         "compare_feeds": feeds.currsize,
+        "bodies": bodies.currsize,
+        "body_hits": bodies.hits,
     }
 
 
@@ -546,12 +559,15 @@ _TEMPLATES = {
     }),
 }
 
-# Memory templates can raise mid-pair (see fused_thunk) and never lead
-# a fused control.
+# Memory templates can raise mid-pair (see _concatenate) and never
+# lead a fused control.
 _MEMORY_MNEMONICS = frozenset({
     "lwz", "lwzu", "lbz", "lbzu", "lhz", "lha",
     "stw", "stwu", "stb", "stbu", "sth",
 })
+# Templates with a statement that can raise: concatenated code brings
+# ``state.steps`` up to date before each of them.
+_RAISES = _MEMORY_MNEMONICS | {"mfspr", "mtspr"}
 FUSABLE_MNEMONICS = frozenset(_TEMPLATES) - {"divw", "divwu", "mfspr", "mtspr"}
 
 # Leads eligible for control fusion: pure ALU/compare templates only,
@@ -564,7 +580,7 @@ assert COMPARE_MNEMONICS <= CONTROL_LEAD_MNEMONICS
 assert CONTROL_TAIL_MNEMONICS <= CONTROL_MNEMONICS
 
 # The only names generated code reads besides its arguments: ``divw``
-# (never fused) divides through ``_cdiv``, and an unsupported SPR raises.
+# divides through ``_cdiv``, and an unsupported SPR raises.
 _ENV = {
     "_cdiv": bitutils.cdiv,
     "_SimulationError": SimulationError,
@@ -609,26 +625,55 @@ def _bind(ins, kind):
     return compile_factory(lines, tuple(operands), kind)(*operands.values())
 
 
+def _counted_by(cached):
+    """Give a keying front ``cached``'s ``cache_info`` and ``cache_clear``."""
+
+    def decorate(front):
+        front.cache_info = cached.cache_info
+        front.cache_clear = cached.cache_clear
+        return front
+
+    return decorate
+
+
+def _key(ins):
+    """The memo key of one instruction: its mnemonic and operand values."""
+    return ins.spec.mnemonic, ins.values
+
+
+def _instruction(mnemonic, values):
+    return Instruction(SPEC_BY_MNEMONIC[mnemonic], values)
+
+
 @lru_cache(maxsize=65536)
+def _bound_thunk(mnemonic, values):
+    if mnemonic not in _TEMPLATES:
+
+        def missing(state, mem):
+            raise SimulationError(f"no semantics for {mnemonic!r}")
+
+        return missing
+    return _bind(_instruction(mnemonic, values), "thunk")
+
+
+@_counted_by(_bound_thunk)
 def bound_thunk(ins):
     """Bind one non-control instruction to a ``(state, mem)`` closure.
 
-    Memoized process-wide: instructions are frozen dataclasses, so the
-    same word predecoded by any simulator shares one thunk.  A mnemonic
-    without a template raises the executor's ``no semantics`` error
-    when run.
+    Memoized process-wide, so the same word predecoded by any simulator
+    shares one thunk.  A mnemonic without a template raises the
+    executor's ``no semantics`` error when run.
     """
-    if ins.mnemonic not in _TEMPLATES:
-        name = ins.mnemonic
-
-        def missing(state, mem):
-            raise SimulationError(f"no semantics for {name!r}")
-
-        return missing
-    return _bind(ins, "thunk")
+    return _bound_thunk(ins.spec.mnemonic, ins.values)
 
 
 @lru_cache(maxsize=4096)
+def _compare_feed(mnemonic, values):
+    ins = _instruction(mnemonic, values)
+    return _bind(ins, "feed"), ins.operand("crfD")
+
+
+@_counted_by(_compare_feed)
 def compare_feed(ins):
     """A ``(feed, crf)`` pair for a compare lead, else ``None``.
 
@@ -638,9 +683,10 @@ def compare_feed(ins):
     without re-reading ``state.cr``.  Non-compare leads return
     ``None``; a fused control runs their bound thunk instead.
     """
-    if ins.mnemonic not in COMPARE_MNEMONICS:
+    mnemonic = ins.spec.mnemonic
+    if mnemonic not in COMPARE_MNEMONICS:
         return None
-    return _bind(ins, "feed"), ins.operand("crfD")
+    return _compare_feed(mnemonic, ins.values)
 
 
 def _literal_lines(ins, prefix):
@@ -649,28 +695,64 @@ def _literal_lines(ins, prefix):
     return [f"    {line.format(p=prefix, **values)}" for line in lines]
 
 
+def _concatenate(keys, name):
+    """One ``(state, mem)`` function running the keyed instructions.
+
+    Their templates' statements follow each other with literal
+    operands, each instruction's temporaries under its own prefix.
+    ``state.steps`` advances once at the end, and before a template
+    that can raise it first counts the instructions already run, so an
+    error observes the exact reference step count.
+    """
+    lines = [f"def {name}(state, mem):", "    gpr = state.gpr"]
+    pending = 0
+    for k, (mnemonic, values) in enumerate(keys):
+        if pending and mnemonic in _RAISES:
+            lines.append(f"    state.steps += {pending}")
+            pending = 0
+        lines += _literal_lines(_instruction(mnemonic, values), f"_{k}")
+        pending += 1
+    lines.append(f"    state.steps += {pending}")
+    namespace = dict(_ENV)
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 @lru_cache(maxsize=16384)
+def _fused_thunk(key_a, key_b):
+    return _concatenate((key_a, key_b), "fused")
+
+
+@_counted_by(_fused_thunk)
 def fused_thunk(ins_a, ins_b):
     """Compile one fused ``(state, mem)`` thunk for an instruction pair.
 
     Returns ``None`` when either half is not fusable.  Memoized
-    process-wide (instructions are frozen/hashable), so a hot pair
-    shared across traces and programs compiles once.
+    process-wide, so a hot pair shared across traces and programs
+    compiles once.
     """
-    if ins_a.mnemonic not in FUSABLE_MNEMONICS or ins_b.mnemonic not in FUSABLE_MNEMONICS:
+    key_a, key_b = _key(ins_a), _key(ins_b)
+    if key_a[0] not in FUSABLE_MNEMONICS or key_b[0] not in FUSABLE_MNEMONICS:
         return None
-    lines = ["def _fused(state, mem):", "    gpr = state.gpr"]
-    lines += _literal_lines(ins_a, "_a")
-    if ins_a.mnemonic in _MEMORY_MNEMONICS or ins_b.mnemonic in _MEMORY_MNEMONICS:
-        # A memory access can raise mid-pair: the step counter must
-        # advance per instruction so the error observes the exact
-        # reference step count.
-        lines.append("    state.steps += 1")
-        lines += _literal_lines(ins_b, "_b")
-        lines.append("    state.steps += 1")
-    else:
-        lines += _literal_lines(ins_b, "_b")
-        lines.append("    state.steps += 2")
-    namespace = dict(_ENV)
-    exec(compile("\n".join(lines), "<fused-thunk>", "exec"), namespace)
-    return namespace["_fused"]
+    return _fused_thunk(key_a, key_b)
+
+
+@lru_cache(maxsize=4096)
+def _body_thunk(keys):
+    return _concatenate(keys, "body")
+
+
+@_counted_by(_body_thunk)
+def body_thunk(instructions):
+    """Compile a trace body, ``instructions`` in order, into one
+    ``(state, mem)`` function.
+
+    Any data instructions concatenate, pair-fusable or not.  The
+    function equals running their bound thunks one after another: the
+    same statements in the same order, with the same step count
+    wherever one raises, and every load and store still goes through
+    ``mem.load``/``mem.store``.  Memoized process-wide by the
+    instructions, so a body that recurs across images and programs
+    compiles once.
+    """
+    return _body_thunk(tuple(map(_key, instructions)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 from repro.errors import SimulationError
@@ -30,14 +31,20 @@ class Memory:
     call.  The test comes first: ``unpack_from`` reads a negative
     offset from the end of the buffer, so an address below
     ``DATA_BASE`` would otherwise read stack bytes.
+
+    The extent is a private anonymous ``mmap``, so the kernel zeroes
+    its pages on first touch: a run pays for the data image and the
+    stack it uses, not for a 4 MB fill.
     """
 
     def __init__(self, data_image: bytes | bytearray = b"") -> None:
         self.base = DATA_BASE
         self.limit = STACK_TOP
         self._extent = self.limit - self.base
-        self._bytes = bytearray(self._extent)
-        self._bytes[: len(data_image)] = data_image
+        self._bytes = mmap.mmap(-1, self._extent, flags=mmap.MAP_PRIVATE)
+        # No access reaches past the extent, so neither does the image.
+        image = data_image[: self._extent]
+        self._bytes[: len(image)] = image
 
     def load(self, address: int, size: int) -> int:
         """Zero-extended load of 1, 2, or 4 bytes."""
@@ -54,4 +61,4 @@ class Memory:
 
     def snapshot_data(self, length: int) -> bytes:
         """Copy of the first ``length`` bytes of the data segment."""
-        return bytes(self._bytes[:length])
+        return self._bytes[:length]

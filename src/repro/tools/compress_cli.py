@@ -138,12 +138,12 @@ def _disasm_image(path: Path, args) -> int:
     from repro.machine.decompressor import StreamDecoder
 
     image = CompressedImage.from_bytes(path.read_bytes())
-    decoder = StreamDecoder(
+    items = StreamDecoder(
         image.stream, image.dictionary, image.encoding(), image.total_units
-    )
+    ).decode().items()
     print(f"{image.name} ({image.encoding_name}, "
           f"{len(image.dictionary)} codewords):")
-    for item in decoder.decode().items():
+    for item in items:
         if item.is_codeword:
             body = "; ".join(format_instruction(ins) for ins in item.instructions)
             print(f"  unit {item.address:6d}  CW#{item.rank:<5d} -> {body}")

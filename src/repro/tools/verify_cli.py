@@ -9,7 +9,8 @@ Subcommands:
 * ``fastpath``   — lockstep of the fast path against the reference
   interpreter, on both engines, for every encoding, at instruction
   and trace granularity (the latter exercises superinstruction
-  fusion; plan selection via ``--fusion on|off|profile``);
+  fusion and hot compiled bodies; plan selection via
+  ``--fusion on|off|profile|control``);
 * ``invariants`` — static structural checks (branch boundaries, jump
   tables, dictionary ranks, escape discipline) without executing;
 * ``campaign``   — seeded fault-injection campaign through
@@ -125,7 +126,8 @@ def cmd_fastpath(args) -> int:
         stats = fusion.fusion_stats()
         print(
             f"fusion: {stats['compiled']} fused thunk(s) compiled over "
-            f"{len(stats['pairs'])} planned pair(s)"
+            f"{len(stats['pairs'])} planned pair(s), "
+            f"{stats['bodies']} hot trace body(ies) compiled"
         )
         if stats["control_enabled"]:
             print(
@@ -213,7 +215,9 @@ def main(argv: list[str] | None = None) -> int:
                           "lockstep: suite-wide plan (on), disabled (off), "
                           "a per-program profile-mined plan (profile), or "
                           "control fusion alone with a profile-mined "
-                          "cmp+branch plan and data pairs off (control)")
+                          "cmp+branch plan and data pairs off (control); "
+                          "hot trace bodies compile only where data pairs "
+                          "fuse (on, profile)")
     fastpath.set_defaults(func=cmd_fastpath)
 
     invariants = sub.add_parser(

@@ -3,8 +3,9 @@
 Golden whole-program equivalence lives in
 ``tests/integration/test_fastpath_equivalence.py``; this file covers
 the cache mechanics: thunk memoization, trace construction and
-sharing, the step-budget fallback, fetch-hook compatibility, fetch
-accounting, profile parity, and observe wiring.
+sharing, binding on first entry, hot bodies, the step-budget fallback,
+fetch-hook compatibility, fetch accounting, profile parity, and observe
+wiring.
 """
 
 import pytest
@@ -77,15 +78,127 @@ class TestBoundThunks:
 
     def test_clear_drops_every_generated_memo(self, tiny_program):
         compressed = compress(tiny_program, NibbleEncoding())
-        CompressedSimulator(compressed).run()
+        _run_until_hot(lambda: CompressedSimulator(compressed))
         stats = fusion.fusion_stats()
         assert stats["compiled"] > 0 and stats["compare_feeds"] > 0
+        assert stats["bodies"] > 0
         fastpath.clear_translation_caches()
         stats = fusion.fusion_stats()
         assert stats["compiled"] == 0
         assert stats["compare_feeds"] == 0
+        assert stats["bodies"] == 0
         assert fastpath.translation_cache_stats()["thunks"] == 0
+        assert fastpath.translation_cache_stats()["bodies"] == 0
         assert fusion.compile_factory.cache_info().currsize == 0
+
+
+def _run_until_hot(make_simulator):
+    """Run fresh simulators over one image until its hottest trace has
+    been entered ``HOT_TRACE_ENTRIES`` times; returns the last one."""
+    while True:
+        sim = make_simulator()
+        sim.run()
+        cache = sim._translation_cache()
+        hottest = max(trace.entries for trace in cache.traces.values())
+        if hottest >= fastpath.HOT_TRACE_ENTRIES:
+            return sim
+
+
+def _compiled(trace) -> bool:
+    return len(trace.body) == 1 and trace.body[0].__name__ == "body"
+
+
+class TestBindOnFirstEntry:
+    def test_cold_image_binds_only_traced_positions(self, tiny_program):
+        compressed = compress(tiny_program, NibbleEncoding())
+        sim = CompressedSimulator(compressed)
+        sim.run()
+        cache = sim._translation_cache()
+        bound = {pos for pos, thunk in enumerate(cache.thunks) if thunk}
+        covered = {
+            pos
+            for trace in cache.traces.values()
+            for pos in range(trace.start, trace.start + trace.body_insns)
+        }
+        assert bound == covered
+        data = [pos for pos in range(cache.count) if not cache.controls[pos]]
+        assert len(bound) < len(data)  # the unused runtime stays unbound
+
+    def test_predecode_marks_controls(self, tiny_program):
+        from repro.machine.executor import CONTROL_MNEMONICS
+
+        tiny_program._analysis_cache.pop("fastpath", None)
+        cache = fastpath.program_cache(tiny_program)
+        assert all(thunk is None for thunk in cache.thunks)
+        assert [bool(flag) for flag in cache.controls] == [
+            ins.mnemonic in CONTROL_MNEMONICS for ins in cache.instructions
+        ]
+
+    def test_single_step_binds_on_demand(self, tiny_program):
+        tiny_program._analysis_cache.pop("fastpath", None)
+        sim = Simulator(tiny_program)
+        cache = sim._translation_cache()
+        start = sim.pc
+        assert cache.thunks[start] is None
+        sim.step_fast()
+        if cache.controls[start]:
+            assert cache.thunks[start] is None
+        else:
+            assert cache.thunks[start] is fastpath.bound_thunk(
+                cache.instructions[start]
+            )
+
+
+class TestHotBodies:
+    def test_hot_traces_run_one_compiled_body(self, tiny_program):
+        compressed = compress(tiny_program, NibbleEncoding())
+        sim = _run_until_hot(lambda: CompressedSimulator(compressed))
+        cache = sim._translation_cache()
+        compiled = 0
+        for trace in cache.traces.values():
+            if trace.entries < fastpath.HOT_TRACE_ENTRIES:
+                assert not _compiled(trace)
+            elif _compiled(trace):
+                compiled += 1
+                end = trace.start + trace.body_insns - trace.fused
+                assert trace.body[0] is fusion.body_thunk(
+                    cache.instructions[trace.start:end]
+                )
+        assert compiled > 0
+
+    def test_compiled_bodies_run_like_the_reference(self, tiny_program):
+        compressed = compress(tiny_program, NibbleEncoding())
+        _run_until_hot(lambda: CompressedSimulator(compressed))
+        fast = CompressedSimulator(compressed, implementation="fast")
+        fast.run()
+        reference = CompressedSimulator(compressed, implementation="reference")
+        reference.run()
+        assert fast.state.gpr == reference.state.gpr
+        assert fast.state.output == reference.state.output
+        assert fast.state.steps == reference.state.steps
+        assert fast.stats == reference.stats
+
+    def test_no_body_compiles_without_data_pairs(self, tiny_program):
+        previous = fusion.configure(pairs=())
+        try:
+            compressed = compress(tiny_program, NibbleEncoding())
+            sim = _run_until_hot(lambda: CompressedSimulator(compressed))
+            cache = sim._translation_cache()
+            assert not any(_compiled(t) for t in cache.traces.values())
+            assert fusion.fusion_stats()["bodies"] == 0
+        finally:
+            fusion.configure(pairs=previous["pairs"])
+
+    def test_images_of_one_program_share_bodies(self, tiny_program):
+        from repro.core import BaselineEncoding
+
+        for encoding in (NibbleEncoding(), BaselineEncoding()):
+            compressed = compress(tiny_program, encoding)
+            _run_until_hot(lambda: CompressedSimulator(compressed))
+        stats = fastpath.translation_cache_stats()
+        assert stats["bodies"] > 0
+        assert stats["body_hits"] > 0
+        assert fusion.fusion_stats()["body_hits"] == stats["body_hits"]
 
 
 class TestProgramTranslationCache:

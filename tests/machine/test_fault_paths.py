@@ -17,7 +17,8 @@ the uncompressed simulator and each encoding:
 
 The data-memory rows fault inside a trace body, where the fast engine
 credits fetches up to and including the faulting instruction, as the
-reference does.
+reference does.  One of them loops until its trace is hot, so its
+store faults inside a compiled body.
 """
 
 import pytest
@@ -38,8 +39,11 @@ from repro.verify.fastpath import (
 )
 
 ENGINES = ("plain", "baseline", "nibble", "onebyte")
-MAX_STEPS = 64  # bounds run() on the one program that never terminates
-LOCKSTEP_STEPS = 200
+HOT_PASSES = fastpath.HOT_TRACE_ENTRIES + 16
+# Both bound the one program that never terminates, and leave room for
+# the hot loop to fault.
+MAX_STEPS = 8 * HOT_PASSES
+LOCKSTEP_STEPS = 16 * HOT_PASSES
 
 # 0x10000 is the text base: ``addis r3, 0, 1`` then ``addi r3, r3, 2``
 # puts text_base + 2 in r3.  r1 starts at STACK_TOP - 64.
@@ -102,6 +106,16 @@ FAULT_PROGRAMS = {
         (make("stb", 3, (63, 1)), None),  # the last byte: in range
         (make("lbz", 4, (64, 1)), None),  # STACK_TOP
         (make("addi", 5, 0, 1), None),
+    ], False),
+    # One word higher per pass until the store lands on STACK_TOP, after
+    # the loop's trace has turned hot and compiled its body.
+    "store_past_top_in_hot_body": ([
+        (make("addis", 4, 0, STACK_TOP >> 16), None),
+        (make("addi", 4, 4, -4 * HOT_PASSES), None),
+        (make("addi", 5, 5, 1), None),
+        (make("stw", 5, (0, 4)), None),
+        (make("addi", 4, 4, 4), None),
+        (make("b", -3), 2),
     ], False),
 }
 
@@ -208,7 +222,7 @@ def test_every_front_end_difference_is_reached():
     assert endings["falloff_after_data", "nibble"].startswith("fell off")
     assert endings["b_past_text", "plain"].startswith("PC index 3 out")
     assert "lands inside an encoded item" in endings["b_past_text", "onebyte"]
-    assert "exceeded 64 steps" in endings["bclr_into_instruction", "baseline"]
+    assert f"exceeded {MAX_STEPS} steps" in endings["bclr_into_instruction", "baseline"]
     assert "is not a text instruction" in endings["bcctr_far", "plain"]
     assert endings["unknown_syscall", "nibble"] == "unknown syscall 9"
     for engine in ENGINES:
@@ -223,6 +237,9 @@ def test_every_front_end_difference_is_reached():
         assert endings["lbz_at_top", engine] == (
             f"memory access at {STACK_TOP:#x} (size 1) out of range"
         )
+        assert endings["store_past_top_in_hot_body", engine] == (
+            f"memory access at {STACK_TOP:#x} (size 4) out of range"
+        )
 
 
 def test_straddling_store_faults_inside_a_fused_pair():
@@ -230,3 +247,13 @@ def test_straddling_store_faults_inside_a_fused_pair():
     add, stw = (row.instruction for row in program.text[1:3])
     trace = fastpath.program_cache(program).trace_at(0)
     assert fusion.fused_thunk(add, stw) in trace.body
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_hot_store_faults_inside_a_compiled_body(engine):
+    sim = _simulator(_image("store_past_top_in_hot_body", engine), "fast")
+    with pytest.raises(ReproError, match="out of range"):
+        sim.run()
+    loop = sim._translation_cache().traces[2]
+    assert loop.entries >= fastpath.HOT_TRACE_ENTRIES
+    assert len(loop.body) == 1 and loop.body[0].__name__ == "body"

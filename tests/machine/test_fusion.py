@@ -14,6 +14,7 @@ rotate inline, so their corners are swept exhaustively here, and the
 generated code is checked to read no helper at all.
 """
 
+import dis
 import itertools
 import random
 
@@ -125,6 +126,16 @@ def _clone(state: MachineState) -> MachineState:
     return clone
 
 
+def _same_contents(mem_a, mem_b) -> bool:
+    """Whether two memories hold the same bytes over their whole extent.
+
+    ``Memory`` keeps its bytes in an ``mmap``, which has no ``==``;
+    comparing the extents as 8-byte words is the same byte-for-byte
+    test without copying 4 MB per side.
+    """
+    return memoryview(mem_a._bytes).cast("Q") == memoryview(mem_b._bytes).cast("Q")
+
+
 def _run(thunks, state, memory):
     try:
         for thunk in thunks:
@@ -140,6 +151,31 @@ def _oracle(instructions, state, memory):
         [lambda s, m, i=i: execute_data(i, s, m) for i in instructions],
         state, memory,
     )
+
+
+def _assert_cases_match_oracle(cases, rng):
+    """Each ``(instructions, thunk)`` case, run on a random state, must
+    leave registers, CR, LR/CTR, steps, memory and error text exactly
+    where :func:`execute_data` over the same instructions does."""
+    # Memories stay equal case to case (checked below), so one pair
+    # serves the whole test.
+    mem_f = Memory(bytes(range(256)) * 32)
+    mem_r = Memory(bytes(range(256)) * 32)
+    for instructions, thunk in cases:
+        assert thunk is not None
+        state_f = _random_state(rng)
+        state_r = _clone(state_f)
+        err_f = _run([thunk], state_f, mem_f)
+        err_r = _oracle(instructions, state_r, mem_r)
+        context = f"{[str(i) for i in instructions]}"
+        assert (err_f is None) == (err_r is None), context
+        if err_f is not None:
+            assert str(err_f) == str(err_r), context
+        assert state_f.gpr == state_r.gpr, context
+        assert state_f.cr == state_r.cr, context
+        assert (state_f.lr, state_f.ctr) == (state_r.lr, state_r.ctr), context
+        assert state_f.steps == state_r.steps, context
+        assert _same_contents(mem_f, mem_r), context
 
 
 class TestFusedSemantics:
@@ -167,25 +203,7 @@ class TestFusedSemantics:
             assert fusion.fused_thunk(
                 _sample_instruction(mnemonic, rng), make("addi", 3, 0, 1)
             ) is None
-        # Memories stay equal case to case (checked below), so one pair
-        # serves the whole test.
-        mem_f = Memory(bytes(range(256)) * 32)
-        mem_r = Memory(bytes(range(256)) * 32)
-        for instructions, thunk in cases:
-            assert thunk is not None
-            state_f = _random_state(rng)
-            state_r = _clone(state_f)
-            err_f = _run([thunk], state_f, mem_f)
-            err_r = _oracle(instructions, state_r, mem_r)
-            context = f"{[str(i) for i in instructions]}"
-            assert (err_f is None) == (err_r is None), context
-            if err_f is not None:
-                assert str(err_f) == str(err_r), context
-            assert state_f.gpr == state_r.gpr, context
-            assert state_f.cr == state_r.cr, context
-            assert (state_f.lr, state_f.ctr) == (state_r.lr, state_r.ctr), context
-            assert state_f.steps == state_r.steps, context
-            assert mem_f._bytes == mem_r._bytes, context
+        _assert_cases_match_oracle(cases, rng)
 
     def test_compare_feed_matches_executor(self):
         rng = random.Random("feeds")
@@ -252,6 +270,89 @@ class TestFusedSemantics:
         assert not fusion.FUSABLE_MNEMONICS & CONTROL_MNEMONICS
 
 
+# Accesses that always fault: below DATA_BASE, and straddling STACK_TOP.
+_FAULTING = (
+    ins("lwz", rT=4, **{"D(rA)": (0, 0)}),
+    ins("lhz", rT=4, **{"D(rA)": (-2, 0)}),
+    ins("stw", rS=4, **{"D(rA)": (0, 0)}),
+    ins("stb", rS=4, **{"D(rA)": (4, 0)}),
+)
+
+
+class TestCompiledBodies:
+    @pytest.mark.parametrize("mnemonic", sorted(fusion.FUSABLE_MNEMONICS))
+    def test_random_bodies_match_executor(self, mnemonic):
+        """Compiled bodies of 2-12 instructions against the oracle.
+
+        Each body holds ``mnemonic`` among random fusable partners;
+        every third one also holds a load or store that faults mid-body,
+        so the step count the error observes is checked too.
+        """
+        rng = random.Random(f"body:{mnemonic}")
+        pool = sorted(fusion.FUSABLE_MNEMONICS)
+        cases = []
+        for round_ in range(18):
+            length = rng.randrange(2, 13)
+            body = [_sample_instruction(rng.choice(pool), rng) for _ in range(length)]
+            body[rng.randrange(length)] = _sample_instruction(mnemonic, rng)
+            if round_ % 3 == 0:
+                body[rng.randrange(1, length)] = rng.choice(_FAULTING)
+            cases.append((tuple(body), fusion.body_thunk(body)))
+        _assert_cases_match_oracle(cases, rng)
+
+    def test_bodies_take_every_template(self):
+        """``divw``/``divwu``/``mfspr``/``mtspr`` never fuse into pairs,
+        but a hot body compiles whatever data instructions it holds."""
+        rng = random.Random("body:unpaired")
+        unpaired = sorted(set(fusion._TEMPLATES) - fusion.FUSABLE_MNEMONICS)
+        cases = []
+        for mnemonic in unpaired:
+            for _ in range(12):
+                body = (
+                    _sample_instruction("addi", rng),
+                    _sample_instruction(mnemonic, rng),
+                    _sample_instruction("stw", rng),
+                )
+                cases.append((body, fusion.body_thunk(body)))
+        _assert_cases_match_oracle(cases, rng)
+
+    def test_steps_catch_up_before_a_faulting_access(self):
+        body = (
+            make("addi", 3, 0, 7),
+            make("addi", 4, 3, 1),
+            ins("stw", rS=3, **{"D(rA)": (0, 0)}),  # address 0 faults
+            make("addi", 5, 0, 9),
+        )
+        state = MachineState()
+        with pytest.raises(SimulationError, match="out of range"):
+            fusion.body_thunk(body)(state, Memory())
+        assert state.steps == 2
+        assert state.gpr[3:6] == [7, 8, 0]
+
+    def test_pure_alu_body_counts_steps_once(self):
+        body = tuple(make("addi", 3, 3, 1) for _ in range(5))
+        state = MachineState()
+        fusion.body_thunk(body)(state, None)
+        assert state.steps == 5
+        assert state.gpr[3] == 5
+        step_writes = [
+            op for op in dis.get_instructions(fusion.body_thunk(body))
+            if op.opname == "STORE_ATTR" and op.argval == "steps"
+        ]
+        assert len(step_writes) == 1
+
+    def test_bodies_are_memoized_by_instructions(self):
+        before = fusion.fusion_stats()
+        first = fusion.body_thunk([make("addi", 3, 0, 1), make("add", 4, 3, 3)])
+        again = fusion.body_thunk((make("addi", 3, 0, 1), make("add", 4, 3, 3)))
+        assert again is first
+        other = fusion.body_thunk((make("addi", 3, 0, 2), make("add", 4, 3, 3)))
+        assert other is not first
+        after = fusion.fusion_stats()
+        assert after["bodies"] == before["bodies"] + 2
+        assert after["body_hits"] == before["body_hits"] + 1
+
+
 # Every name generated code may read besides its locals: state fields,
 # the two memory accessors, and the two _ENV entries.
 _GENERATED_NAMES = frozenset({
@@ -297,16 +398,23 @@ class TestInlineArithmetic:
         assert state_f.gpr[5] == 0xFFFFFFFF
 
     def test_generated_code_calls_no_helper(self):
-        """Bound thunks, fused pairs and compare feeds of every template
-        read only state, memory and the two ``_ENV`` names."""
+        """Bound thunks, fused pairs, compare feeds and compiled bodies
+        of every template read only state, memory and the two ``_ENV``
+        names."""
         rng = random.Random("names")
         codes = []
-        for mnemonic in sorted(fusion._TEMPLATES):
+        templates = sorted(fusion._TEMPLATES)
+        for mnemonic in templates:
             for _ in range(8):
                 single = _sample_instruction(mnemonic, rng)
                 codes.append(fastpath.bound_thunk(single).__code__)
                 if mnemonic in fusion.COMPARE_MNEMONICS:
                     codes.append(fusion.compare_feed(single)[0].__code__)
+                body = [single] + [
+                    _sample_instruction(rng.choice(templates), rng)
+                    for _ in range(rng.randrange(1, 8))
+                ]
+                codes.append(fusion.body_thunk(body).__code__)
             if mnemonic in fusion.FUSABLE_MNEMONICS:
                 for partner in sorted(fusion.FUSABLE_MNEMONICS):
                     pair = (

@@ -18,6 +18,15 @@ class TestMemory:
         memory = Memory()
         assert memory.load(DATA_BASE + 100, 4) == 0
 
+    def test_image_past_the_extent_is_cut_at_it(self):
+        # A program may declare more data than the extent holds: the
+        # part in range loads as usual, and nothing past it is reachable.
+        memory = Memory(b"\x01" * (STACK_TOP - DATA_BASE + 8))
+        assert memory.load(DATA_BASE, 4) == 0x01010101
+        assert memory.load(STACK_TOP - 4, 4) == 0x01010101
+        with pytest.raises(SimulationError):
+            memory.load(STACK_TOP, 4)
+
     def test_store_load_roundtrip_sizes(self):
         memory = Memory()
         memory.store(DATA_BASE, 4, 0xDEADBEEF)

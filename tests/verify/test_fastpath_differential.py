@@ -2,15 +2,16 @@
 bugs are caught, and the differential runner works on the fast engine.
 
 Two granularities are covered: the instruction-level lockstep (fused
-bodies never execute — every thunk steps singly) and the trace-level
-lockstep, which runs whole traces including superinstructions and is
-the harness that actually validates fusion."""
+and compiled bodies never execute — every thunk steps singly) and the
+trace-level lockstep, which runs whole traces including
+superinstructions and hot compiled bodies and is the harness that
+actually validates fusion."""
 
 import pytest
 
 from repro.isa.instruction import make
 from repro.linker.objfile import InsnRole
-from repro.linker.program import Program, TextInstruction
+from repro.linker.program import STACK_TOP, Program, TextInstruction
 from repro.machine import fastpath, fusion
 from repro.verify import (
     lockstep_compressed,
@@ -46,6 +47,27 @@ def _straightline_program():
     ]
     return Program.from_records(
         name="straight", text=text, data_image=bytearray(), symbols={}
+    )
+
+
+def _hot_store_loop_program():
+    """A loop whose body stores one word higher per pass, until the
+    store lands past ``STACK_TOP``: the loop's trace turns hot first,
+    so the fault is raised inside its compiled body."""
+    passes = fastpath.HOT_TRACE_ENTRIES + 16
+    instructions = [
+        make("addis", 4, 0, STACK_TOP >> 16),
+        make("addi", 4, 4, -4 * passes),
+        make("addi", 5, 5, 1),       # loop: count
+        make("stw", 5, (0, 4)),      # store (faults after `passes` passes)
+        make("addi", 4, 4, 4),
+        make("b", -3),
+    ]
+    text = [
+        TextInstruction(ins, InsnRole.BODY, "f", False) for ins in instructions
+    ]
+    return Program.from_records(
+        name="hot-store", text=text, data_image=bytearray(), symbols={}
     )
 
 
@@ -166,6 +188,29 @@ class TestPlantedFusionBugs:
         ))
         assert lockstep_program(program).ok
         assert not lockstep_program_traces(program).ok
+
+
+class TestPlantedBodyBug:
+    """Hot traces run one compiled body; the trace lockstep must catch a
+    body compiler that forgets to bring ``state.steps`` up to date
+    before a store, which the instruction lockstep cannot see."""
+
+    def test_clean_hot_loop_passes_both_lanes(self):
+        program = _hot_store_loop_program()
+        assert lockstep_program(program).ok
+        result = lockstep_program_traces(program)
+        assert result.ok, result.render()
+        assert fusion.fusion_stats()["bodies"] > 0
+
+    def test_dropped_step_flush_before_a_store_is_detected(self, monkeypatch):
+        monkeypatch.setattr(fusion, "_RAISES", fusion._RAISES - {"stw"})
+        fastpath.clear_translation_caches()
+        program = _hot_store_loop_program()
+        assert lockstep_program(program).ok
+        result = lockstep_program_traces(program)
+        assert not result.ok
+        assert result.divergence.kind == "exception"
+        assert fusion.fusion_stats()["bodies"] > 0
 
 
 class TestPlantedTemplateBug:
